@@ -24,7 +24,7 @@ import numpy as np
 
 from .cyclo import CycInt, gauss_sum, legendre, root_power
 from .pfunc import Domain, PFunction
-from .walsh import WalshSpectrum, walsh_fast
+from .walsh import WalshSpectrum, rotate_rows, walsh_fast
 
 NOT_BENT = "not_bent"
 REGULAR = "regular"
@@ -132,9 +132,14 @@ class ClassReport:
     dual_is_bent: bool | None = None
     witnesses: dict[str, int] = field(default_factory=dict)
 
-    @property
-    def dual_bent(self) -> bool | None:
-        return self.dual_is_bent
+    def has_non_bent_dual(self) -> bool:
+        """Bent and not weakly regular, with a dual that is not bent: the
+        behaviour the paper's examples and the pair search look for."""
+        return (
+            self.is_bent
+            and self.regularity == NON_WEAKLY_REGULAR
+            and self.dual_is_bent is False
+        )
 
     def to_json(self) -> dict:
         out: dict = {
@@ -184,10 +189,10 @@ def classify(f: PFunction, spectrum: WalshSpectrum | None = None) -> ClassReport
         report.regularity = NON_WEAKLY_REGULAR
         report.witnesses["unit_mismatch_at"] = int(np.argmax(units != units[0]))
 
-    dual_bent = is_bent(walsh_fast(dual))
-    report.dual_is_bent = bool(dual_bent)
-    if not dual_bent:
-        report.witnesses["dual_not_bent_at"] = dual_bent.witness
+    dual_verdict = is_bent(walsh_fast(dual))
+    report.dual_is_bent = bool(dual_verdict)
+    if not dual_verdict:
+        report.witnesses["dual_not_bent_at"] = dual_verdict.witness
     return report
 
 
@@ -214,13 +219,7 @@ def weak_regular_dual_relation(f: PFunction, report: ClassReport) -> Verdict:
     lhs = Wd.values[neg]  # row y holds W_dual(-y)
     # rhs rows: target_scalar * e^(f(y))
     base = np.array(target_scalar.coeffs, dtype=np.int64)
-    rhs = np.zeros_like(lhs)
-    pad = np.concatenate([base, [0]])
-    for digit in range(p):
-        rows = f.table == digit
-        if rows.any():
-            shifted = np.roll(pad, digit)
-            rhs[rows] = shifted[: p - 1] - shifted[p - 1]
+    rhs = rotate_rows(np.broadcast_to(base, lhs.shape), p, f.table)
     mism = (lhs != rhs).any(axis=1)
     if mism.any():
         return Verdict(False, int(np.argmax(mism)))

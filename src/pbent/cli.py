@@ -13,14 +13,14 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from math import isclose, sqrt
 
 import numpy as np
 
-from .bent import NON_WEAKLY_REGULAR, classify
+from .bent import ClassReport, classify
 from .constructions import (
     ConstructionError,
     NdCorSpec,
@@ -36,6 +36,7 @@ from .constructions import (
     ndcor_condition_sum,
     ndcor_function,
     semi_direct_sum,
+    sporadic,
     sporadic_claim,
     sporadic_primitive_scan,
 )
@@ -58,44 +59,6 @@ class CLIError(Exception):
     """Configuration or input problem; message goes to stderr, exit code 2."""
 
 
-@dataclass
-class RunConfig:
-    """Validated bundle of everything one invocation needs."""
-
-    command: str
-    sub: str | None = None
-    p: int | None = None
-    m: int | None = None
-    modulus: tuple[int, ...] | None = None
-    expr: str | None = None
-    tt: str | None = None
-    out: str | None = None
-    width: int = 1
-    seed: int = 0
-    limit: int | None = None
-    stable: bool = False
-    extra: dict = dc_field(default_factory=dict)
-
-    def validate(self) -> None:
-        if self.width < 1:
-            raise CLIError("--width must be at least 1")
-        if self.limit is not None and self.limit < 0:
-            raise CLIError("--limit must be nonnegative")
-        if self.p is not None:
-            if self.p < 3 or self.p % 2 == 0:
-                raise CLIError("--p must be an odd prime")
-        if self.m is not None and self.m < 1:
-            raise CLIError("--m must be at least 1")
-        if self.modulus is not None:
-            if self.m is None:
-                raise CLIError("--modulus needs --m")
-            if len(self.modulus) != self.m + 1:
-                raise CLIError(
-                    f"--modulus needs {self.m + 1} digits for m={self.m}, "
-                    f"got {len(self.modulus)}"
-                )
-
-
 def _parse_modulus(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(","))
@@ -103,20 +66,43 @@ def _parse_modulus(text: str) -> tuple[int, ...]:
         raise CLIError(f"bad modulus {text!r}: {exc}") from None
 
 
-def _field_from(cfg: RunConfig) -> FieldCtx:
-    if cfg.p is None or cfg.m is None:
+def _validate(ns: argparse.Namespace) -> None:
+    """The flag checks argparse cannot express; parses the modulus flags in place."""
+    if getattr(ns, "modulus_36", None) is not None:
+        ns.modulus_36 = _parse_modulus(ns.modulus_36)
+    ns.modulus = _parse_modulus(ns.modulus) if getattr(ns, "modulus", None) else None
+    p, m = getattr(ns, "p", None), getattr(ns, "m", None)
+    if getattr(ns, "width", 1) < 1:
+        raise CLIError("--width must be at least 1")
+    if getattr(ns, "limit", None) is not None and ns.limit < 0:
+        raise CLIError("--limit must be nonnegative")
+    if p is not None and (p < 3 or p % 2 == 0):
+        raise CLIError("--p must be an odd prime")
+    if m is not None and m < 1:
+        raise CLIError("--m must be at least 1")
+    if ns.modulus is not None:
+        if m is None:
+            raise CLIError("--modulus needs --m")
+        if len(ns.modulus) != m + 1:
+            raise CLIError(
+                f"--modulus needs {m + 1} digits for m={m}, got {len(ns.modulus)}"
+            )
+
+
+def _field_from(ns: argparse.Namespace) -> FieldCtx:
+    if ns.p is None or ns.m is None:
         raise CLIError("this command needs --p and --m")
-    return make_field(cfg.p, cfg.m, cfg.modulus)
+    return make_field(ns.p, ns.m, ns.modulus)
 
 
-def _load_function(cfg: RunConfig) -> PFunction:
+def _load_function(ns: argparse.Namespace) -> PFunction:
     """One input function, from --tt or from --expr with field flags."""
-    if cfg.tt is not None and cfg.expr is not None:
+    if ns.tt is not None and ns.expr is not None:
         raise CLIError("give either --tt or --expr, not both")
-    if cfg.tt is not None:
-        return load_tt(cfg.tt)
-    if cfg.expr is not None:
-        return from_expr(_field_from(cfg), cfg.expr)
+    if ns.tt is not None:
+        return load_tt(ns.tt)
+    if ns.expr is not None:
+        return from_expr(_field_from(ns), ns.expr)
     raise CLIError("this command needs --tt FILE or --expr STRING")
 
 
@@ -137,95 +123,92 @@ def _json_text(obj) -> str:
 # ---- simple report commands ----------------------------------------------------
 
 
-def cmd_classify(cfg: RunConfig) -> int:
-    report = classify(_load_function(cfg))
-    _emit(_json_text(report.to_json()), cfg.out)
+def cmd_classify(ns: argparse.Namespace) -> int:
+    report = classify(_load_function(ns))
+    _emit(_json_text(report.to_json()), ns.out)
     return 0
 
 
-def cmd_dual(cfg: RunConfig) -> int:
-    f = _load_function(cfg)
+def cmd_dual(ns: argparse.Namespace) -> int:
+    f = _load_function(ns)
     report = classify(f)
     if not report.is_bent:
         b = report.witnesses.get("not_bent_at")
         sys.stderr.write(f"not bent (witness b={b}); no dual exists\n")
         return 1
-    _emit(dump_tt(report.dual), cfg.out)
+    _emit(dump_tt(report.dual), ns.out)
     return 0
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
-    f = _load_function(cfg)
-    _emit(_json_text(walsh_fast(f).to_json()), cfg.out)
+def cmd_spectrum(ns: argparse.Namespace) -> int:
+    f = _load_function(ns)
+    _emit(_json_text(walsh_fast(f).to_json()), ns.out)
     return 0
 
 
 # ---- construct -------------------------------------------------------------------
 
 
-def _coef(ctx: FieldCtx, text: str, what: str):
-    if text is None:
-        raise CLIError(f"this construction needs --{what}")
-    return parse_coefficient(ctx, text)
-
-
-def cmd_construct(cfg: RunConfig) -> int:
-    sub = cfg.sub
-    x = cfg.extra
-    if sub == "monomial":
-        ctx = _field_from(cfg)
-        f = monomial_bent(ctx, _coef(ctx, x.get("alpha"), "alpha"), x["k"])
-    elif sub == "cm":
-        ctx = _field_from(cfg)
-        f = cm_bent(ctx, _coef(ctx, x.get("alpha"), "alpha"), x["k"])
-    elif sub == "directsum":
-        parts = [load_tt(path) for path in x["inputs"]]
-        if len(parts) != 2:
-            raise CLIError("directsum needs exactly two truth-table files")
-        f = direct_sum(parts[0], parts[1])
-    elif sub == "sds":
-        spec = SdsSpec(
-            f=load_tt(x["f"]),
-            g=load_tt(x["g"]),
-            h=[load_tt(path) for path in x["h"] or []],
-        )
-        f = semi_direct_sum(spec)
-    elif sub == "cor1":
-        ctx = _field_from(cfg)
-        alphas = [parse_coefficient(ctx, tok) for tok in _split_list(x["alphas"])]
-        n = len(alphas) - 1
-        g = load_tt(x["g"]) if x.get("g") else _default_outer(ctx.p, n)
-        result = cor1_family(ctx, x["kind"], x["k"], alphas, g)
-        if not result.both_characters:
-            sys.stderr.write(
-                "note: coefficient sweep stays in one character class; "
-                "the sum is weakly regular\n"
-            )
-        f = result.function
-    elif sub == "ndcor":
-        ctx = _field_from(cfg)
-        spec = NdCorSpec(
-            ctx, _coef(ctx, x.get("alpha"), "alpha"), _coef(ctx, x.get("beta"), "beta")
-        )
-        f = ndcor_function(spec)
-    elif sub == "agw":
-        parts = [load_tt(path).as_vec() for path in x["inputs"]]
-        f = agw_combine(parts)
-    elif sub == "sporadic":
-        name = x["name"]
-        if name in ("g1", "g3"):
-            if cfg.modulus is None:
-                raise CLIError(f"{name} lives on F_3^6; give --m 6 --modulus DIGITS")
-            ctx = make_field(3, 6, cfg.modulus)
-        else:
-            ctx = make_field(3, 4, cfg.modulus)
-        from .constructions import sporadic
-
-        f = sporadic(name, ctx, x.get("variant"))
-    else:
-        raise CLIError(f"unknown construction {sub!r}")
-    _emit(dump_tt(f), cfg.out)
+def cmd_construct(ns: argparse.Namespace) -> int:
+    _emit(dump_tt(ns.build(ns)), ns.out)
     return 0
+
+
+def _build_monomial(ns: argparse.Namespace) -> PFunction:
+    ctx = _field_from(ns)
+    return monomial_bent(ctx, parse_coefficient(ctx, ns.alpha), ns.k)
+
+
+def _build_cm(ns: argparse.Namespace) -> PFunction:
+    ctx = _field_from(ns)
+    return cm_bent(ctx, parse_coefficient(ctx, ns.alpha), ns.k)
+
+
+def _build_directsum(ns: argparse.Namespace) -> PFunction:
+    f, g = (load_tt(path) for path in ns.inputs)
+    return direct_sum(f, g)
+
+
+def _build_sds(ns: argparse.Namespace) -> PFunction:
+    spec = SdsSpec(
+        f=load_tt(ns.f), g=load_tt(ns.g), h=[load_tt(path) for path in ns.h]
+    )
+    return semi_direct_sum(spec)
+
+
+def _build_cor1(ns: argparse.Namespace) -> PFunction:
+    ctx = _field_from(ns)
+    alphas = [parse_coefficient(ctx, tok) for tok in _split_list(ns.alphas)]
+    g = load_tt(ns.g) if ns.g else _default_outer(ctx.p, len(alphas) - 1)
+    result = cor1_family(ctx, ns.kind, ns.k, alphas, g)
+    if not result.both_characters:
+        sys.stderr.write(
+            "note: coefficient sweep stays in one character class; "
+            "the sum is weakly regular\n"
+        )
+    return result.function
+
+
+def _build_ndcor(ns: argparse.Namespace) -> PFunction:
+    ctx = _field_from(ns)
+    spec = NdCorSpec(
+        ctx, parse_coefficient(ctx, ns.alpha), parse_coefficient(ctx, ns.beta)
+    )
+    return ndcor_function(spec)
+
+
+def _build_agw(ns: argparse.Namespace) -> PFunction:
+    return agw_combine([load_tt(path).as_vec() for path in ns.inputs])
+
+
+def _build_sporadic(ns: argparse.Namespace) -> PFunction:
+    if ns.name in ("g1", "g3"):
+        if ns.modulus is None:
+            raise CLIError(f"{ns.name} lives on F_3^6; give --m 6 --modulus DIGITS")
+        ctx = make_field(3, 6, ns.modulus)
+    else:
+        ctx = make_field(3, 4, ns.modulus)
+    return sporadic(ns.name, ctx, ns.variant)
 
 
 def _split_list(text: str) -> list[str]:
@@ -267,18 +250,18 @@ def _search_chunk(task) -> list[dict]:
     return out
 
 
-def cmd_search(cfg: RunConfig) -> int:
-    ctx = _field_from(cfg)
+def cmd_search(ns: argparse.Namespace) -> int:
+    ctx = _field_from(ns)
     if ctx.m < 3:
         raise CLIError("the pair search needs m >= 3 for {1, alpha, beta} to fit")
     pairs = independent_pairs(ctx)
-    if cfg.limit is not None:
-        pairs = islice(pairs, cfg.limit)
+    if ns.limit is not None:
+        pairs = islice(pairs, ns.limit)
     pair_list = list(pairs)
 
     chunk = 64
     tasks = [
-        (ctx.p, ctx.m, ctx.modulus, ctx.primitive_index, pair_list[i : i + chunk], cfg.stable)
+        (ctx.p, ctx.m, ctx.modulus, ctx.primitive_index, pair_list[i : i + chunk], ns.stable)
         for i in range(0, len(pair_list), chunk)
     ]
     lines: list[str] = []
@@ -295,11 +278,11 @@ def cmd_search(cfg: RunConfig) -> int:
                 witnesses += 1
                 lines.append(json.dumps(rec, sort_keys=True))
 
-    if cfg.width == 1 or len(tasks) <= 1:
+    if ns.width == 1 or len(tasks) <= 1:
         for task in tasks:
             consume(_search_chunk(task))
     else:
-        with ProcessPoolExecutor(max_workers=cfg.width) as pool:
+        with ProcessPoolExecutor(max_workers=ns.width) as pool:
             for records in pool.map(_search_chunk, tasks):
                 consume(records)
 
@@ -315,7 +298,7 @@ def cmd_search(cfg: RunConfig) -> int:
         }
     }
     lines.append(json.dumps(summary, sort_keys=True))
-    _emit("\n".join(lines) + "\n", cfg.out)
+    _emit("\n".join(lines) + "\n", ns.out)
     return 0
 
 
@@ -330,49 +313,46 @@ class _Row:
     expected: str
 
 
-def _check_pair_value(ctx, alpha, beta, expected: CycInt | None, expected_abs_sq: int | None):
-    """Rows for one reference pair: the condition sum value and the classification."""
+def _claim_row(label: str, rep: ClassReport) -> _Row:
+    return _Row(
+        label,
+        rep.has_non_bent_dual(),
+        f"bent={rep.is_bent}, {rep.regularity}, dual_bent={rep.dual_is_bent}",
+        "bent, non_weakly_regular, dual_bent=False",
+    )
+
+
+def _check_pair_value(
+    rows: list[_Row], label: str, ctx, alpha, beta,
+    expected: CycInt | None, expected_abs_sq: int | None,
+) -> CycInt:
+    """Append the rows for one reference pair, the condition sum value and the
+    classification; return the condition sum."""
     spec = NdCorSpec(ctx, alpha, beta)
     S = ndcor_condition_sum(spec)
-    rows = []
     if expected is not None:
-        rows.append(("S", S == expected, str(S), str(expected)))
+        rows.append(_Row(f"{label} S", S == expected, str(S), str(expected)))
     if expected_abs_sq is not None:
         s2 = S.abs_sq()
         got = s2.as_int() if s2.is_rational else str(s2)
-        rows.append(("|S|^2", got == expected_abs_sq, str(got), str(expected_abs_sq)))
-    rep = classify(ndcor_function(spec))
-    concl = (
-        rep.is_bent
-        and rep.regularity == NON_WEAKLY_REGULAR
-        and rep.dual_is_bent is False
-    )
-    desc = (
-        f"bent={rep.is_bent}, {rep.regularity}, dual_bent={rep.dual_is_bent}"
-    )
-    rows.append(("class", concl, desc, "bent, non_weakly_regular, dual_bent=False"))
-    return rows, S
+        rows.append(
+            _Row(f"{label} |S|^2", got == expected_abs_sq, str(got), str(expected_abs_sq))
+        )
+    rows.append(_claim_row(f"{label} class", classify(ndcor_function(spec))))
+    return S
 
 
-def cmd_verify_paper(cfg: RunConfig) -> int:
+def cmd_verify_paper(ns: argparse.Namespace) -> int:
     rows: list[_Row] = []
-
-    def add(label: str, triples) -> None:
-        for name, ok, computed, expected in triples:
-            rows.append(_Row(f"{label} {name}", bool(ok), computed, expected))
-
     k33 = make_field(3, 3)
     k34 = make_field(3, 4)
     k53 = make_field(5, 3)
     w3, w4, w5 = k33.w, k34.w, k53.w
 
-    r, _ = _check_pair_value(k33, w3, w3 * w3 + 1, None, 3)
-    add("pair(3,3) (w, w^2+1):", r)
-    r, _ = _check_pair_value(k33, 2 * w3 + 1, w3 * w3, None, 3)
-    add("pair(3,3) (2w+1, w^2):", r)
+    _check_pair_value(rows, "pair(3,3) (w, w^2+1):", k33, w3, w3 * w3 + 1, None, 3)
+    _check_pair_value(rows, "pair(3,3) (2w+1, w^2):", k33, 2 * w3 + 1, w3 * w3, None, 3)
 
-    r, S34 = _check_pair_value(k34, w4, w4 * w4, None, 13)
-    add("pair(3,4) (w, w^2):", r)
+    S34 = _check_pair_value(rows, "pair(3,4) (w, w^2):", k34, w4, w4 * w4, None, 13)
     target = complex(1.0, -2.0 * sqrt(3.0))
     z = S34.to_complex()
     float_ok = isclose(z.real, target.real, abs_tol=1e-9) and isclose(
@@ -388,8 +368,7 @@ def cmd_verify_paper(cfg: RunConfig) -> int:
     )
 
     expected5 = 4 * root_power(5, 4) - 4 * root_power(5, 1) + CycInt.one(5)
-    r, S53 = _check_pair_value(k53, w5, w5 * w5, expected5, None)
-    add("pair(5,3) (w, w^2):", r)
+    S53 = _check_pair_value(rows, "pair(5,3) (w, w^2):", k53, w5, w5 * w5, expected5, None)
     s2 = S53.abs_sq()
     ne_25 = not (s2.is_rational and s2.as_int() == 25)
     rows.append(_Row("pair(5,3) (w, w^2): |S| != 5", ne_25, str(s2), "anything but 25"))
@@ -410,38 +389,23 @@ def cmd_verify_paper(cfg: RunConfig) -> int:
     )
 
     for variant in range(4):
-        holds, rep = sporadic_claim("g2", k34, variant)
-        rows.append(
-            _Row(
-                f"g2 variant {variant}",
-                holds,
-                f"bent={rep.is_bent}, {rep.regularity}, dual_bent={rep.dual_is_bent}",
-                "bent, non_weakly_regular, dual_bent=False",
-            )
-        )
+        _, rep = sporadic_claim("g2", k34, variant)
+        rows.append(_claim_row(f"g2 variant {variant}", rep))
 
-    mod36 = cfg.extra.get("modulus_36")
-    if mod36 is None:
+    if ns.modulus_36 is None:
         sys.stderr.write(
             "warning: no --modulus-36 given, skipping the F_3^6 checks (g1, g3)\n"
         )
         rows.append(_Row("g1", None, "skipped", "needs --modulus-36"))
         rows.append(_Row("g3", None, "skipped", "needs --modulus-36"))
     else:
-        ctx36 = make_field(3, 6, mod36)
+        ctx36 = make_field(3, 6, ns.modulus_36)
         for name in ("g1", "g3"):
             holds, rep = sporadic_claim(name, ctx36)
             if holds:
-                rows.append(
-                    _Row(
-                        name,
-                        True,
-                        f"bent={rep.is_bent}, {rep.regularity}, dual_bent={rep.dual_is_bent}",
-                        "bent, non_weakly_regular, dual_bent=False",
-                    )
-                )
+                rows.append(_claim_row(name, rep))
             else:
-                gidx, rep2 = sporadic_primitive_scan(name, 3, 6, mod36)
+                gidx, _ = sporadic_primitive_scan(name, 3, 6, ns.modulus_36)
                 rows.append(
                     _Row(
                         f"{name} (primitive scan)",
@@ -471,7 +435,7 @@ def cmd_verify_paper(cfg: RunConfig) -> int:
         f"{sum(1 for r in rows if r.ok)} passed, {failed} failed, "
         f"{sum(1 for r in rows if r.ok is None)} skipped"
     )
-    _emit("\n".join(lines) + "\n", cfg.out)
+    _emit("\n".join(lines) + "\n", ns.out)
     return 1 if failed else 0
 
 
@@ -482,12 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pbent",
         description="Exact analysis of p-ary bent functions in odd characteristic.",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=20260818,
-        help="seed for randomized helpers (current commands are deterministic)",
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -506,36 +464,42 @@ def build_parser() -> argparse.ArgumentParser:
             )
         sp.add_argument("--out", type=str, help="write output here instead of stdout")
 
-    for name, blurb in (
-        ("classify", "full classification report as JSON"),
-        ("dual", "truth table of the dual of a bent function"),
-        ("spectrum", "exact Walsh spectrum as JSON"),
+    for name, blurb, func in (
+        ("classify", "full classification report as JSON", cmd_classify),
+        ("dual", "truth table of the dual of a bent function", cmd_dual),
+        ("spectrum", "exact Walsh spectrum as JSON", cmd_spectrum),
     ):
         sp = subs.add_parser(name, help=blurb)
         add_field_flags(sp, need_input=True)
+        sp.set_defaults(func=func)
 
     con = subs.add_parser("construct", help="build one of the known constructions")
+    con.set_defaults(func=cmd_construct)
     consubs = con.add_subparsers(dest="sub", required=True)
 
     sp = consubs.add_parser("monomial", help="Tr(alpha x^(p^k+1))")
     add_field_flags(sp, need_input=False)
     sp.add_argument("--alpha", type=str, required=True)
     sp.add_argument("--k", type=int, default=0)
+    sp.set_defaults(build=_build_monomial)
 
     sp = consubs.add_parser("cm", help="ternary Tr(alpha x^((3^k+1)/2))")
     add_field_flags(sp, need_input=False)
     sp.add_argument("--alpha", type=str, required=True)
     sp.add_argument("--k", type=int, default=1)
+    sp.set_defaults(build=_build_cm)
 
     sp = consubs.add_parser("directsum", help="f(x) + g(y) from two truth tables")
     sp.add_argument("inputs", nargs=2, metavar="TT")
     sp.add_argument("--out", type=str)
+    sp.set_defaults(build=_build_directsum)
 
     sp = consubs.add_parser("sds", help="f(x) + g(y + h(x)) from truth tables")
     sp.add_argument("--f", type=str, required=True)
     sp.add_argument("--g", type=str, required=True)
     sp.add_argument("--h", action="append", default=[], metavar="TT")
     sp.add_argument("--out", type=str)
+    sp.set_defaults(build=_build_sds)
 
     sp = consubs.add_parser(
         "cor1", help="quadratic-family sum with independent coefficients"
@@ -550,20 +514,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="semicolon-separated coefficients, first is the base term",
     )
     sp.add_argument("--g", type=str, help="truth table of the outer bent function")
+    sp.set_defaults(build=_build_cor1)
 
     sp = consubs.add_parser("ndcor", help="Tr(x^2) + (y1+Tr(a x^2))(y2+Tr(b x^2))")
     add_field_flags(sp, need_input=False)
     sp.add_argument("--alpha", type=str, required=True)
     sp.add_argument("--beta", type=str, required=True)
+    sp.set_defaults(build=_build_ndcor)
 
     sp = consubs.add_parser("agw", help="f_y(x) + s*y from p truth tables")
     sp.add_argument("inputs", nargs="+", metavar="TT")
     sp.add_argument("--out", type=str)
+    sp.set_defaults(build=_build_agw)
 
     sp = consubs.add_parser("sporadic", help="bundled ternary examples g1, g2, g3")
     add_field_flags(sp, need_input=False)
     sp.add_argument("--name", choices=("g1", "g2", "g3"), required=True)
     sp.add_argument("--variant", type=int, help="g2 coefficient choice, 0..3")
+    sp.set_defaults(build=_build_sporadic)
 
     sp = subs.add_parser(
         "search", help="scan (alpha, beta) pairs for non-dual-bent functions"
@@ -576,6 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="omit per-record timings so identical runs are byte-identical",
     )
+    sp.set_defaults(func=cmd_search)
 
     sp = subs.add_parser(
         "verify-paper", help="check the library against the bundled reference values"
@@ -586,52 +555,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="irreducible modulus for F_3^6 (comma-separated digits), enables g1/g3",
     )
     sp.add_argument("--out", type=str)
+    sp.set_defaults(func=cmd_verify_paper)
 
     return parser
 
 
-def config_from_args(ns: argparse.Namespace) -> RunConfig:
-    extra = {}
-    for key in ("alpha", "beta", "k", "kind", "alphas", "g", "f", "h", "inputs", "name", "variant"):
-        if hasattr(ns, key):
-            extra[key] = getattr(ns, key)
-    if getattr(ns, "modulus_36", None) is not None:
-        extra["modulus_36"] = _parse_modulus(ns.modulus_36)
-    cfg = RunConfig(
-        command=ns.command,
-        sub=getattr(ns, "sub", None),
-        p=getattr(ns, "p", None),
-        m=getattr(ns, "m", None),
-        modulus=_parse_modulus(ns.modulus) if getattr(ns, "modulus", None) else None,
-        expr=getattr(ns, "expr", None),
-        tt=getattr(ns, "tt", None),
-        out=getattr(ns, "out", None),
-        width=getattr(ns, "width", 1),
-        seed=ns.seed,
-        limit=getattr(ns, "limit", None),
-        stable=getattr(ns, "stable", False),
-        extra=extra,
-    )
-    cfg.validate()
-    return cfg
-
-
-_COMMANDS = {
-    "classify": cmd_classify,
-    "dual": cmd_dual,
-    "spectrum": cmd_spectrum,
-    "construct": cmd_construct,
-    "search": cmd_search,
-    "verify-paper": cmd_verify_paper,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(ns)
-        return _COMMANDS[cfg.command](cfg)
+        _validate(ns)
+        return ns.func(ns)
     except (CLIError, ConstructionError, DomainError, ExprError, FieldError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

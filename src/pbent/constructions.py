@@ -408,15 +408,8 @@ def g2_function(ctx: FieldCtx, a0: FieldElement) -> PFunction:
 def sporadic_claim(name: str, ctx: FieldCtx, variant: int | None = None):
     """Classify one bundled example and say whether it matches the advertised
     behavior: bent, not weakly regular, dual not bent."""
-    from .bent import NON_WEAKLY_REGULAR
-
     rep = classify(sporadic(name, ctx, variant))
-    holds = (
-        rep.is_bent
-        and rep.regularity == NON_WEAKLY_REGULAR
-        and rep.dual_is_bent is False
-    )
-    return holds, rep
+    return rep.has_non_bent_dual(), rep
 
 
 def sporadic_primitive_scan(

@@ -10,16 +10,7 @@ from __future__ import annotations
 import cmath
 from functools import lru_cache
 
-
-def _is_odd_prime(n: int) -> bool:
-    if n < 3 or n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+from .field import is_odd_prime
 
 
 def legendre(t: int, p: int) -> int:
@@ -42,7 +33,7 @@ class CycInt:
     __slots__ = ("p", "coeffs")
 
     def __init__(self, p: int, coeffs) -> None:
-        if not _is_odd_prime(p):
+        if not is_odd_prime(p):
             raise ValueError(f"root order must be an odd prime, got {p}")
         cs = tuple(int(c) for c in coeffs)
         if len(cs) != p - 1:

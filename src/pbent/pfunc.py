@@ -12,7 +12,7 @@ import re
 
 import numpy as np
 
-from .field import SIZE_LIMIT, FieldCtx, FieldElement, FieldError
+from .field import SIZE_LIMIT, FieldCtx, FieldElement, FieldError, is_odd_prime
 
 
 class DomainError(ValueError):
@@ -98,8 +98,8 @@ class Domain:
     def vec(cls, p: int, n: int) -> "Domain":
         return cls([VecPart(p, n)])
 
-    def extend(self, *extra) -> "Domain":
-        return Domain(self.components + tuple(extra))
+    def extend(self, *parts) -> "Domain":
+        return Domain(self.components + tuple(parts))
 
     # ---- identity ----------------------------------------------------------
 
@@ -554,22 +554,30 @@ _VEC_HDR = re.compile(r"#\s*vec\s+n=(\d+)\s*$")
 def load_tt(path) -> PFunction:
     headers: list[str] = []
     body: list[str] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                headers.append(line)
-            else:
-                body.append(line)
+    try:
+        with open(path) as fh:
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    headers.append(line)
+                else:
+                    body.append(line)
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not a text file ({exc.reason})") from None
     if not body:
         raise DomainError(f"{path}: no data lines")
     first = body[0].split()
     if len(first) != 2:
         raise DomainError(f"{path}: first data line must be 'p n_total'")
-    p, n_total = int(first[0]), int(first[1])
-    digits = [int(tok) for line in body[1:] for tok in line.split()]
+    try:
+        p, n_total = int(first[0]), int(first[1])
+        digits = [int(tok) for line in body[1:] for tok in line.split()]
+    except ValueError as exc:
+        raise DomainError(f"{path}: entries must be integers ({exc})") from None
+    if not is_odd_prime(p):
+        raise DomainError(f"{path}: p must be an odd prime, got {p}")
     comps: list = []
     if headers:
         for hdr in headers:

@@ -58,9 +58,11 @@ def _root_rows(p: int, exponents: np.ndarray, scale: int = 1) -> np.ndarray:
     return _canonicalize(E)
 
 
-def rotate_rows(values: np.ndarray, p: int, e: int) -> np.ndarray:
-    """Multiply every canonical row by the root power e^e."""
-    return _canonicalize(np.roll(_expand(values), e % p, axis=1))
+def rotate_rows(values: np.ndarray, p: int, e) -> np.ndarray:
+    """Multiply canonical row i by the root power e^(e[i]); an int e applies
+    the same power to every row."""
+    cols = (np.arange(p) - np.reshape(e, (-1, 1))) % p
+    return _canonicalize(np.take_along_axis(_expand(values), cols, axis=1))
 
 
 class WalshSpectrum:

@@ -116,6 +116,7 @@ def test_quadratic_trace_on_f27_is_weakly_regular():
     assert report.constant_unit == -1
     assert report.zeta == "-i"  # odd n, p = 3 mod 4: the unit is u * i
     assert report.dual_is_bent is True
+    assert not report.has_non_bent_dual()
     assert np.array_equal(report.dual.table, (2 * f.table) % 3)
     assert weak_regular_dual_relation(f, report).ok
 
@@ -261,6 +262,7 @@ def test_non_weakly_regular_bent_with_non_bent_dual():
     assert report.dual_is_bent is False
     assert "unit_mismatch_at" in report.witnesses
     assert "dual_not_bent_at" in report.witnesses
+    assert report.has_non_bent_dual()
     blob = report.to_json()
     assert blob["regularity"] == NON_WEAKLY_REGULAR
     assert "constant_unit" not in blob

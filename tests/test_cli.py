@@ -1,8 +1,13 @@
 """End-to-end command-line tests, run in-process through main()."""
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pbent.field as field_module
 from pbent.bent import NON_WEAKLY_REGULAR, classify
@@ -122,6 +127,62 @@ def test_bad_configs_exit_2(capsys, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "table",
+    [
+        b"4 1\n0 1 2 3\n",  # p not prime
+        b"9 1\n0 1 2 3 4 5 6 7 8\n",  # p an odd prime power
+        b"0 1\n",
+        b"1 1\n0\n",
+        b"x 1\n0 1 2\n",  # size token not an integer
+        b"3 1\n0 x 2\n",  # digit token not an integer
+        b"3 1\n0 2.5 2\n",
+        b"3 1\n0 \xff 2\n",  # not UTF-8
+    ],
+)
+def test_malformed_truth_table_exits_2(capsys, tmp_path, table):
+    path = tmp_path / "bad.tt"
+    path.write_bytes(table)
+    code, _, err = run(capsys, "classify", "--tt", str(path))
+    assert code == 2
+    assert err.startswith("error:")
+
+
+_JUNK = st.sampled_from(["x", "2.5", "-", "1e3", "0x3", "\u00e9", "3,"])
+
+
+@st.composite
+def tt_texts(draw) -> str:
+    """Truth-table text: a size line and digit tokens, with at most one fault."""
+    p = draw(st.sampled_from([3, 5, 7, 3, 5, 7, -1, 0, 1, 2, 4, 9]))
+    n = draw(st.sampled_from([1, 2, 1, 2, 0, -1]))
+    count = p**n if p >= 3 and n >= 1 else 3
+    digits = draw(st.lists(st.integers(0, max(p - 1, 0)), min_size=count, max_size=count))
+    tokens = [str(p), str(n)] + [str(d) for d in digits]
+    fault = draw(st.sampled_from(["none", "junk", "range", "count"]))
+    if fault == "junk":
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(_JUNK)
+    elif fault == "range":
+        tokens[draw(st.integers(2, len(tokens) - 1))] = draw(st.sampled_from(["-1", str(p)]))
+    elif fault == "count":
+        tokens = tokens[:-1] if draw(st.booleans()) else tokens + ["0"]
+    return " ".join(tokens[:2]) + "\n" + " ".join(tokens[2:]) + "\n"
+
+
+@settings(max_examples=50)
+@given(text=tt_texts())
+def test_truth_table_text_never_escapes_the_exit_contract(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.tt"
+        path.write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["classify", "--tt", str(path)])
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error:")
+
+
 def test_tt_and_expr_together_exit_2(capsys, tmp_path):
     path = tmp_path / "f.tt"
     save_tt(from_expr(F27, "Tr(x^2)"), path)
@@ -144,6 +205,13 @@ def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+def test_seed_flag_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "1", "classify", "--p", "3", "--m", "3", "--expr", "Tr(x^2)"])
+    assert exc.value.code == 2
+    assert "pbent: error:" in capsys.readouterr().err
 
 
 # ---- construct subcommands vs the library ---------------------------------------------

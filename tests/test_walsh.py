@@ -150,6 +150,10 @@ def test_rotate_rows_matches_ring_multiplication(rng):
             rot = rotate_rows(rows, p, e)
             for i in range(0, 40, 7):
                 assert CycInt(p, rot[i]) == CycInt(p, rows[i]) * root_power(p, e)
+        exps = rng.integers(-p, 2 * p, size=40)  # one exponent per row
+        rot = rotate_rows(rows, p, exps)
+        for i in range(40):
+            assert CycInt(p, rot[i]) == CycInt(p, rows[i]) * root_power(p, int(exps[i]))
 
 
 def test_spectrum_accessors_and_histogram():
