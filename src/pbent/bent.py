@@ -59,22 +59,29 @@ def _unit_is_imaginary(p: int, n: int) -> bool:
     return n % 2 == 1 and p % 4 == 3
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque key per canonical coefficient row, equal iff the rows are."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).reshape(-1)
+
+
 @lru_cache(maxsize=None)
-def _candidate_table(p: int, n: int) -> dict[bytes, tuple[int, int]]:
-    """All 2p possible bent Walsh values, keyed by coefficients -> (u, c)."""
+def _candidate_table(p: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All 2p possible bent Walsh values as sorted row keys, with the unit u
+    and the exponent c of each: value = u * P_n * e^c."""
     base = bent_normalizer(p, n)
-    table: dict[bytes, tuple[int, int]] = {}
-    for u in (1, -1):
-        for c in range(p):
-            v = base * root_power(p, c)
-            if u == -1:
-                v = -v
-            key = np.array(v.coeffs, dtype=np.int64).tobytes()
-            table[key] = (u, c)
-    if len(table) != 2 * p:
+    units = np.repeat(np.array([1, -1], dtype=np.int64), p)
+    exps = np.tile(np.arange(p, dtype=np.int64), 2)
+    rows = [(base * root_power(p, int(c)) * int(u)).coeffs for u, c in zip(units, exps)]
+    keys = _row_keys(np.array(rows))
+    order = np.argsort(keys)
+    table = (keys[order], units[order], exps[order])
+    if np.any(table[0][1:] == table[0][:-1]):
         raise DualExtractionError(
             f"bent value candidates collide for p={p}, n={n} (internal error)"
         )
+    for arr in table:
+        arr.flags.writeable = False  # shared by every caller through the cache
     return table
 
 
@@ -96,18 +103,16 @@ def extract_dual(W: WalshSpectrum) -> tuple[PFunction, np.ndarray]:
     aborts with DualExtractionError.
     """
     dom = W.domain
-    table = _candidate_table(dom.p, dom.n_total)
-    dual = np.zeros(dom.size, dtype=np.int64)
-    units = np.zeros(dom.size, dtype=np.int64)
-    vals = np.ascontiguousarray(W.values)
-    for b in range(dom.size):
-        hit = table.get(vals[b].tobytes())
-        if hit is None:
-            raise DualExtractionError(
-                f"spectral value at b={b} matches no bent candidate (internal error)"
-            )
-        units[b], dual[b] = hit
-    return PFunction(dom, dual), units
+    keys, units, exps = _candidate_table(dom.p, dom.n_total)
+    row_keys = _row_keys(W.values)
+    pos = np.minimum(np.searchsorted(keys, row_keys), keys.size - 1)
+    hit = keys[pos] == row_keys
+    if not hit.all():
+        b = int(np.argmin(hit))
+        raise DualExtractionError(
+            f"spectral value at b={b} matches no bent candidate (internal error)"
+        )
+    return PFunction(dom, exps[pos]), units[pos]
 
 
 def _zeta_str(u: int, imaginary: bool) -> str:

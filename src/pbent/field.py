@@ -28,6 +28,16 @@ class FieldError(ValueError):
     """Raised for invalid field parameters or undefined element operations."""
 
 
+def exceeds_size_limit(p: int, n: int) -> bool:
+    """Whether p^n > SIZE_LIMIT for p >= 2; a p above the limit exceeds it
+    whatever n is.
+
+    The cheap tests come first, so a huge p or n is refused before any
+    power or primality test could run for minutes.
+    """
+    return p > SIZE_LIMIT or n >= SIZE_LIMIT.bit_length() or (n > 0 and p**n > SIZE_LIMIT)
+
+
 def is_odd_prime(n: int) -> bool:
     if n < 3 or n % 2 == 0:
         return False
@@ -103,13 +113,13 @@ class FieldCtx:
     """One concrete field F_{p^m}: modulus, primitive element, lookup tables."""
 
     def __init__(self, p: int, m: int, modulus, primitive: int | None = None) -> None:
+        if exceeds_size_limit(p, m):
+            raise FieldError(f"field size {p}^{m} exceeds the limit 2^20")
         if not is_odd_prime(p):
             raise FieldError(f"characteristic must be an odd prime, got {p}")
         if m < 1:
             raise FieldError(f"extension degree must be positive, got {m}")
         q = p**m
-        if q > SIZE_LIMIT:
-            raise FieldError(f"field size {p}^{m} = {q} exceeds the limit 2^20")
         mod = tuple(int(c) % p for c in modulus)
         if len(mod) != m + 1:
             raise FieldError(

@@ -9,10 +9,11 @@ PFunction is just its truth table in that point order.
 from __future__ import annotations
 
 import re
+from collections import OrderedDict
 
 import numpy as np
 
-from .field import SIZE_LIMIT, FieldCtx, FieldElement, FieldError, is_odd_prime
+from .field import FieldCtx, FieldElement, FieldError, exceeds_size_limit, is_odd_prime
 
 
 class DomainError(ValueError):
@@ -49,6 +50,8 @@ class VecPart:
     def __init__(self, p: int, n: int) -> None:
         if n < 1:
             raise DomainError(f"vector component needs dimension >= 1, got {n}")
+        if exceeds_size_limit(p, n):
+            raise DomainError(f"domain size {p}^{n} exceeds the limit 2^20")
         self.p = p
         self.dim = n
         self.size = p**n
@@ -63,6 +66,23 @@ class VecPart:
         return f"VecPart(F_{self.p}^{self.dim})"
 
 
+# Lookup caches (Gram matrix, permutations, digit views) of recently built
+# domains, by key: equal domains share one cache, so a search that rebuilds
+# the same domain for every pair computes each table once.
+_SHARED_CACHES: OrderedDict[tuple, dict[str, object]] = OrderedDict()
+_SHARED_CACHE_SLOTS = 8
+
+
+def _shared_cache(key: tuple) -> dict[str, object]:
+    cache = _SHARED_CACHES.pop(key, None)
+    if cache is None:
+        cache = {}
+        if len(_SHARED_CACHES) >= _SHARED_CACHE_SLOTS:
+            _SHARED_CACHES.popitem(last=False)
+    _SHARED_CACHES[key] = cache
+    return cache
+
+
 class Domain:
     def __init__(self, components) -> None:
         comps = tuple(components)
@@ -74,11 +94,11 @@ class Domain:
         self.p = p
         self.components = comps
         self.n_total = sum(c.dim for c in comps)
-        self.size = p**self.n_total
-        if self.size > SIZE_LIMIT:
+        if exceeds_size_limit(p, self.n_total):
             raise DomainError(
                 f"domain size {p}^{self.n_total} exceeds the limit 2^20"
             )
+        self.size = p**self.n_total
         self._digit_pw = np.array([p**i for i in range(self.n_total)], dtype=np.int64)
         sizes = [c.size for c in comps]
         self._comp_offsets = []
@@ -86,7 +106,7 @@ class Domain:
         for s in sizes:
             self._comp_offsets.append(acc)
             acc *= s
-        self._cache: dict[str, object] = {}
+        self._cache = _shared_cache(self._key())
 
     # ---- constructors -----------------------------------------------------
 
@@ -204,11 +224,24 @@ class Domain:
         return self._cache["gram"]  # type: ignore[return-value]
 
     def walsh_perm(self) -> np.ndarray:
-        """Index permutation i -> index(C * digits(i)), validated bijective."""
+        """Index permutation i -> index(C * digits(i)), validated bijective.
+
+        Built one output digit at a time: digit r of C * d is
+        sum_c C[r, c] * d_c mod p, grown over the input digits as an outer
+        sum (digit c is the outer axis of the first p^(c+1) indices).
+        """
         if "wperm" not in self._cache:
-            D = self.digits_matrix()
-            perm = ((D @ self.gram().T) % self.p) @ self._digit_pw
-            if np.unique(perm).size != self.size:
+            p, C = self.p, self.gram()
+            d = np.arange(p, dtype=np.int64)
+            perm = np.zeros(self.size, dtype=np.int64)
+            for r, weight in enumerate(self._digit_pw):
+                acc = np.zeros(1, dtype=np.int64)
+                for c in range(self.n_total):
+                    acc = np.add.outer(C[r, c] * d, acc).reshape(-1)
+                perm += (acc % p) * weight
+            hit = np.zeros(self.size, dtype=bool)
+            hit[perm] = True
+            if not hit.all():
                 raise DomainError("degenerate pairing (internal error)")
             self._cache["wperm"] = perm
         return self._cache["wperm"]  # type: ignore[return-value]
@@ -576,6 +609,8 @@ def load_tt(path) -> PFunction:
         digits = [int(tok) for line in body[1:] for tok in line.split()]
     except ValueError as exc:
         raise DomainError(f"{path}: entries must be integers ({exc})") from None
+    if exceeds_size_limit(p, n_total):
+        raise DomainError(f"{path}: domain size {p}^{n_total} exceeds the limit 2^20")
     if not is_odd_prime(p):
         raise DomainError(f"{path}: p must be an odd prime, got {p}")
     comps: list = []

@@ -1,42 +1,80 @@
 """Walsh transforms of p-ary functions, exact over Z[e_p].
 
 The fast path runs an n-dimensional radix-p DFT on the "exponent histogram"
-representation: a value of Z[e_p] is carried as p nonnegative counts, one per
-root power, so every butterfly is a cyclic shift plus an add and all
-intermediate entries stay below p^n.  With the domain size capped at 2^20
-everything fits comfortably in int64 (counts <= 2^20, squared-modulus sums
-<= p^(3n) < 2^63).  The naive path evaluates the defining double sum with the
-domain's own pairing and shares none of that machinery, which keeps the two
-routes independent.
+representation: a value of Z[e_p] is carried as p counts, one per root power,
+so multiplying by a root power is a cyclic shift of the counts.  Each radix-p
+stage is then one matrix product of the (digit, exponent) blocks against a
+fixed p^2 x p^2 0/1 kernel, K[(k, e), (j, s)] = [s = e + sign*j*k mod p].  The
+stages run in Stockham order: each one transforms the most significant digit
+and writes it back as the least significant, so after n stages every digit is
+in its original place and no reordering pass is needed.
+
+The products run in float64, which is exact while every partial sum stays
+below 2^53.  A stage output entry is a sum of p input entries, so after n
+stages every partial sum is at most max|E| * p^n; the stages assert
+max|E| * N < 2^53 on their input.  That holds for walsh_fast's 0/1 input and
+for Poisson's signed input (canonical coefficients, |c| <= N) because
+N^2 <= SIZE_LIMIT^2 < 2^53.  The squared moduli in abs_sq_rows are int64
+sums whose size stays below p^(3n) <= SIZE_LIMIT^3 < 2^63.  Both bounds are
+asserted against SIZE_LIMIT below, so raising the limit fails loudly.
+
+The naive path evaluates the defining double sum with the domain's own
+pairing and shares none of that machinery, which keeps the two routes
+independent.
 """
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
 from .cyclo import CycInt
+from .field import SIZE_LIMIT
 from .pfunc import Domain, PFunction
 
+_FLOAT_EXACT = 1 << 53  # float64 holds every integer below this exactly
+assert SIZE_LIMIT * SIZE_LIMIT < _FLOAT_EXACT, "Poisson's signed input exceeds float64"
+assert SIZE_LIMIT**3 < 1 << 63, "squared moduli exceed int64"
 
-def _axis_pass(E: np.ndarray, p: int, t: int, sign: int) -> np.ndarray:
-    """One radix-p stage over digit t; kernel e^(sign * j * k)."""
-    N = E.shape[0]
-    L = p**t
-    H = N // (p ** (t + 1))
-    V = E.reshape(H, p, L, p)
-    out = np.zeros_like(V)
-    for j in range(p):
-        acc = out[:, j]
-        for k in range(p):
-            s = (sign * j * k) % p
-            blk = V[:, k]
-            acc += np.roll(blk, s, axis=-1) if s else blk
-    return out.reshape(N, p)
+# Multiply-adds per product call.  Products this small stay on one BLAS
+# thread; one product per stage woke OpenBLAS's second thread, which made a
+# 5^8-point `pbent dual` about 60% slower on a 2-core machine.
+_CHUNK_MACS = 1 << 18
+
+
+@lru_cache(maxsize=None)
+def _stage_kernel(p: int, sign: int) -> np.ndarray:
+    """K[(k, e), (j, s)] = 1 when digit k at root power e feeds output digit j
+    at root power s = e + sign*j*k mod p."""
+    k, e, j, s = np.indices((p, p, p, p))
+    K = ((s - e - sign * j * k) % p == 0).reshape(p * p, p * p).astype(np.float64)
+    K.flags.writeable = False
+    return K
 
 
 def _dft_exponent(E: np.ndarray, p: int, n: int, sign: int) -> np.ndarray:
-    for t in range(n):
-        E = _axis_pass(E, p, t, sign)
-    return E
+    """All n radix-p stages, kernel e^(sign * j * k), in exact float64 products.
+
+    A float64 E is used as scratch space and overwritten.
+    """
+    N = E.shape[0]
+    assert int(np.abs(E).max()) * N < _FLOAT_EXACT, "stage sums would not be exact"
+    M = N // p
+    K = _stage_kernel(p, sign)
+    rows = max(1, _CHUNK_MACS // p**4)
+    src = E.astype(np.float64, copy=False)
+    dst = np.empty_like(src)
+    block = np.empty((min(rows, M), p, p))
+    for _ in range(n):
+        top = src.reshape(p, M, p)  # (top digit, lower digits, exponent)
+        out = dst.reshape(M, p * p)  # (lower digits, new digit and exponent)
+        for r0 in range(0, M, rows):
+            r1 = min(r0 + rows, M)
+            blk = block[: r1 - r0]
+            np.copyto(blk, top[:, r0:r1].transpose(1, 0, 2))
+            np.matmul(blk.reshape(r1 - r0, p * p), K, out=out[r0:r1])
+        src, dst = dst, src
+    return src.astype(np.int64)
 
 
 def _canonicalize(E: np.ndarray) -> np.ndarray:
@@ -102,10 +140,12 @@ class WalshSpectrum:
 
     def histogram(self) -> list[tuple[CycInt, int]]:
         """Distinct |W|^2 values with multiplicities, sorted by coefficients."""
-        rows, counts = np.unique(self.abs_sq_rows(), axis=0, return_counts=True)
-        order = sorted(range(len(counts)), key=lambda i: tuple(rows[i]))
+        rows = self.abs_sq_rows()
+        rows = rows[np.lexsort(rows.T[::-1])]
+        starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
+        counts = np.diff(np.r_[starts, len(rows)])
         p = self.domain.p
-        return [(CycInt(p, rows[i]), int(counts[i])) for i in order]
+        return [(CycInt(p, rows[i]), int(c)) for i, c in zip(starts, counts)]
 
     def histogram_json(self) -> dict[str, int]:
         return {str(v): c for v, c in self.histogram()}
@@ -140,19 +180,26 @@ def walsh_naive(f: PFunction) -> WalshSpectrum:
     return WalshSpectrum(dom, values)
 
 
+def _by_pairing(values: np.ndarray, dom: Domain) -> np.ndarray:
+    """Re-index dot-product transform rows by the pairing's Gram matrix
+    (<b, x> = (C b) . x); an identity C (vector parts, F_p) needs nothing."""
+    C = dom.gram()
+    if np.array_equal(C, np.eye(dom.n_total, dtype=C.dtype)):
+        return values
+    return values[dom.walsh_perm()]
+
+
 def walsh_fast(f: PFunction) -> WalshSpectrum:
     """Radix-p DFT over Z[e_p], O(n p^n) ring operations, exact.
 
     The dot-product transform is computed digit by digit; field components
-    are folded in afterwards by re-indexing with the pairing's Gram matrix
-    (<b, x> = (C b) . x).
+    are folded in afterwards by re-indexing with the pairing's Gram matrix.
     """
     dom = f.domain
     p, N, n = dom.p, dom.size, dom.n_total
-    E = np.zeros((N, p), dtype=np.int64)
+    E = np.zeros((N, p))
     E[np.arange(N), f.table] = 1
-    E = _dft_exponent(E, p, n, sign=-1)
-    values = _canonicalize(E)[dom.walsh_perm()]
+    values = _by_pairing(_canonicalize(_dft_exponent(E, p, n, sign=-1)), dom)
     return WalshSpectrum(dom, values)
 
 
@@ -162,8 +209,7 @@ def poisson_check(f: PFunction, W: WalshSpectrum) -> bool:
     if W.domain != dom:
         raise ValueError("spectrum does not belong to this function's domain")
     p, n = dom.p, dom.n_total
-    E = _expand(W.values)
-    E = _dft_exponent(E, p, n, sign=+1)
-    lhs = _canonicalize(E)[dom.walsh_perm()]
+    E = _dft_exponent(_expand(W.values), p, n, sign=+1)
+    lhs = _by_pairing(_canonicalize(E), dom)
     rhs = _root_rows(p, f.table, scale=dom.size)
     return bool(np.array_equal(lhs, rhs))

@@ -16,10 +16,10 @@ from pbent.bent import (
     weak_regular_dual_relation,
 )
 from pbent.constructions import NdCorSpec, cm_bent, monomial_bent, ndcor_function
-from pbent.cyclo import CycInt, gauss_sum, root_power
+from pbent.cyclo import CycInt, gauss_sum, legendre, root_power
 from pbent.field import make_field
 from pbent.pfunc import Domain, PFunction, from_expr, random_function, zero_function
-from pbent.walsh import walsh_fast
+from pbent.walsh import WalshSpectrum, walsh_fast
 
 F27 = make_field(3, 3)
 F125 = make_field(5, 3)
@@ -89,6 +89,37 @@ def test_extract_dual_reconstructs_spectrum(rng):
         if units[b] == -1:
             expected = -expected
         assert W[b] == expected
+
+
+def test_extract_dual_names_the_first_bad_row():
+    W = walsh_fast(from_expr(F27, "Tr(x^2)"))
+    for k, k2 in [(5, 17), (0, 26), (12, 13)]:
+        values = W.values.copy()
+        values[k] = [10**6, 0]  # above every candidate key
+        values[k2] = [-(10**6), 3]  # below every candidate key
+        with pytest.raises(DualExtractionError, match=rf"at b={k} "):
+            extract_dual(WalshSpectrum(W.domain, values))
+        values = W.values.copy()
+        values[k2, 0] += 1
+        values[k, 1] -= 1
+        with pytest.raises(DualExtractionError, match=rf"at b={k} "):
+            extract_dual(WalshSpectrum(W.domain, values))
+
+
+@pytest.mark.parametrize("p, n", [(3, 9), (5, 6)], ids=["v3_9", "v5_6"])
+def test_sum_of_squares_spectrum_and_dual_across_chunks(p, n):
+    """f(x) = sum x_i^2 is bent with W(b) = g_p^n e^(-sum b_i^2 / 4) per
+    coordinate Gauss sum, so the dual is -(1/4) sum b_i^2 and the unit is
+    legendre(-1, p)^(n // 2) everywhere."""
+    dom = Domain.vec(p, n)
+    D = dom.digits_matrix()
+    f = PFunction(dom, (D * D).sum(axis=1) % p)
+    W = walsh_fast(f)
+    assert is_bent(W)
+    dual, units = extract_dual(W)
+    quarter = pow(4, -1, p)
+    assert np.array_equal(dual.table, (-quarter * (D * D).sum(axis=1)) % p)
+    assert np.all(units == legendre(-1, p) ** (n // 2))
 
 
 # ---- classification of the standard examples -----------------------------------------------

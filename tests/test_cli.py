@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +145,44 @@ def test_malformed_truth_table_exits_2(capsys, tmp_path, table):
     path = tmp_path / "bad.tt"
     path.write_bytes(table)
     code, _, err = run(capsys, "classify", "--tt", str(path))
+    assert code == 2
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        b"3 100000000\n0 1 2\n",
+        b"# vec n=100000000\n3 2\n0\n",
+        b"# field m=100000000 modulus=1,0,1\n3 2\n0\n",
+        b"2305843009213693951 3\n0\n",
+        b"2305843009213693951 0\n0\n",
+    ],
+)
+def test_huge_truth_table_sizes_exit_2_at_once(capsys, tmp_path, table):
+    path = tmp_path / "huge.tt"
+    path.write_bytes(table)
+    start = time.perf_counter()
+    code, _, err = run(capsys, "classify", "--tt", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--p", "2305843009213693951", "--m", "3", "--modulus", "1,0,0,1",
+         "--expr", "Tr(x^2)"),
+        ("search", "--p", "2305843009213693951", "--m", "3", "--modulus", "1,0,0,1"),
+        ("construct", "monomial", "--p", "2305843009213693951", "--m", "3",
+         "--modulus", "1,0,0,1", "--alpha", "1"),
+    ],
+)
+def test_huge_field_flags_exit_2_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, _, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
     assert code == 2
     assert err.startswith("error:")
 

@@ -124,6 +124,10 @@ def test_constructor_validation():
     with pytest.raises(FieldError):
         FieldCtx(3, 13, [0] * 13 + [1])  # exceeds the size guard
     with pytest.raises(FieldError):
+        FieldCtx(3, 10**8, (0, 1))  # refused before computing 3^(10^8)
+    with pytest.raises(FieldError):
+        FieldCtx(2305843009213693951, 3, (1, 0, 0, 1))  # no trial division of p
+    with pytest.raises(FieldError):
         make_field(3, 5, None)  # no built-in modulus for this shape
 
 

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import pbent.pfunc as pfunc
 from pbent.field import make_field
 from pbent.pfunc import (
     Domain,
@@ -50,6 +51,20 @@ def test_domain_validation():
         Domain([VecPart(3, 1), VecPart(5, 1)])  # mixed characteristic
     with pytest.raises(DomainError):
         Domain.vec(3, 13)  # exceeds the size guard
+    with pytest.raises(DomainError):
+        VecPart(3, 10**8)  # refused before computing 3^(10^8)
+    with pytest.raises(DomainError):
+        VecPart(2305843009213693951, 1)
+
+
+def test_equal_domains_share_one_bounded_cache():
+    a, b = Domain.field(F27), Domain.field(make_field(3, 3))
+    assert a._cache is b._cache
+    assert a.walsh_perm() is b.walsh_perm()
+    assert Domain.vec(3, 3)._cache is not a._cache
+    for n in range(1, 13):
+        Domain.vec(3, n)
+    assert len(pfunc._SHARED_CACHES) <= pfunc._SHARED_CACHE_SLOTS
 
 
 def test_domain_identity_and_describe():

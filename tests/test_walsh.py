@@ -20,6 +20,7 @@ from pbent.walsh import WalshSpectrum, poisson_check, rotate_rows, walsh_fast, w
 F27 = make_field(3, 3)
 F9 = make_field(3, 2, (1, 0, 1))
 F25 = make_field(5, 2, (2, 0, 1))
+F49 = make_field(7, 2, (1, 0, 1))
 
 
 def spectra_equal(a: WalshSpectrum, b: WalshSpectrum) -> bool:
@@ -61,8 +62,10 @@ RANDOM_DOMAINS = [
     Domain.field(F25),
     Domain.field(F9).extend(VecPart(3, 1)),
     Domain([VecPart(5, 1), FieldPart(F25)]),
+    Domain.vec(7, 2),
+    Domain.field(F49),
 ]
-RANDOM_IDS = ["v3_3", "v3_4", "v5_2", "f27", "f25", "f9v1", "v1f25"]
+RANDOM_IDS = ["v3_3", "v3_4", "v5_2", "f27", "f25", "f9v1", "v1f25", "v7_2", "f49"]
 
 
 @pytest.mark.parametrize("dom", RANDOM_DOMAINS, ids=RANDOM_IDS)
@@ -133,6 +136,22 @@ def test_linear_character_spectrum_is_shifted_delta(dom, rng):
         assert W[b] == expected
 
 
+# Large enough that every radix-p stage runs over several row chunks.
+CHUNKED_DOMAINS = [Domain.vec(3, 9), Domain.vec(5, 6)]
+
+
+@pytest.mark.parametrize("dom", CHUNKED_DOMAINS, ids=["v3_9", "v5_6"])
+def test_linear_character_spectrum_is_shifted_delta_across_chunks(dom, rng):
+    a = int(rng.integers(0, dom.size))
+    D = dom.digits_matrix()
+    f = PFunction(dom, (D @ D[a]) % dom.p)
+    W = walsh_fast(f)
+    expected = np.zeros_like(W.values)
+    expected[a, 0] = dom.size
+    assert np.array_equal(W.values, expected)
+    assert poisson_check(f, W)
+
+
 def test_translate_multiplies_by_root(rng):
     dom = Domain.field(F27)
     f = random_function(dom, rng)
@@ -172,6 +191,27 @@ def test_spectrum_accessors_and_histogram():
     rows = W.abs_sq_rows()
     for b in range(0, 27, 5):
         assert CycInt(3, rows[b]) == W[b].abs_sq()
+
+
+HISTOGRAM_DOMAINS = [
+    Domain.vec(3, 5),
+    Domain.vec(5, 3),
+    Domain.vec(7, 2),
+    Domain.field(F27).extend(VecPart(3, 2)),
+]
+
+
+@pytest.mark.parametrize("dom", HISTOGRAM_DOMAINS, ids=["v3_5", "v5_3", "v7_2", "f27v2"])
+def test_histogram_matches_per_entry_count(dom, rng):
+    for _ in range(5):
+        W = walsh_fast(random_function(dom, rng))
+        counts: dict[tuple[int, ...], int] = {}
+        for b in range(dom.size):
+            key = W[b].abs_sq().coeffs
+            counts[key] = counts.get(key, 0) + 1
+        assert len(counts) > 10  # many distinct values, so the order matters
+        hist = [(v.coeffs, c) for v, c in W.histogram()]
+        assert hist == sorted(counts.items())
 
 
 def test_spectrum_shape_is_validated():
