@@ -9,7 +9,6 @@ PFunction is just its truth table in that point order.
 from __future__ import annotations
 
 import re
-from collections import OrderedDict
 
 import numpy as np
 
@@ -66,23 +65,6 @@ class VecPart:
         return f"VecPart(F_{self.p}^{self.dim})"
 
 
-# Lookup caches (Gram matrix, permutations, digit views) of recently built
-# domains, by key: equal domains share one cache, so a search that rebuilds
-# the same domain for every pair computes each table once.
-_SHARED_CACHES: OrderedDict[tuple, dict[str, object]] = OrderedDict()
-_SHARED_CACHE_SLOTS = 8
-
-
-def _shared_cache(key: tuple) -> dict[str, object]:
-    cache = _SHARED_CACHES.pop(key, None)
-    if cache is None:
-        cache = {}
-        if len(_SHARED_CACHES) >= _SHARED_CACHE_SLOTS:
-            _SHARED_CACHES.popitem(last=False)
-    _SHARED_CACHES[key] = cache
-    return cache
-
-
 class Domain:
     def __init__(self, components) -> None:
         comps = tuple(components)
@@ -106,7 +88,7 @@ class Domain:
         for s in sizes:
             self._comp_offsets.append(acc)
             acc *= s
-        self._cache = _shared_cache(self._key())
+        self._cache: dict[str, object] = {}
 
     # ---- constructors -----------------------------------------------------
 

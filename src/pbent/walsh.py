@@ -2,14 +2,19 @@
 
 The fast path runs an n-dimensional radix-p DFT on the "exponent histogram"
 representation: a value of Z[e_p] is carried as p counts, one per root power,
-so multiplying by a root power is a cyclic shift of the counts.  Each radix-p
-stage is then one matrix product of the (digit, exponent) blocks against a
-fixed p^2 x p^2 0/1 kernel, K[(k, e), (j, s)] = [s = e + sign*j*k mod p].  The
-stages run in Stockham order: each one transforms the most significant digit
-and writes it back as the least significant, so after n stages every digit is
-in its original place and no reordering pass is needed.
+so multiplying by a root power is a cyclic shift of the counts.  A radix-p
+stage sends digit k at root power e to output digit j at root power
+s = e + sign*j*k mod p.  For p <= 19 it is one matrix product of the
+(digit, exponent) blocks against the fixed p^2 x p^2 0/1 kernel
+K[(k, e), (j, s)] = [s = e + sign*j*k mod p], at most 2 MiB; for larger p
+that product would cost p^3 * N multiply-adds and p^4 memory, so the stage
+gathers one rotated p x p block per input digit instead (p^2 * N adds, p^2
+memory).  Both run over bounded row chunks.  The stages run in Stockham
+order: each one transforms the most significant digit and writes it back as
+the least significant, so after n stages every digit is in its original
+place and no reordering pass is needed.
 
-The products run in float64, which is exact while every partial sum stays
+The stages run in float64, which is exact while every partial sum stays
 below 2^53.  A stage output entry is a sum of p input entries, so after n
 stages every partial sum is at most max|E| * p^n; the stages assert
 max|E| * N < 2^53 on their input.  That holds for walsh_fast's 0/1 input and
@@ -36,9 +41,10 @@ _FLOAT_EXACT = 1 << 53  # float64 holds every integer below this exactly
 assert SIZE_LIMIT * SIZE_LIMIT < _FLOAT_EXACT, "Poisson's signed input exceeds float64"
 assert SIZE_LIMIT**3 < 1 << 63, "squared moduli exceed int64"
 
-# Multiply-adds per product call.  Products this small stay on one BLAS
-# thread; one product per stage woke OpenBLAS's second thread, which made a
-# 5^8-point `pbent dual` about 60% slower on a 2-core machine.
+# Multiply-adds (or gathered entries) per stage call.  Products this small
+# stay on one BLAS thread; one product per stage woke OpenBLAS's second
+# thread, which made a 5^8-point `pbent dual` about 60% slower on a 2-core
+# machine.
 _CHUNK_MACS = 1 << 18
 
 
@@ -46,33 +52,59 @@ _CHUNK_MACS = 1 << 18
 def _stage_kernel(p: int, sign: int) -> np.ndarray:
     """K[(k, e), (j, s)] = 1 when digit k at root power e feeds output digit j
     at root power s = e + sign*j*k mod p."""
-    k, e, j, s = np.indices((p, p, p, p))
-    K = ((s - e - sign * j * k) % p == 0).reshape(p * p, p * p).astype(np.float64)
+    k, e, j = np.ix_(range(p), range(p), range(p))
+    K = np.zeros((p, p, p, p))
+    K[k, e, j, (e + sign * j * k) % p] = 1
+    K = K.reshape(p * p, p * p)
     K.flags.writeable = False
     return K
 
 
+def _stage_product(top: np.ndarray, out: np.ndarray, p: int, sign: int) -> None:
+    """out[m, j, s] = sum_k top[k, m, s - sign*j*k]: one product against the
+    p^2 x p^2 kernel per chunk of rows."""
+    M = out.shape[0]
+    K = _stage_kernel(p, sign)
+    rows = _CHUNK_MACS // p**4
+    block = np.empty((min(rows, M), p, p))
+    flat = out.reshape(M, p * p)
+    for r0 in range(0, M, rows):
+        r1 = min(r0 + rows, M)
+        blk = block[: r1 - r0]
+        np.copyto(blk, top[:, r0:r1].transpose(1, 0, 2))
+        np.matmul(blk.reshape(r1 - r0, p * p), K, out=flat[r0:r1])
+
+
+def _stage_gather(top: np.ndarray, out: np.ndarray, p: int, sign: int) -> None:
+    """The same stage as _stage_product, one gathered p x p block of root
+    powers per input digit k: O(p^2) memory and p^2 * N adds, for primes
+    whose kernel would be too large to pay off."""
+    M = out.shape[0]
+    rows = max(1, _CHUNK_MACS // (p * p))
+    out[...] = 0
+    s = np.arange(p)
+    for k in range(p):
+        shift = (s[None, :] - sign * k * s[:, None]) % p  # [j, s] -> e
+        for r0 in range(0, M, rows):
+            r1 = min(r0 + rows, M)
+            out[r0:r1] += top[k, r0:r1][:, shift]
+
+
 def _dft_exponent(E: np.ndarray, p: int, n: int, sign: int) -> np.ndarray:
-    """All n radix-p stages, kernel e^(sign * j * k), in exact float64 products.
+    """All n radix-p stages, kernel e^(sign * j * k), exact in float64.
 
     A float64 E is used as scratch space and overwritten.
     """
     N = E.shape[0]
     assert int(np.abs(E).max()) * N < _FLOAT_EXACT, "stage sums would not be exact"
     M = N // p
-    K = _stage_kernel(p, sign)
-    rows = max(1, _CHUNK_MACS // p**4)
+    # the product stops paying off once one kernel exceeds a chunk (p >= 23)
+    stage = _stage_product if p**4 <= _CHUNK_MACS else _stage_gather
     src = E.astype(np.float64, copy=False)
     dst = np.empty_like(src)
-    block = np.empty((min(rows, M), p, p))
     for _ in range(n):
-        top = src.reshape(p, M, p)  # (top digit, lower digits, exponent)
-        out = dst.reshape(M, p * p)  # (lower digits, new digit and exponent)
-        for r0 in range(0, M, rows):
-            r1 = min(r0 + rows, M)
-            blk = block[: r1 - r0]
-            np.copyto(blk, top[:, r0:r1].transpose(1, 0, 2))
-            np.matmul(blk.reshape(r1 - r0, p * p), K, out=out[r0:r1])
+        # (top digit, lower digits, exponent) -> (lower digits, new digit, exponent)
+        stage(src.reshape(p, M, p), dst.reshape(M, p, p), p, sign)
         src, dst = dst, src
     return src.astype(np.int64)
 

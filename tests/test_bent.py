@@ -106,7 +106,9 @@ def test_extract_dual_names_the_first_bad_row():
             extract_dual(WalshSpectrum(W.domain, values))
 
 
-@pytest.mark.parametrize("p, n", [(3, 9), (5, 6)], ids=["v3_9", "v5_6"])
+@pytest.mark.parametrize(
+    "p, n", [(3, 9), (5, 6), (53, 2), (101, 1)], ids=["v3_9", "v5_6", "v53_2", "v101_1"]
+)
 def test_sum_of_squares_spectrum_and_dual_across_chunks(p, n):
     """f(x) = sum x_i^2 is bent with W(b) = g_p^n e^(-sum b_i^2 / 4) per
     coordinate Gauss sum, so the dual is -(1/4) sum b_i^2 and the unit is

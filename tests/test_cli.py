@@ -187,6 +187,19 @@ def test_huge_field_flags_exit_2_at_once(capsys, argv):
     assert err.startswith("error:")
 
 
+def test_large_prime_truth_table_classifies(capsys, tmp_path):
+    """53^2 points: the transform runs the gather stage, in bounded memory."""
+    dom = Domain.vec(53, 2)
+    D = dom.digits_matrix()
+    path = tmp_path / "squares53.tt"
+    save_tt(PFunction(dom, (D * D).sum(axis=1) % 53), path)
+    code, out, err = run(capsys, "classify", "--tt", str(path))
+    assert (code, err) == (0, "")
+    blob = json.loads(out)
+    assert blob["bent"] is True
+    assert blob["regularity"] == "regular"
+
+
 _JUNK = st.sampled_from(["x", "2.5", "-", "1e3", "0x3", "\u00e9", "3,"])
 
 

@@ -2,7 +2,6 @@
 import numpy as np
 import pytest
 
-import pbent.pfunc as pfunc
 from pbent.field import make_field
 from pbent.pfunc import (
     Domain,
@@ -55,16 +54,6 @@ def test_domain_validation():
         VecPart(3, 10**8)  # refused before computing 3^(10^8)
     with pytest.raises(DomainError):
         VecPart(2305843009213693951, 1)
-
-
-def test_equal_domains_share_one_bounded_cache():
-    a, b = Domain.field(F27), Domain.field(make_field(3, 3))
-    assert a._cache is b._cache
-    assert a.walsh_perm() is b.walsh_perm()
-    assert Domain.vec(3, 3)._cache is not a._cache
-    for n in range(1, 13):
-        Domain.vec(3, n)
-    assert len(pfunc._SHARED_CACHES) <= pfunc._SHARED_CACHE_SLOTS
 
 
 def test_domain_identity_and_describe():

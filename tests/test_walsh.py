@@ -75,6 +75,25 @@ def test_fast_equals_naive_random(dom, rng):
         assert spectra_equal(walsh_fast(f), walsh_naive(f))
 
 
+# The stage is a kernel product up to p = 19 and a gather above it; these
+# straddle the switch and reach a prime far past it.
+LARGE_PRIME_DOMAINS = [
+    Domain.vec(19, 2),
+    Domain.vec(23, 2),
+    Domain.field(make_field(23, 2, (1, 0, 1))),
+    Domain.vec(101, 1),
+]
+
+
+@pytest.mark.parametrize("dom", LARGE_PRIME_DOMAINS, ids=["v19_2", "v23_2", "f529", "v101_1"])
+def test_fast_equals_naive_large_primes(dom, rng):
+    for _ in range(2):
+        f = random_function(dom, rng)
+        W = walsh_fast(f)
+        assert spectra_equal(W, walsh_naive(f))
+        assert poisson_check(f, W)
+
+
 # ---- energy and inversion identities ----------------------------------------------------
 
 
