@@ -68,6 +68,10 @@ def _parse_modulus(text: str) -> tuple[int, ...]:
 
 def _validate(ns: argparse.Namespace) -> None:
     """The flag checks argparse cannot express; parses the modulus flags in place."""
+    # argparse turns an attached "--" (--expr=--) into an empty list
+    for name, value in vars(ns).items():
+        if [] in (value if name == "h" else [value]):  # --h appends one per use
+            raise CLIError(f"--{name.replace('_', '-')} needs a value")
     if getattr(ns, "modulus_36", None) is not None:
         ns.modulus_36 = _parse_modulus(ns.modulus_36)
     ns.modulus = _parse_modulus(ns.modulus) if getattr(ns, "modulus", None) else None

@@ -11,11 +11,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bent import Verdict, classify, is_bent
-from .cyclo import CycInt, root_power
+from .bent import Verdict, classify, extract_dual, is_bent
+from .cyclo import CycInt, fold_top
 from .field import FieldCtx, FieldElement, FieldError
-from .pfunc import Domain, DomainError, FieldPart, PFunction, VecPart, shift_compose
-from .walsh import rotate_rows, walsh_fast
+from .pfunc import Domain, PFunction, VecPart
+from .walsh import mul_rows, rotate_rows, walsh_fast
 
 
 class ConstructionError(ValueError):
@@ -81,7 +81,8 @@ class SdsSpec:
     """Data of a semi-direct sum F(x, y) = f(x) + g(y + h(x)).
 
     f lives on any domain, g on the vector space F_p^n, and h is a list of n
-    coordinate maps on f's domain.
+    coordinate maps on f's domain.  This is the one place that validates a
+    semi-direct sum, g's bentness last; g's spectrum is kept as g_spectrum.
     """
 
     f: PFunction
@@ -99,6 +100,9 @@ class SdsSpec:
             raise ConstructionError("every coordinate map must live on f's domain")
         if self.g.p != self.f.p:
             raise ConstructionError("mismatched characteristic")
+        self.g_spectrum = walsh_fast(self.g)
+        if not is_bent(self.g_spectrum):
+            raise ConstructionError("the outer function g must be bent")
 
     def inner_function(self, b: int) -> PFunction:
         """G_b(x) = f(x) + <b, h(x)>, the function whose bentness drives the sum."""
@@ -112,12 +116,14 @@ class SdsSpec:
 
 
 def semi_direct_sum(spec: SdsSpec) -> PFunction:
-    """F(x, y) = f(x) + g(y + h(x)); g is required to be bent."""
-    if not is_bent(walsh_fast(spec.g)):
-        raise ConstructionError("the outer function g must be bent")
-    comp = shift_compose(spec.g, spec.h)
-    lifted = np.tile(spec.f.table, spec.g.domain.size)
-    return PFunction(comp.domain, (lifted + comp.table) % spec.f.p)
+    """F(x, y) = f(x) + g(y + h(x)) on f's domain extended by g's."""
+    p = spec.f.p
+    ydig = spec.g.domain.digits_matrix()  # (p^n, n)
+    hvals = np.stack([hj.table for hj in spec.h], axis=1)  # (|f's domain|, n)
+    # shifted[y, x] = index of y + h(x) inside g's domain
+    shifted = ((ydig[:, None, :] + hvals[None, :, :]) % p) @ (p ** np.arange(spec.n))
+    table = (spec.f.table + spec.g.table[shifted]) % p  # y-major: index x + y*|f's domain|
+    return PFunction(spec.f.domain.extend(*spec.g.domain.components), table.reshape(-1))
 
 
 def sds_is_bent_condition(spec: SdsSpec) -> Verdict:
@@ -129,37 +135,29 @@ def sds_is_bent_condition(spec: SdsSpec) -> Verdict:
 
 
 def sds_walsh_factorization(spec: SdsSpec) -> bool:
-    """Exact spectral splitting W_F(a, b) = W_{G_b}(a) * W_g(b) for all (a, b)."""
-    F = semi_direct_sum(spec)
-    WF = walsh_fast(F)
-    Wg = walsh_fast(spec.g)
-    nf = spec.f.domain.size
-    p = spec.f.p
-    for b in range(spec.g.domain.size):
-        Wgb = walsh_fast(spec.inner_function(b))
-        gval = Wg[b]
-        for a in range(nf):
-            if WF[a + b * nf] != Wgb[a] * gval:
-                return False
+    """Exact spectral splitting W_F(a, b) = W_{G_b}(a) * W_g(b) for all (a, b),
+    one b block of coefficient rows at a time."""
+    WF = walsh_fast(semi_direct_sum(spec))
+    p, nf = spec.f.p, spec.f.domain.size
+    blocks = WF.values.reshape(-1, nf, p - 1)  # [b, a]
+    for b, gval in enumerate(spec.g_spectrum.values):
+        Wgb = walsh_fast(spec.inner_function(b)).values
+        if not np.array_equal(blocks[b], mul_rows(Wgb, p, gval)):
+            return False
     return True
 
 
 def sds_dual(spec: SdsSpec) -> PFunction:
     """Dual of a bent semi-direct sum: F*(x, y) = G_y*(x) + g*(y)."""
-    gstar, _ = _dual_of(spec.g)
-    nf = spec.f.domain.size
-    p = spec.f.p
-    out = np.zeros(nf * spec.g.domain.size, dtype=np.int64)
-    for y in range(spec.g.domain.size):
-        gy, _ = _dual_of(spec.inner_function(y))
-        out[y * nf : (y + 1) * nf] = (gy.table + gstar.table[y]) % p
-    dom = Domain(spec.f.domain.components + spec.g.domain.components)
-    return PFunction(dom, out)
+    gstar, _ = extract_dual(spec.g_spectrum)
+    rows = [
+        _dual_of(spec.inner_function(y))[0].table + gstar.table[y]
+        for y in range(spec.g.domain.size)
+    ]
+    return PFunction(spec.f.domain.extend(*spec.g.domain.components), np.concatenate(rows))
 
 
 def _dual_of(f: PFunction) -> tuple[PFunction, np.ndarray]:
-    from .bent import extract_dual
-
     W = walsh_fast(f)
     bent = is_bent(W)
     if not bent:
@@ -269,13 +267,12 @@ def ndcor_condition_sum(spec: NdCorSpec) -> CycInt:
     """
     ctx = spec.ctx
     p = ctx.p
-    total = CycInt.zero(p)
+    counts = [0] * p  # signed count of each root power e^t
     for y1 in range(p):
         for y2 in range(p):
             arg = ctx.one + y1 * spec.alpha + y2 * spec.beta
-            term = root_power(p, (-y1 * y2) % p)
-            total = total + term if arg.eta() == 1 else total - term
-    return total
+            counts[(-y1 * y2) % p] += arg.eta()
+    return CycInt(p, fold_top(counts))
 
 
 def ndcor_function(spec: NdCorSpec) -> PFunction:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import cmath
 from functools import lru_cache
 
+import numpy as np
+
 from .field import is_odd_prime
 
 
@@ -21,10 +23,11 @@ def legendre(t: int, p: int) -> int:
     return 1 if pow(t, (p - 1) // 2, p) == 1 else -1
 
 
-def _canonical(p: int, full: list[int]) -> tuple[int, ...]:
-    # full holds coefficients for e^0 .. e^(p-1); fold the top one away.
-    top = full[p - 1]
-    return tuple(full[j] - top for j in range(p - 1))
+def fold_top(full) -> np.ndarray:
+    """Canonical coefficients from counts on e^0 .. e^(p-1) (last axis), for
+    one element or many: e^(p-1) = -(1 + e + ... + e^(p-2)) folds the top away."""
+    full = np.asarray(full)
+    return full[..., :-1] - full[..., -1:]
 
 
 class CycInt:
@@ -101,7 +104,8 @@ class CycInt:
             for j, b in enumerate(other.coeffs):
                 if b:
                     full[(i + j) % p] += a * b
-        return CycInt(p, _canonical(p, full))
+        # object dtype keeps the coefficients unbounded Python integers
+        return CycInt(p, fold_top(np.array(full, dtype=object)))
 
     __rmul__ = __mul__
 
@@ -138,7 +142,7 @@ class CycInt:
         full = [0] * p
         for j, c in enumerate(self.coeffs):
             full[(p - j) % p] += c
-        return CycInt(p, _canonical(p, full))
+        return CycInt(p, fold_top(np.array(full, dtype=object)))
 
     def abs_sq(self) -> "CycInt":
         """Squared complex modulus a * conj(a), an element of the real subring."""
@@ -184,10 +188,9 @@ class CycInt:
 
 def root_power(p: int, e: int) -> CycInt:
     """The root of unity e_p^e as a ring element."""
-    e %= p
     full = [0] * p
-    full[e] = 1
-    return CycInt(p, _canonical(p, full))
+    full[e % p] = 1
+    return CycInt(p, fold_top(full))
 
 
 @lru_cache(maxsize=None)
@@ -197,8 +200,4 @@ def gauss_sum(p: int) -> CycInt:
     Its square is legendre(-1, p) * p, which makes it the exact stand-in for
     sqrt(p) (p = 1 mod 4) or i*sqrt(p) (p = 3 mod 4).
     """
-    total = CycInt.zero(p)
-    for t in range(1, p):
-        term = root_power(p, t)
-        total = total + term if legendre(t, p) == 1 else total - term
-    return total
+    return CycInt(p, fold_top([legendre(t, p) for t in range(p)]))

@@ -154,6 +154,7 @@ class FieldCtx:
         self._build_exp_log()
         self._build_trace()
         self._eta_table: np.ndarray | None = None
+        self._pairing_perm: np.ndarray | None = None
 
     # ---- construction helpers -------------------------------------------
 
@@ -322,6 +323,22 @@ class FieldCtx:
         table = np.where(res == 1, 1, -1).astype(np.int64)
         table[0] = 0
         return table
+
+    def pairing_perm(self) -> np.ndarray:
+        """Index permutation b -> c with Tr(b*x) = c . x for all x, i.e.
+        digits(c) = gram @ digits(b); built on first use, one output digit at
+        a time, and read-only, since every domain on this field shares it."""
+        if self._pairing_perm is None:
+            perm = np.zeros(self.q, dtype=np.int64)
+            for r, weight in enumerate(self._pw):
+                perm += ((self.digits @ self.gram[r]) % self.p) * weight
+            hit = np.zeros(self.q, dtype=bool)
+            hit[perm] = True
+            if not hit.all():
+                raise FieldError("degenerate trace form (internal error)")
+            perm.flags.writeable = False
+            self._pairing_perm = perm
+        return self._pairing_perm
 
     # ---- vectorized index-space operations ---------------------------------
 

@@ -206,25 +206,25 @@ class Domain:
         return self._cache["gram"]  # type: ignore[return-value]
 
     def walsh_perm(self) -> np.ndarray:
-        """Index permutation i -> index(C * digits(i)), validated bijective.
+        """Index permutation b -> index(C * digits(b)) for the Gram matrix C.
 
-        Built one output digit at a time: digit r of C * d is
-        sum_c C[r, c] * d_c mod p, grown over the input digits as an outer
-        sum (digit c is the outer axis of the first p^(c+1) indices).
+        C is block diagonal, so each component maps its own local index: a
+        field part through its field's pairing permutation, a vector part
+        not at all.  The local images combine in mixed radix into a
+        read-only array; a domain that is one field part returns the field's
+        own array, with no copy.
         """
         if "wperm" not in self._cache:
-            p, C = self.p, self.gram()
-            d = np.arange(p, dtype=np.int64)
-            perm = np.zeros(self.size, dtype=np.int64)
-            for r, weight in enumerate(self._digit_pw):
-                acc = np.zeros(1, dtype=np.int64)
-                for c in range(self.n_total):
-                    acc = np.add.outer(C[r, c] * d, acc).reshape(-1)
-                perm += (acc % p) * weight
-            hit = np.zeros(self.size, dtype=bool)
-            hit[perm] = True
-            if not hit.all():
-                raise DomainError("degenerate pairing (internal error)")
+            comps = self.components
+            if len(comps) == 1 and isinstance(comps[0], FieldPart):
+                perm = comps[0].ctx.pairing_perm()
+            else:
+                perm = np.zeros(self.size, dtype=np.int64)
+                parts = zip(comps, self.component_index_arrays(), self._comp_offsets)
+                for c, idx, off in parts:
+                    local = c.ctx.pairing_perm()[idx] if isinstance(c, FieldPart) else idx
+                    perm += local * off
+                perm.flags.writeable = False
             self._cache["wperm"] = perm
         return self._cache["wperm"]  # type: ignore[return-value]
 
@@ -293,34 +293,6 @@ def zero_function(domain: Domain) -> PFunction:
 
 def random_function(domain: Domain, rng: np.random.Generator) -> PFunction:
     return PFunction(domain, rng.integers(0, domain.p, size=domain.size))
-
-
-def shift_compose(g: PFunction, h: list[PFunction]) -> PFunction:
-    """(x, y) -> g(y + h(x)) on D x F_p^n, where h is one coordinate map per axis.
-
-    g must live on a single n-dimensional vector domain and every h_j on one
-    common domain D.
-    """
-    if len(g.domain.components) != 1 or not isinstance(g.domain.components[0], VecPart):
-        raise DomainError("the outer function must live on a single vector component")
-    n = g.domain.components[0].dim
-    if len(h) != n:
-        raise DomainError(f"need {n} coordinate maps, got {len(h)}")
-    base = h[0].domain
-    if any(hj.domain != base for hj in h):
-        raise DomainError("coordinate maps must share one domain")
-    p = g.p
-    if base.p != p:
-        raise DomainError("mismatched characteristic")
-    out_dom = base.extend(VecPart(p, n))
-    nf = base.size
-    hvals = np.stack([hj.table for hj in h], axis=1)  # (nf, n)
-    ydig = Domain.vec(p, n).digits_matrix()  # (p^n, n)
-    pw = np.array([p**i for i in range(n)], dtype=np.int64)
-    # target[y, x] = index of y + h(x) inside g's domain
-    target = ((ydig[:, None, :] + hvals[None, :, :]) % p) @ pw
-    table = g.table[target].reshape(-1)  # y-major matches index = x + y*nf
-    return PFunction(out_dom, table)
 
 
 # ---- expression DSL ---------------------------------------------------------

@@ -23,6 +23,12 @@ N^2 <= SIZE_LIMIT^2 < 2^53.  The squared moduli in abs_sq_rows are int64
 sums whose size stays below p^(3n) <= SIZE_LIMIT^3 < 2^63.  Both bounds are
 asserted against SIZE_LIMIT below, so raising the limit fails loudly.
 
+A transform holds about four N x p count arrays, so walsh_fast refuses
+N * p > 2^24 with DomainError before allocating (at most 128 MiB per array;
+F_{1048573} would need 8 TiB each).  That admits every domain within
+SIZE_LIMIT for p <= 13 (asserted below), the largest at p = 17, 19 and 23,
+53^3 points and one-digit domains up to p = 4093.
+
 The naive path evaluates the defining double sum with the domain's own
 pairing and shares none of that machinery, which keeps the two routes
 independent.
@@ -33,13 +39,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclo import CycInt
+from .cyclo import CycInt, fold_top
 from .field import SIZE_LIMIT
-from .pfunc import Domain, PFunction
+from .pfunc import Domain, DomainError, PFunction
 
 _FLOAT_EXACT = 1 << 53  # float64 holds every integer below this exactly
 assert SIZE_LIMIT * SIZE_LIMIT < _FLOAT_EXACT, "Poisson's signed input exceeds float64"
 assert SIZE_LIMIT**3 < 1 << 63, "squared moduli exceed int64"
+_EXPONENT_LIMIT = 1 << 24  # entries of one N x p count array
+assert 13 * SIZE_LIMIT <= _EXPONENT_LIMIT, "full-size domains at p <= 13 are refused"
 
 # Multiply-adds (or gathered entries) per stage call.  Products this small
 # stay on one BLAS thread; one product per stage woke OpenBLAS's second
@@ -109,30 +117,27 @@ def _dft_exponent(E: np.ndarray, p: int, n: int, sign: int) -> np.ndarray:
     return src.astype(np.int64)
 
 
-def _canonicalize(E: np.ndarray) -> np.ndarray:
-    # fold away the top root power: e^(p-1) = -(1 + e + ... + e^(p-2))
-    return E[:, :-1] - E[:, -1:]
-
-
 def _expand(values: np.ndarray) -> np.ndarray:
     # canonical coefficients are also a valid exponent representation
     pad = np.zeros((values.shape[0], 1), dtype=values.dtype)
     return np.concatenate([values, pad], axis=1)
 
 
-def _root_rows(p: int, exponents: np.ndarray, scale: int = 1) -> np.ndarray:
-    """Canonical rows of scale * e^(exponents[i]) for an int array of exponents."""
-    N = exponents.shape[0]
-    E = np.zeros((N, p), dtype=np.int64)
-    E[np.arange(N), exponents % p] = scale
-    return _canonicalize(E)
-
-
 def rotate_rows(values: np.ndarray, p: int, e) -> np.ndarray:
     """Multiply canonical row i by the root power e^(e[i]); an int e applies
-    the same power to every row."""
+    the same power to every row, and a single row broadcasts against e."""
     cols = (np.arange(p) - np.reshape(e, (-1, 1))) % p
-    return _canonicalize(np.take_along_axis(_expand(values), cols, axis=1))
+    return fold_top(np.take_along_axis(_expand(values), cols, axis=1))
+
+
+def mul_rows(values: np.ndarray, p: int, coeffs) -> np.ndarray:
+    """Multiply every canonical row by the element with canonical coefficients
+    coeffs: the rows rotated by e^j, weighted by coeffs[j], summed exactly."""
+    out = np.zeros_like(values)
+    for j, c in enumerate(coeffs):
+        if c:
+            out += int(c) * rotate_rows(values, p, j)
+    return out
 
 
 class WalshSpectrum:
@@ -160,7 +165,7 @@ class WalshSpectrum:
             for e in range(p):
                 for j in range(p):
                     R[:, e] += A[:, j] * A[:, (j - e) % p]
-            self._abs_sq = _canonicalize(R)
+            self._abs_sq = fold_top(R)
         return self._abs_sq
 
     def parseval_ok(self) -> bool:
@@ -229,9 +234,11 @@ def walsh_fast(f: PFunction) -> WalshSpectrum:
     """
     dom = f.domain
     p, N, n = dom.p, dom.size, dom.n_total
+    if N * p > _EXPONENT_LIMIT:
+        raise DomainError(f"a transform on {p}^{n} points needs {N * p} counts, over 2^24")
     E = np.zeros((N, p))
     E[np.arange(N), f.table] = 1
-    values = _by_pairing(_canonicalize(_dft_exponent(E, p, n, sign=-1)), dom)
+    values = _by_pairing(fold_top(_dft_exponent(E, p, n, sign=-1)), dom)
     return WalshSpectrum(dom, values)
 
 
@@ -242,6 +249,6 @@ def poisson_check(f: PFunction, W: WalshSpectrum) -> bool:
         raise ValueError("spectrum does not belong to this function's domain")
     p, n = dom.p, dom.n_total
     E = _dft_exponent(_expand(W.values), p, n, sign=+1)
-    lhs = _by_pairing(_canonicalize(E), dom)
-    rhs = _root_rows(p, f.table, scale=dom.size)
+    lhs = _by_pairing(fold_top(E), dom)
+    rhs = rotate_rows(np.eye(1, p - 1, dtype=np.int64) * dom.size, p, f.table)
     return bool(np.array_equal(lhs, rhs))

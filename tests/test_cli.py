@@ -120,6 +120,9 @@ def test_dual_of_non_bent_exits_1(capsys):
         ("construct", "sporadic", "--p", "3", "--m", "4", "--name", "g2", "--variant", "7"),
         ("construct", "monomial", "--p", "3", "--m", "4", "--alpha", "w", "--k", "2"),
         ("classify", "--tt", "/nonexistent/path.tt"),
+        ("classify", "--p", "3", "--m", "3", "--expr=--"),  # argparse drops "--"
+        ("search", "--p=--", "--m", "3"),
+        ("construct", "sds", "--f", "f.tt", "--g", "g.tt", "--h=--"),
     ],
 )
 def test_bad_configs_exit_2(capsys, argv):
@@ -177,6 +180,7 @@ def test_huge_truth_table_sizes_exit_2_at_once(capsys, tmp_path, table):
         ("search", "--p", "2305843009213693951", "--m", "3", "--modulus", "1,0,0,1"),
         ("construct", "monomial", "--p", "2305843009213693951", "--m", "3",
          "--modulus", "1,0,0,1", "--alpha", "1"),
+        ("classify", "--p", "1048573", "--m", "1", "--expr", "Tr(x^2)"),  # N*p = 2^40
     ],
 )
 def test_huge_field_flags_exit_2_at_once(capsys, argv):
@@ -233,6 +237,110 @@ def test_truth_table_text_never_escapes_the_exit_contract(text):
     assert code in (0, 2)
     if code == 2:
         assert err.getvalue().startswith("error:")
+
+
+def _run_quietly(argv) -> tuple[int, str]:
+    """Exit code and stderr of one in-process run; argparse's own usage
+    errors arrive as SystemExit.  Any other exception fails the test."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def _assert_exit_contract(argv, verdict_command: bool) -> None:
+    code, err = _run_quietly(argv)
+    assert code in ((0, 1, 2) if verdict_command else (0, 2)), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 2:
+        assert "error:" in err, (argv, err)
+
+
+# field flags with p <= 7 and m <= 3; m > 1 off the built-in table needs --modulus
+_FIELD_FLAGS = [
+    ("3", "1", None), ("3", "2", "1,0,1"), ("3", "3", None), ("5", "1", None),
+    ("5", "2", "2,0,1"), ("5", "3", None), ("7", "1", None), ("7", "2", "1,0,1"),
+    ("7", "3", "5,0,0,1"),
+]
+
+
+def _field_argv(flags) -> list[str]:
+    p, m, mod = flags
+    return ["--p", p, "--m", m] + ([f"--modulus={mod}"] if mod else [])
+
+
+def _near(valid: list[str], tokens: list[str]):
+    """Token soup, or a valid string with a short span replaced by a token."""
+
+    @st.composite
+    def texts(draw) -> str:
+        if draw(st.booleans()):
+            return "".join(draw(st.lists(st.sampled_from(tokens), max_size=10)))
+        text = draw(st.sampled_from(valid))
+        i = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 2))
+        return text[:i] + draw(st.sampled_from(tokens + [""])) + text[i + cut:]
+
+    return texts()
+
+
+_exprs = _near(
+    ["Tr(x^2)", "Tr(w x^2) + 1", "2*Tr(g^3 x^4) + Tr(x)", "Tr((w+1)x^2)"],
+    ["Tr", "(", ")", "x", "^", "g", "w", "+", "-", "*", " ", "0", "2", "10", "x^2",
+     "y", "#", ";", "\u00e9"],
+)
+_MOD_TOKENS = ["0", "1", "2", "6", ",", ",,", "-1", "x", " ", "1.5", "99999999999999999999"]
+_moduli = _near(["0,1", "1,0,1", "2,0,1", "2,0,1,1", "1,1,0,1", "5,0,0,1"], _MOD_TOKENS)
+_moduli_36 = _near(["2,1,0,0,0,0,1", "1,0,0,0,1,1,1", "1,0,0,0,0,0,1"], _MOD_TOKENS)
+_coefs = _near(
+    ["g^7", "w^2+1", "2", "w", "(w+1)*g", "-g^2"],
+    ["g", "w", "^", "0", "1", "2", "10", "+", "-", "*", "(", ")", " ", "x", "Tr", ";", "?"],
+)
+
+
+@settings(max_examples=50)
+@given(
+    command=st.sampled_from(["classify", "dual", "spectrum"]),
+    flags=st.sampled_from(_FIELD_FLAGS),
+    expr=_exprs,
+)
+def test_malformed_expr_never_escapes_the_exit_contract(command, flags, expr):
+    argv = [command] + _field_argv(flags) + [f"--expr={expr}"]
+    _assert_exit_contract(argv, verdict_command=command == "dual")
+
+
+@settings(max_examples=50)
+@given(p=st.sampled_from(["3", "5", "7"]), m=st.sampled_from(["1", "2", "3"]), mod=_moduli)
+def test_malformed_modulus_never_escapes_the_exit_contract(p, m, mod):
+    argv = ["classify", "--p", p, "--m", m, f"--modulus={mod}", "--expr=Tr(x^2)"]
+    _assert_exit_contract(argv, verdict_command=False)
+
+
+@settings(max_examples=50)
+@given(mod=_moduli_36)
+def test_malformed_modulus_36_never_escapes_the_exit_contract(mod):
+    _assert_exit_contract(["verify-paper", f"--modulus-36={mod}"], verdict_command=True)
+
+
+@settings(max_examples=50)
+@given(
+    sub=st.sampled_from(["monomial", "cm", "ndcor", "cor1"]),
+    flags=st.sampled_from([f for f in _FIELD_FLAGS if f[1] == "3"]),
+    a=_coefs,
+    b=_coefs,
+)
+def test_malformed_coefficients_never_escape_the_exit_contract(sub, flags, a, b):
+    argv = ["construct", sub] + _field_argv(flags)
+    if sub == "ndcor":
+        argv += [f"--alpha={a}", f"--beta={b}"]
+    elif sub == "cor1":
+        argv += [f"--alphas={a};{b}"]
+    else:
+        argv += [f"--alpha={a}"]
+    _assert_exit_contract(argv, verdict_command=False)
 
 
 def test_tt_and_expr_together_exit_2(capsys, tmp_path):

@@ -40,6 +40,7 @@ from pbent.field import make_field
 from pbent.pfunc import (
     Domain,
     PFunction,
+    VecPart,
     from_expr,
     parse_coefficient,
     random_function,
@@ -142,8 +143,8 @@ def test_sds_spec_validation(rng):
         SdsSpec(f=f, g=good_g, h=[random_function(Domain.vec(3, 3), rng)])  # wrong domain
     with pytest.raises(ConstructionError):
         SdsSpec(f=square_map(5), g=good_g, h=[square_map(5)])  # mixed characteristic
-    with pytest.raises(ConstructionError):
-        semi_direct_sum(SdsSpec(f=f, g=zero_function(Domain.vec(3, 1)), h=[f]))  # g not bent
+    with pytest.raises(ConstructionError, match="g must be bent"):
+        SdsSpec(f=f, g=zero_function(Domain.vec(3, 1)), h=[f])  # g not bent
 
 
 def test_sds_pointwise_definition(rng):
@@ -156,6 +157,24 @@ def test_sds_pointwise_definition(rng):
             y1, y2 = y % 3, y // 3
             z1, z2 = (y1 + h[0](x)) % 3, (y2 + h[1](x)) % 3
             assert F(x + 9 * y) == (f(x) + g(z1 + 3 * z2)) % 3
+
+
+def test_sds_random_tables_pointwise_oracle(rng):
+    base = Domain.field(F9)
+    n = 2
+    for _ in range(4):
+        f = random_function(base, rng)
+        h = [random_function(base, rng) for _ in range(n)]
+        c0, c1, c2 = (int(c) for c in rng.integers(0, 3, size=3))
+        y1, y2 = np.arange(9) % 3, np.arange(9) // 3
+        g = PFunction(Domain.vec(3, n), y1 * y2 + c0 + c1 * y1 + c2 * y2)
+        out = semi_direct_sum(SdsSpec(f=f, g=g, h=h))
+        assert out.domain == base.extend(VecPart(3, n))
+        for x in range(base.size):
+            for y in range(3**n):
+                ydig = [(y // 3**t) % 3 for t in range(n)]
+                shifted = sum(((ydig[t] + h[t](x)) % 3) * 3**t for t in range(n))
+                assert out(x + y * base.size) == (f(x) + g(shifted)) % 3
 
 
 def sds_grid(ctx):

@@ -292,6 +292,22 @@ def test_poly_str_smoke():
     assert (k.w**2 + 2 * k.w + 1).poly_str() == "w^2 + 2w + 1"
 
 
+@pytest.mark.parametrize(
+    "p,m,mod",
+    [(3, 2, (1, 0, 1)), (3, 3, None), (5, 2, (2, 0, 1)), (7, 2, (1, 0, 1))],
+    ids=["F9", "F27", "F25", "F49"],
+)
+def test_pairing_perm_matches_trace_form(p, m, mod):
+    ctx = make_field(p, m, mod)
+    idx = np.arange(ctx.q)
+    traces = ctx.trace_table[ctx.mul_indices(idx[:, None], idx[None, :])]  # [b, x]
+    perm = ctx.pairing_perm()
+    assert np.array_equal((ctx.digits[perm] @ ctx.digits.T) % p, traces)
+    assert perm is ctx.pairing_perm()
+    with pytest.raises(ValueError):
+        perm[0] = perm[1]  # shared by every domain over the field
+
+
 def test_context_identity():
     a = make_field(3, 3)
     b = make_field(3, 3, BUILTIN_MODULI[(3, 3)])

@@ -16,7 +16,6 @@ from pbent.pfunc import (
     parse_coefficient,
     random_function,
     save_tt,
-    shift_compose,
     zero_function,
 )
 
@@ -136,6 +135,9 @@ def test_inner_product_matches_gram(dom, rng):
 def test_pairing_nondegenerate_and_walsh_perm(dom):
     perm = dom.walsh_perm()
     assert np.unique(perm).size == dom.size  # bijective
+    assert not perm.flags.writeable
+    if len(dom.components) == 1 and isinstance(dom.components[0], FieldPart):
+        assert perm is dom.components[0].ctx.pairing_perm()  # no second copy
     D = dom.digits_matrix()
     step = max(1, dom.size // 48)
     for b in range(0, dom.size, step):
@@ -203,38 +205,6 @@ def test_random_function_is_seed_deterministic(seed):
     a = random_function(dom, np.random.default_rng(seed))
     b = random_function(dom, np.random.default_rng(seed))
     assert a == b
-
-
-# ---- shift_compose ---------------------------------------------------------------------
-
-
-def test_shift_compose_pointwise_oracle(rng):
-    base = Domain.field(F9)
-    n = 2
-    g = random_function(Domain.vec(3, n), rng)
-    h = [random_function(base, rng) for _ in range(n)]
-    out = shift_compose(g, h)
-    assert out.domain == base.extend(VecPart(3, n))
-    for x in range(base.size):
-        for y in range(3**n):
-            idx = x + y * base.size
-            ydig = [(y // 3**t) % 3 for t in range(n)]
-            shifted = sum(((ydig[t] + h[t](x)) % 3) * 3**t for t in range(n))
-            assert out(idx) == g(shifted)
-
-
-def test_shift_compose_validation(rng):
-    base = Domain.field(F9)
-    g_field = random_function(Domain.field(F9), rng)
-    with pytest.raises(DomainError):
-        shift_compose(g_field, [random_function(base, rng)])  # outer not a vector
-    g = random_function(Domain.vec(3, 2), rng)
-    with pytest.raises(DomainError):
-        shift_compose(g, [random_function(base, rng)])  # wrong arity
-    with pytest.raises(DomainError):
-        shift_compose(
-            g, [random_function(base, rng), random_function(Domain.vec(3, 2), rng)]
-        )  # mismatched inner domains
 
 
 # ---- the expression DSL -------------------------------------------------------------------

@@ -15,7 +15,14 @@ from pbent.pfunc import (
     random_function,
     zero_function,
 )
-from pbent.walsh import WalshSpectrum, poisson_check, rotate_rows, walsh_fast, walsh_naive
+from pbent.walsh import (
+    WalshSpectrum,
+    mul_rows,
+    poisson_check,
+    rotate_rows,
+    walsh_fast,
+    walsh_naive,
+)
 
 F27 = make_field(3, 3)
 F9 = make_field(3, 2, (1, 0, 1))
@@ -192,6 +199,17 @@ def test_rotate_rows_matches_ring_multiplication(rng):
         rot = rotate_rows(rows, p, exps)
         for i in range(40):
             assert CycInt(p, rot[i]) == CycInt(p, rows[i]) * root_power(p, int(exps[i]))
+
+
+def test_mul_rows_matches_ring_multiplication(rng):
+    for p in (3, 5, 7):
+        rows = rng.integers(-9, 9, size=(40, p - 1))
+        for _ in range(6):
+            c = rng.integers(-9, 9, size=p - 1)
+            prod = mul_rows(rows, p, c)
+            for i in range(40):
+                assert CycInt(p, prod[i]) == CycInt(p, rows[i]) * CycInt(p, c)
+        assert not mul_rows(rows, p, np.zeros(p - 1, dtype=np.int64)).any()
 
 
 def test_spectrum_accessors_and_histogram():
