@@ -1,5 +1,6 @@
 """End-to-end command-line tests, run in-process through main()."""
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
@@ -579,6 +580,41 @@ def test_search_timing_field_present_without_stable(capsys, tmp_path):
     body = records[:-1]
     assert body
     assert all("runtime_ms" in r for r in body)
+
+
+# sha256 of the whole --stable output of each scan, taken from the per-pair
+# transform path (classify of every pair); the F_81 and F_125 digests are the
+# ones the benchmark pins.
+PINNED_SEARCHES = [
+    pytest.param(
+        ("--p", "3", "--m", "3", "--width", "1"),
+        "dbe2ff39882e1d1002ef4e25c9101682f4974cc52d6dbd14f4456ffe99ba3a81",
+        id="f27-width1",
+    ),
+    pytest.param(
+        ("--p", "3", "--m", "3", "--width", "2"),
+        "dbe2ff39882e1d1002ef4e25c9101682f4974cc52d6dbd14f4456ffe99ba3a81",
+        id="f27-width2",
+    ),
+    pytest.param(
+        ("--p", "3", "--m", "4", "--width", "2"),
+        "e75f1f7b4c3a241c69f31d206a16d7ef90bd5977d4f9b756ec77475a41bf7360",
+        id="f81-width2",
+    ),
+    pytest.param(
+        ("--p", "5", "--m", "3", "--limit", "1200", "--width", "2"),
+        "c25cd7ebe3b111dc332c2a3013f78d6972e2d9724f89decaf485e1c6a54f85c3",
+        id="f125-limit1200",
+    ),
+]
+
+
+@pytest.mark.parametrize("args,digest", PINNED_SEARCHES)
+def test_search_stable_output_matches_pinned_digest(capsys, tmp_path, args, digest):
+    path = tmp_path / "search.jsonl"
+    code, _, _ = run(capsys, "search", *args, "--stable", "--out", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 # ---- verify-paper ------------------------------------------------------------------------
