@@ -6,12 +6,13 @@ ternary examples (g1, g2, g3).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
 import numpy as np
 
-from .bent import Verdict, classify, extract_dual, is_bent
+from .bent import NON_WEAKLY_REGULAR, Verdict, classify, extract_dual, is_bent
 from .cyclo import CycInt, fold_top
 from .field import FieldCtx, FieldElement, FieldError
 from .pfunc import Domain, PFunction, VecPart
@@ -250,38 +251,78 @@ class NdCorSpec:
     def __post_init__(self) -> None:
         self.alpha = _as_element(self.ctx, self.alpha)
         self.beta = _as_element(self.ctx, self.beta)
-        one = self.ctx.one
-        if _rank_mod_p(
-            [one.coeffs, self.alpha.coeffs, self.beta.coeffs], self.ctx.p
-        ) != 3:
+        if not _independent(self.ctx, self.alpha.index, self.beta.index):
             raise ConstructionError(
                 "{1, alpha, beta} must be linearly independent over F_p"
             )
+
+
+def _independent(ctx: FieldCtx, a, b) -> np.ndarray:
+    """Whether {1, alpha, beta} is linearly independent over F_p, elementwise
+    over index arrays: alpha is not in F_p (index >= p), and beta is not in
+    F_p + F_p*alpha, i.e. beta's non-constant digits are no multiple c*alpha's."""
+    p = ctx.p
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+    c = np.arange(p, dtype=np.int64)[:, None]
+    multiples = (c * ctx.digits[a, None, 1:]) % p  # [..., c, digit]
+    in_span = (multiples == ctx.digits[b, None, 1:]).all(axis=-1).any(axis=-1)
+    return (a >= p) & ~in_span
+
+
+@lru_cache(maxsize=8)
+def _phase_onehot(p: int, nw: int) -> np.ndarray:
+    """M[b, (w, s)] = 1 when s = -b1*b2 + w.b mod p, for b = b1 + p*b2 in
+    F_p^2 and the first nw points w = w1 + p*w2; shape (p^2, nw*p), read-only.
+
+    A row of eta(Lambda_b) values times M is the signed root-power counts of
+    T(w) = sum_b eta(Lambda_b) * e^(-b1*b2 + w.b) for those w.
+    """
+    b = np.arange(p * p, dtype=np.int64)[:, None]
+    w = np.arange(nw, dtype=np.int64)[None, :]
+    s = (-(b % p) * (b // p) + (w % p) * (b % p) + (w // p) * (b // p)) % p
+    M = np.zeros((p * p, nw, p), dtype=np.int64)
+    M[b, w, s] = 1
+    M = M.reshape(p * p, nw * p)
+    M.flags.writeable = False
+    return M
+
+
+def _lambda_eta(ctx: FieldCtx, a, b) -> np.ndarray:
+    """eta(Lambda_b), Lambda_b = 1 + b1*alpha + b2*beta, built on digit
+    vectors: one row per (alpha, beta) index pair, one column per
+    b = b1 + p*b2 in F_p^2."""
+    p = ctx.p
+    j = np.arange(p * p, dtype=np.int64)[:, None]
+    lam = (ctx.digits[1] + (j % p) * ctx.digits[a, None] + (j // p) * ctx.digits[b, None]) % p
+    return ctx.eta_table()[lam @ (p ** np.arange(ctx.m, dtype=np.int64))]
 
 
 def ndcor_condition_sum(spec: NdCorSpec) -> CycInt:
     """S = sum over y1, y2 in F_p of eta(1 + y1*alpha + y2*beta) * e^(-y1*y2).
 
     The three-term independence makes every argument nonzero.  |S| != p is the
-    exact certificate that the constructed sum has a non-bent dual.
+    exact certificate that the constructed sum has a non-bent dual.  S is
+    T(0) of evaluate_pairs, counted by the same eta table and phase matrix.
     """
     ctx = spec.ctx
-    p = ctx.p
-    counts = [0] * p  # signed count of each root power e^t
-    for y1 in range(p):
-        for y2 in range(p):
-            arg = ctx.one + y1 * spec.alpha + y2 * spec.beta
-            counts[(-y1 * y2) % p] += arg.eta()
-    return CycInt(p, fold_top(counts))
+    eta = _lambda_eta(ctx, [spec.alpha.index], [spec.beta.index])
+    return CycInt(ctx.p, fold_top(eta @ _phase_onehot(ctx.p, 1))[0])
 
 
 def ndcor_function(spec: NdCorSpec) -> PFunction:
-    """F(x, y1, y2) = Tr(x^2) + (y1 + Tr(alpha x^2)) * (y2 + Tr(beta x^2))."""
+    """F(x, y1, y2) = Tr(x^2) + (y1 + Tr(alpha x^2)) * (y2 + Tr(beta x^2)).
+
+    x^2 is computed once; f and the two coordinate maps are the traces of
+    1, alpha and beta times it, the tables monomial_bent(ctx, c, 0) gives.
+    """
     ctx = spec.ctx
-    f = monomial_bent(ctx, ctx.one, 0)
-    g = coordinate_product(ctx.p)
-    h = [monomial_bent(ctx, spec.alpha, 0), monomial_bent(ctx, spec.beta, 0)]
-    return semi_direct_sum(SdsSpec(f=f, g=g, h=h))
+    dom = Domain.field(ctx)
+    sq = ctx.pow_indices(np.arange(ctx.q, dtype=np.int64), 2)
+    f, h1, h2 = (
+        PFunction(dom, ctx.trace_table[ctx.mul_indices(c.index, sq)])
+        for c in (ctx.one, spec.alpha, spec.beta)
+    )
+    return semi_direct_sum(SdsSpec(f=f, g=coordinate_product(ctx.p), h=[h1, h2]))
 
 
 def coordinate_product(p: int) -> PFunction:
@@ -432,38 +473,117 @@ def sporadic_primitive_scan(
 
 def independent_pairs(ctx: FieldCtx):
     """All (alpha, beta) index pairs with {1, alpha, beta} independent, in
-    lexicographic index order."""
-    one = ctx.one.coeffs
-    for a in range(ctx.q):
-        da = tuple(int(v) for v in ctx.digits[a])
-        if _rank_mod_p([one, da], ctx.p) != 2:
-            continue
-        for b in range(ctx.q):
-            db = tuple(int(v) for v in ctx.digits[b])
-            if _rank_mod_p([one, da, db], ctx.p) == 3:
-                yield a, b
+    lexicographic index order; one vectorized test per alpha."""
+    betas = np.arange(ctx.q, dtype=np.int64)
+    for a in range(ctx.p, ctx.q):  # indices below p are F_p itself
+        for b in np.flatnonzero(_independent(ctx, a, betas)).tolist():
+            yield a, b
 
 
-def evaluate_pair(ctx: FieldCtx, a_idx: int, b_idx: int) -> dict:
-    """Condition sum plus full classification for one (alpha, beta) pair.
-
-    Returns a JSON-ready record; 'abs_sq_S' is an int when the squared modulus
-    is rational, otherwise the coefficient list.
-    """
-    spec = NdCorSpec(ctx, ctx.element(a_idx), ctx.element(b_idx))
-    S = ndcor_condition_sum(spec)
-    s2 = S.abs_sq()
-    rep = classify(ndcor_function(spec))
+def _pair_record(
+    ctx: FieldCtx, a_idx: int, b_idx: int, s2: CycInt,
+    bent: bool, regularity: str, dual_bent: bool,
+) -> dict:
+    """The JSON-ready search record; 'abs_sq_S' is an int when the squared
+    modulus is rational, otherwise the coefficient list."""
     return {
         "p": ctx.p,
         "m": ctx.m,
         "modulus": list(ctx.modulus),
         "alpha": a_idx,
-        "alpha_poly": spec.alpha.poly_str(),
+        "alpha_poly": ctx.element(a_idx).poly_str(),
         "beta": b_idx,
-        "beta_poly": spec.beta.poly_str(),
+        "beta_poly": ctx.element(b_idx).poly_str(),
         "abs_sq_S": s2.as_int() if s2.is_rational else list(s2.coeffs),
-        "bent": rep.is_bent,
-        "regularity": rep.regularity,
-        "dual_bent": rep.dual_is_bent,
+        "bent": bent,
+        "regularity": regularity,
+        "dual_bent": dual_bent,
     }
+
+
+def evaluate_pair(ctx: FieldCtx, a_idx: int, b_idx: int) -> dict:
+    """Condition sum plus full classification (both Walsh transforms) for one
+    (alpha, beta) pair: the oracle for evaluate_pairs."""
+    spec = NdCorSpec(ctx, ctx.element(a_idx), ctx.element(b_idx))
+    rep = classify(ndcor_function(spec))
+    return _pair_record(
+        ctx, a_idx, b_idx, ndcor_condition_sum(spec).abs_sq(),
+        rep.is_bent, rep.regularity, rep.dual_is_bent,
+    )
+
+
+@lru_cache(maxsize=4)
+def _square_trace_regularity(ctx: FieldCtx) -> str:
+    return classify(monomial_bent(ctx, ctx.one, 0)).regularity
+
+
+# Pairs per block of evaluate_pairs: its count arrays hold rows * p^3 entries.
+_BLOCK_ENTRIES = 1 << 16
+
+
+def evaluate_pairs(ctx: FieldCtx, pairs) -> list[dict]:
+    """Closed-form records for (alpha, beta) index pairs, equal to
+    [evaluate_pair(ctx, a, b) for a, b in pairs] but with no transform.
+
+    F = Tr(x^2) + (y1 + Tr(alpha x^2)) * (y2 + Tr(beta x^2)) is the
+    semi-direct sum f(x) + g(y + h(x)) with f = Tr(x^2), g = y1*y2 and
+    h = (Tr(alpha x^2), Tr(beta x^2)), so W_F(a, b) = W_{G_b}(a) * W_g(b) with
+    G_b = Tr(Lambda_b x^2), Lambda_b = 1 + b1*alpha + b2*beta, never 0 by the
+    independence.  Both factors are quadratic Gauss sums (Helleseth-Kholosha,
+    IEEE T-IT 2006); with G_m = W_{Tr(x^2)}(0) on F_{p^m}:
+
+        W_F(a, b) = eta(Lambda_b) * G_m * p * e^(-Tr(a^2 / (4 Lambda_b)) - b1*b2).
+
+    So F is bent, its unit at (a, b) is eta(Lambda_b) times the unit of
+    Tr(x^2), and F*(a, b) = -Tr(a^2 / (4 Lambda_b)) - b1*b2.  Completing the
+    square in the dual's transform gives
+
+        W_{F*}(u, v) = eta(-1) * G_m * e^(Tr(u^2)) * T(w),
+        T(w) = sum_{b in F_p^2} eta(Lambda_b) * e^(-b1*b2 + w.b),
+
+    with w = (Tr(alpha u^2) - v1, Tr(beta u^2) - v2); as v runs over F_p^2
+    so does w, and |G_m|^2 = p^m.  Hence:
+
+    * F is non-weakly regular iff eta(Lambda_b) takes both signs.  Otherwise
+      eta is +1 throughout (b = 0 gives Lambda = 1), F's unit is that of
+      Tr(x^2) on F_{p^m} (P_{m+2} = p * P_m), and so is its regularity;
+    * the dual is bent iff |T(w)|^2 = p^2 for every w;
+    * the paper's S is T(0), and 'abs_sq_S' is |T(0)|^2.
+
+    Each T(w) is carried as p signed counts of root powers, one integer
+    product of the eta rows against the fixed p^2 x p^3 0/1 matrix
+    _phase_onehot; |T(w)|^2 is the cyclic autocorrelation of those counts,
+    folded to canonical coefficients.  Every count is at most p^2 and every
+    autocorrelation entry at most p^4 in absolute value.  Pairs run in blocks
+    of at most _BLOCK_ENTRIES / p^3, so memory stays bounded.
+    """
+    # F's own domain; a field too large for it is refused as classify would
+    Domain.field(ctx).extend(VecPart(ctx.p, 2))
+    p = ctx.p
+    assert p**4 < 1 << 63, "root-power counts or their autocorrelation exceed int64"
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    M = _phase_onehot(p, p * p)
+    target = np.zeros(p - 1, dtype=np.int64)
+    target[0] = p * p
+    rows = max(1, _BLOCK_ENTRIES // p**3)
+    out = []
+    for r0 in range(0, len(pairs), rows):
+        a, b = pairs[r0 : r0 + rows].T.tolist()
+        if not _independent(ctx, a, b).all():
+            raise ConstructionError("{1, alpha, beta} must be linearly independent over F_p")
+        eta = _lambda_eta(ctx, a, b)
+        counts = (eta @ M).reshape(len(a), p * p, p)  # [pair, w, root power]
+        # |T|^2 on e^t: sum_s counts[s] * counts[s - t], for t = 0 .. p-1
+        auto = np.stack(
+            [(counts * np.roll(counts, t, axis=-1)).sum(axis=-1) for t in range(p)],
+            axis=-1,
+        )
+        abs_sq = fold_top(auto)
+        dual_bent = (abs_sq == target).all(axis=(1, 2)).tolist()
+        mixed = (eta != eta[:, :1]).any(axis=1).tolist()
+        for k in range(len(a)):
+            regularity = NON_WEAKLY_REGULAR if mixed[k] else _square_trace_regularity(ctx)
+            out.append(_pair_record(
+                ctx, a[k], b[k], CycInt(p, abs_sq[k, 0]), True, regularity, dual_bent[k]
+            ))
+    return out

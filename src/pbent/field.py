@@ -309,29 +309,41 @@ class FieldCtx:
     def eta_idx(self, a: int) -> int:
         if a == 0:
             raise FieldError("the quadratic character is undefined at 0")
-        if self._eta_table is None:
-            self._eta_table = self._compute_eta()
-        return int(self._eta_table[a])
+        return int(self.eta_table()[a])
 
-    def _compute_eta(self) -> np.ndarray:
-        # Definition-first: raise every element to (q-1)/2 by square and
-        # multiply, then read off +-1.  Memoized for the context's lifetime.
-        res = self.pow_indices(np.arange(self.q, dtype=np.int64), (self.q - 1) // 2)
-        minus_one = self.p - 1  # index of the constant polynomial p-1
-        if not np.all((res[1:] == 1) | (res[1:] == minus_one)):
-            raise FieldError("quadratic character computation failed (internal error)")
-        table = np.where(res == 1, 1, -1).astype(np.int64)
-        table[0] = 0
-        return table
+    def eta_table(self) -> np.ndarray:
+        """eta by index (+1 on squares, -1 on non-squares, 0 at index 0),
+        read-only and built on first use."""
+        if self._eta_table is None:
+            # Definition-first: raise every element to (q-1)/2 by square and
+            # multiply, then read off +-1.
+            res = self.pow_indices(np.arange(self.q, dtype=np.int64), (self.q - 1) // 2)
+            minus_one = self.p - 1  # index of the constant polynomial p-1
+            if not np.all((res[1:] == 1) | (res[1:] == minus_one)):
+                raise FieldError("quadratic character computation failed (internal error)")
+            table = np.where(res == 1, 1, -1).astype(np.int64)
+            table[0] = 0
+            table.flags.writeable = False
+            self._eta_table = table
+        return self._eta_table
 
     def pairing_perm(self) -> np.ndarray:
         """Index permutation b -> c with Tr(b*x) = c . x for all x, i.e.
-        digits(c) = gram @ digits(b); built on first use, one output digit at
-        a time, and read-only, since every domain on this field shares it."""
+        digits(c) = gram @ digits(b); built on first use and read-only, since
+        every domain on this field shares it.
+
+        Digit r of c is sum_i gram[r, i] * b_i mod p, grown over the input
+        digits as one mixed-radix outer sum (digit i is the outer axis of the
+        first p^(i+1) indices), so the build costs O(q*m), not O(q*m^2).
+        """
         if self._pairing_perm is None:
+            d = np.arange(self.p, dtype=np.int64)
             perm = np.zeros(self.q, dtype=np.int64)
             for r, weight in enumerate(self._pw):
-                perm += ((self.digits @ self.gram[r]) % self.p) * weight
+                acc = np.zeros(1, dtype=np.int64)
+                for i in range(self.m):
+                    acc = np.add.outer(self.gram[r, i] * d, acc).reshape(-1)
+                perm += (acc % self.p) * weight
             hit = np.zeros(self.q, dtype=bool)
             hit[perm] = True
             if not hit.all():

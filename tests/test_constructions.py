@@ -12,6 +12,7 @@ from pbent.bent import (
 )
 from pbent.constructions import (
     ConstructionError,
+    _rank_mod_p,
     NdCorSpec,
     SdsSpec,
     agw_combine,
@@ -22,6 +23,7 @@ from pbent.constructions import (
     cor1_family,
     direct_sum,
     evaluate_pair,
+    evaluate_pairs,
     g2_coefficients,
     independent_pairs,
     monomial_bent,
@@ -35,10 +37,11 @@ from pbent.constructions import (
     sporadic_claim,
     sporadic_primitive_scan,
 )
-from pbent.cyclo import CycInt, gauss_sum
+from pbent.cyclo import CycInt, gauss_sum, root_power
 from pbent.field import make_field
 from pbent.pfunc import (
     Domain,
+    DomainError,
     PFunction,
     VecPart,
     from_expr,
@@ -483,6 +486,20 @@ def test_primitive_scan_finds_working_generator():
 # ---- pair enumeration and the search record ------------------------------------------------
 
 
+@pytest.mark.parametrize("ctx", [F27, F81, F125], ids=["F27", "F81", "F125"])
+def test_independent_pairs_match_rank_definition(ctx):
+    """The vectorized test against row reduction, over every (alpha, beta)."""
+    one = ctx.one.coeffs
+    digits = [tuple(int(v) for v in row) for row in ctx.digits]
+    expected = [
+        (a, b)
+        for a in range(ctx.q)
+        for b in range(ctx.q)
+        if _rank_mod_p([one, digits[a], digits[b]], ctx.p) == 3
+    ]
+    assert list(independent_pairs(ctx)) == expected
+
+
 def test_independent_pairs_count_and_rank():
     pairs = list(independent_pairs(F27))
     # q = 27: (27 - 3) choices with {1, a} free, (27 - 9) with {1, a, b} free
@@ -509,6 +526,88 @@ def test_evaluate_pair_record_shape():
         "p", "m", "modulus", "alpha", "alpha_poly", "beta", "beta_poly",
         "abs_sq_S", "bent", "regularity", "dual_bent",
     }
+
+
+def _sample(pairs, rng, k):
+    """k pairs drawn without replacement, kept in lexicographic order."""
+    return [pairs[i] for i in np.sort(rng.choice(len(pairs), size=min(k, len(pairs)), replace=False))]
+
+
+def _check_against_oracle(ctx, pairs):
+    records = evaluate_pairs(ctx, pairs)
+    assert len(records) == len(pairs)
+    for (a, b), rec in zip(pairs, records):
+        assert rec == evaluate_pair(ctx, a, b), (a, b)
+    return records
+
+
+def test_evaluate_pairs_equals_full_classification_on_all_f27_pairs():
+    records = _check_against_oracle(F27, list(independent_pairs(F27)))
+    assert len(records) == 432
+
+
+@pytest.mark.parametrize(
+    "ctx,k", [(F81, 150), (F125, 120)], ids=["F81", "F125"]
+)
+def test_evaluate_pairs_equals_full_classification_on_samples(ctx, k, rng):
+    _check_against_oracle(ctx, _sample(list(independent_pairs(ctx)), rng, k))
+
+
+def test_evaluate_pairs_finds_bent_duals_on_f243(rng):
+    """F_243 has pairs whose dual is bent; the closed form must agree with
+    full classification on those and on a plain sample."""
+    ctx = make_field(3, 5, (1, 0, 0, 0, 2, 1))
+    pairs = list(independent_pairs(ctx))
+    assert len(pairs) == (243 - 3) * (243 - 9)
+    pool = _sample(pairs, rng, 3000)
+    bent_dual = [
+        (r["alpha"], r["beta"]) for r in evaluate_pairs(ctx, pool) if r["dual_bent"]
+    ]
+    assert len(bent_dual) >= 4
+    picked = _sample(bent_dual, rng, 8) + _sample(pairs, rng, 40)
+    records = _check_against_oracle(ctx, picked)
+    assert sum(r["dual_bent"] for r in records) >= 4
+    assert all(r["regularity"] == NON_WEAKLY_REGULAR for r in records)
+
+
+def test_evaluate_pairs_constant_eta_pairs_are_regular_on_f729(rng):
+    """On F_729 some pairs have eta(Lambda_b) = +1 for every b: F is then
+    regular, as Tr(x^2) is on F_729, and its dual is bent."""
+    ctx = make_field(3, 6, (1, 0, 0, 0, 1, 1, 1))
+    assert classify(monomial_bent(ctx, ctx.one, 0)).regularity == REGULAR
+    pairs = list(independent_pairs(ctx))
+    constant = [
+        (r["alpha"], r["beta"])
+        for r in evaluate_pairs(ctx, _sample(pairs, rng, 6000))
+        if r["regularity"] != NON_WEAKLY_REGULAR
+    ]
+    assert len(constant) >= 4
+    records = _check_against_oracle(ctx, _sample(constant, rng, 4) + _sample(pairs, rng, 12))
+    for rec in records[:4]:
+        assert rec["regularity"] == REGULAR and rec["dual_bent"] is True
+
+
+def test_evaluate_pairs_rejects_dependent_pairs_and_oversized_fields():
+    with pytest.raises(ConstructionError):
+        evaluate_pairs(F27, [(F27.w.index, (F27.w**2).index), (F27.w.index, F27.w.index)])
+    big = make_field(17, 3, (3, 1, 0, 1))  # F lives on 17^5 points
+    with pytest.raises(DomainError):
+        evaluate_pairs(big, [(17, 289)])
+
+
+def test_condition_sum_matches_its_definition(rng):
+    """S by the eta table and phase matrix against scalar field arithmetic."""
+    cases = [(F27, p) for p in independent_pairs(F27)]
+    cases += [(F125, p) for p in _sample(list(independent_pairs(F125)), rng, 40)]
+    for ctx, (a, b) in cases:
+        alpha, beta, p = ctx.element(a), ctx.element(b), ctx.p
+        S = CycInt.zero(p)
+        for y1 in range(p):
+            for y2 in range(p):
+                S = S + (ctx.one + y1 * alpha + y2 * beta).eta() * root_power(p, -y1 * y2)
+        assert ndcor_condition_sum(NdCorSpec(ctx, alpha, beta)) == S
+
+
 
 
 def test_evaluate_pair_irrational_abs_sq_uses_coefficient_list():

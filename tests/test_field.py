@@ -294,8 +294,8 @@ def test_poly_str_smoke():
 
 @pytest.mark.parametrize(
     "p,m,mod",
-    [(3, 2, (1, 0, 1)), (3, 3, None), (5, 2, (2, 0, 1)), (7, 2, (1, 0, 1))],
-    ids=["F9", "F27", "F25", "F49"],
+    [(3, 2, (1, 0, 1)), (3, 3, None), (3, 4, None), (5, 2, (2, 0, 1)), (7, 2, (1, 0, 1))],
+    ids=["F9", "F27", "F81", "F25", "F49"],
 )
 def test_pairing_perm_matches_trace_form(p, m, mod):
     ctx = make_field(p, m, mod)
