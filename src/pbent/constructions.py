@@ -262,7 +262,7 @@ def _independent(ctx: FieldCtx, a, b) -> np.ndarray:
     over index arrays: alpha is not in F_p (index >= p), and beta is not in
     F_p + F_p*alpha, i.e. beta's non-constant digits are no multiple c*alpha's."""
     p = ctx.p
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+    a = np.asarray(a, dtype=np.int64)
     c = np.arange(p, dtype=np.int64)[:, None]
     multiples = (c * ctx.digits[a, None, 1:]) % p  # [..., c, digit]
     in_span = (multiples == ctx.digits[b, None, 1:]).all(axis=-1).any(axis=-1)
@@ -514,6 +514,7 @@ def evaluate_pair(ctx: FieldCtx, a_idx: int, b_idx: int) -> dict:
 
 @lru_cache(maxsize=4)
 def _square_trace_regularity(ctx: FieldCtx) -> str:
+    """Regularity of Tr(x^2) on the field, which F has when eta is constant."""
     return classify(monomial_bent(ctx, ctx.one, 0)).regularity
 
 
