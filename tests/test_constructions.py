@@ -530,7 +530,8 @@ def test_evaluate_pair_record_shape():
 
 def _sample(pairs, rng, k):
     """k pairs drawn without replacement, kept in lexicographic order."""
-    return [pairs[i] for i in np.sort(rng.choice(len(pairs), size=min(k, len(pairs)), replace=False))]
+    picks = rng.choice(len(pairs), size=min(k, len(pairs)), replace=False)
+    return [pairs[i] for i in np.sort(picks)]
 
 
 def _check_against_oracle(ctx, pairs):
@@ -597,8 +598,8 @@ def test_evaluate_pairs_rejects_dependent_pairs_and_oversized_fields():
 
 def test_condition_sum_matches_its_definition(rng):
     """S by the eta table and phase matrix against scalar field arithmetic."""
-    cases = [(F27, p) for p in independent_pairs(F27)]
-    cases += [(F125, p) for p in _sample(list(independent_pairs(F125)), rng, 40)]
+    cases = [(F27, pair) for pair in independent_pairs(F27)]
+    cases += [(F125, pair) for pair in _sample(list(independent_pairs(F125)), rng, 40)]
     for ctx, (a, b) in cases:
         alpha, beta, p = ctx.element(a), ctx.element(b), ctx.p
         S = CycInt.zero(p)
@@ -606,8 +607,6 @@ def test_condition_sum_matches_its_definition(rng):
             for y2 in range(p):
                 S = S + (ctx.one + y1 * alpha + y2 * beta).eta() * root_power(p, -y1 * y2)
         assert ndcor_condition_sum(NdCorSpec(ctx, alpha, beta)) == S
-
-
 
 
 def test_evaluate_pair_irrational_abs_sq_uses_coefficient_list():
