@@ -154,6 +154,25 @@ def test_malformed_truth_table_exits_2(capsys, tmp_path, table):
 
 
 @pytest.mark.parametrize(
+    "token",
+    [
+        b"18446744073709551617",  # 2^64 + 1: wraps to 1 mod 2^64
+        b"9223372036854775808",  # 2^63: wraps to -2^63 in int64
+        b"-18446744073709551615",  # wraps to 1 mod 2^64
+        b"1" + b"0" * 39,
+    ],
+)
+def test_huge_digit_tokens_exit_2(capsys, tmp_path, token):
+    """Digit tokens beyond int64 are out of range, never read modulo 2^64."""
+    path = tmp_path / "huge-digit.tt"
+    path.write_bytes(b"3 1\n0 " + token + b" 2\n")
+    code, _, err = run(capsys, "classify", "--tt", str(path))
+    assert code == 2
+    assert err.startswith("error:")
+    assert "table digits must lie in 0..2" in err
+
+
+@pytest.mark.parametrize(
     "table",
     [
         b"3 100000000\n0 1 2\n",
