@@ -505,7 +505,21 @@ def from_expr(ctx: FieldCtx, src: str) -> PFunction:
 #
 # Format: optional '#' header lines (one per component for field-bearing
 # domains), then a line 'p n_total', then p^n_total whitespace-separated
-# digits in point-index order.
+# digits in point-index order.  The writer puts 32 digits on a row, each
+# followed by one space, or by a newline at the end of a row and of the table.
+# Both directions work on whole arrays rather than token by token.
+
+_ROW = 32
+
+
+def _residue_tokens(p: int) -> np.ndarray:
+    """Row r holds the ASCII digits of r, left-padded with NUL bytes."""
+    pw = 10 ** np.arange(len(str(p - 1)) - 1, -1, -1, dtype=np.int64)
+    r = np.arange(p, dtype=np.int64)[:, None]
+    tokens = (r // pw % 10 + ord("0")).astype(np.uint8)
+    tokens[(r < pw) & (pw > 1)] = 0
+    return tokens
+
 
 def dump_tt(f: PFunction) -> str:
     """Render a function in the truth-table file format."""
@@ -521,10 +535,14 @@ def dump_tt(f: PFunction) -> str:
             else:
                 lines.append(f"# vec n={c.dim}")
     lines.append(f"{dom.p} {dom.n_total}")
-    vals = f.table
-    for start in range(0, len(vals), 32):
-        lines.append(" ".join(str(int(v)) for v in vals[start : start + 32]))
-    return "\n".join(lines) + "\n"
+    tokens = _residue_tokens(dom.p)
+    cells = np.empty((dom.size, tokens.shape[1] + 1), dtype=np.uint8)
+    cells[:, :-1] = tokens[f.table]
+    cells[:, -1] = ord(" ")
+    cells[_ROW - 1 :: _ROW, -1] = ord("\n")
+    cells[-1, -1] = ord("\n")
+    body = cells.ravel()
+    return "\n".join(lines) + "\n" + body[body != 0].tobytes().decode("ascii")
 
 
 def save_tt(f: PFunction, path) -> None:
@@ -538,29 +556,58 @@ _FIELD_HDR = re.compile(
 _VEC_HDR = re.compile(r"#\s*vec\s+n=(\d+)\s*$")
 
 
+def _table_digits(text: str, p: int) -> np.ndarray:
+    """The whitespace-separated integers of `text`, each as int() reads it.
+
+    A run of at most 18 ASCII digits is below 10^18 < 2^63, so it is read
+    base 10 in int64 without wrapping, one array pass per digit position.
+    Any other token (a sign, '_', a non-ASCII digit, a longer run or junk)
+    goes through int() alone, which raises int()'s own ValueError.  Its value
+    is stored as -1 when it lies outside 0..p-1, so the caller's range check
+    refuses it however large it is.
+    """
+    if not text.isascii():
+        text = " ".join(text.split())
+    data = text.encode()
+    buf = np.frombuffer(data, dtype=np.uint8)
+    space = (buf == 32) | ((buf >= 9) & (buf <= 13)) | ((buf >= 28) & (buf <= 31))
+    edges = np.flatnonzero(np.diff(~space, prepend=False, append=False))
+    starts, ends = edges[::2], edges[1::2]
+    lens = ends - starts
+    odd = lens > 18
+    not_digit = np.flatnonzero(~space & ((buf < 48) | (buf > 57)))
+    odd[np.searchsorted(starts, not_digit, "right") - 1] = True
+    vals = np.zeros(starts.size, dtype=np.int64)
+    for k in range(int(lens[~odd].max(initial=0))):
+        live = ~odd & (lens > k)
+        vals[live] = vals[live] * 10 + buf[starts[live] + k] - 48
+    for i in np.flatnonzero(odd):
+        v = int(data[starts[i] : ends[i]].decode())
+        vals[i] = v if 0 <= v < p else -1
+    return vals
+
+
 def load_tt(path) -> PFunction:
-    headers: list[str] = []
-    body: list[str] = []
     try:
         with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    headers.append(line)
-                else:
-                    body.append(line)
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise DomainError(f"{path}: not a text file ({exc.reason})") from None
-    if not body:
+    # A header is a line whose first non-blank character is '#'.
+    parts = re.split(r"\n[^\S\n]*(#.*)", "\n" + text)
+    headers = [hdr.rstrip() for hdr in parts[1::2]]
+    body = "\n".join(parts[::2])
+    start = len(body) - len(body.lstrip())
+    if start == len(body):
         raise DomainError(f"{path}: no data lines")
-    first = body[0].split()
+    eol = body.find("\n", start)
+    eol = len(body) if eol < 0 else eol
+    first = body[start:eol].split()
     if len(first) != 2:
         raise DomainError(f"{path}: first data line must be 'p n_total'")
     try:
         p, n_total = int(first[0]), int(first[1])
-        digits = [int(tok) for line in body[1:] for tok in line.split()]
+        digits = _table_digits(body[eol:], p)
     except ValueError as exc:
         raise DomainError(f"{path}: entries must be integers ({exc})") from None
     if exceeds_size_limit(p, n_total):
@@ -593,6 +640,6 @@ def load_tt(path) -> PFunction:
         raise DomainError(
             f"{path}: expected {dom.size} table entries, found {len(digits)}"
         )
-    if any(d < 0 or d >= p for d in digits):
+    if digits.min() < 0 or digits.max() >= p:
         raise DomainError(f"{path}: table digits must lie in 0..{p - 1}")
-    return PFunction(dom, np.array(digits, dtype=np.int64))
+    return PFunction(dom, digits)

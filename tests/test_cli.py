@@ -230,18 +230,23 @@ _JUNK = st.sampled_from(["x", "2.5", "-", "1e3", "0x3", "\u00e9", "3,"])
 @st.composite
 def tt_texts(draw) -> str:
     """Truth-table text: a size line and digit tokens, with at most one fault."""
-    p = draw(st.sampled_from([3, 5, 7, 3, 5, 7, -1, 0, 1, 2, 4, 9]))
+    p = draw(st.sampled_from([3, 5, 7, 11, 13, 3, 5, 7, -1, 0, 1, 2, 4, 9]))
     n = draw(st.sampled_from([1, 2, 1, 2, 0, -1]))
     count = p**n if p >= 3 and n >= 1 else 3
     digits = draw(st.lists(st.integers(0, max(p - 1, 0)), min_size=count, max_size=count))
     tokens = [str(p), str(n)] + [str(d) for d in digits]
-    fault = draw(st.sampled_from(["none", "junk", "range", "count"]))
+    fault = draw(st.sampled_from(["none", "junk", "range", "count", "overflow"]))
     if fault == "junk":
         tokens[draw(st.integers(0, len(tokens) - 1))] = draw(_JUNK)
     elif fault == "range":
         tokens[draw(st.integers(2, len(tokens) - 1))] = draw(st.sampled_from(["-1", str(p)]))
     elif fault == "count":
         tokens = tokens[:-1] if draw(st.booleans()) else tokens + ["0"]
+    elif fault == "overflow":
+        big = draw(st.one_of(st.integers(10**19, 10**40), st.sampled_from([2**63, 2**64 + 1])))
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(
+            st.sampled_from([str(big), f"-{big}", f"{big:0>40}", "0" * 19 + "1"])
+        )
     return " ".join(tokens[:2]) + "\n" + " ".join(tokens[2:]) + "\n"
 
 

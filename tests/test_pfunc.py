@@ -1,8 +1,13 @@
 """Domains, truth tables, the expression DSL, and the truth-table file format."""
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pbent.field import make_field
+from pbent.field import FieldCtx, exceeds_size_limit, is_odd_prime, make_field
 from pbent.pfunc import (
     Domain,
     DomainError,
@@ -340,3 +345,185 @@ def test_tt_corrupt_files(tmp_path, content, match):
     path.write_text(content)
     with pytest.raises(DomainError, match=match):
         load_tt(path)
+
+
+# ---- the file format against the token-by-token reader and writer it replaced ---
+
+
+def _dump_tt_oracle(f: PFunction) -> str:
+    dom = f.domain
+    lines = []
+    if any(isinstance(c, FieldPart) for c in dom.components):
+        for c in dom.components:
+            if isinstance(c, FieldPart):
+                mods = ",".join(str(d) for d in c.ctx.modulus)
+                lines.append(
+                    f"# field m={c.ctx.m} modulus={mods} primitive={c.ctx.primitive_index}"
+                )
+            else:
+                lines.append(f"# vec n={c.dim}")
+    lines.append(f"{dom.p} {dom.n_total}")
+    vals = f.table
+    for start in range(0, len(vals), 32):
+        lines.append(" ".join(str(int(v)) for v in vals[start : start + 32]))
+    return "\n".join(lines) + "\n"
+
+
+_FIELD_HDR = re.compile(r"#\s*field\s+m=(\d+)\s+modulus=([\d,]+)(?:\s+primitive=(\d+))?\s*$")
+_VEC_HDR = re.compile(r"#\s*vec\s+n=(\d+)\s*$")
+
+
+def _load_tt_oracle(path) -> PFunction:
+    headers: list[str] = []
+    body: list[str] = []
+    try:
+        with open(path) as fh:
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    headers.append(line)
+                else:
+                    body.append(line)
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not a text file ({exc.reason})") from None
+    if not body:
+        raise DomainError(f"{path}: no data lines")
+    first = body[0].split()
+    if len(first) != 2:
+        raise DomainError(f"{path}: first data line must be 'p n_total'")
+    try:
+        p, n_total = int(first[0]), int(first[1])
+        digits = [int(tok) for line in body[1:] for tok in line.split()]
+    except ValueError as exc:
+        raise DomainError(f"{path}: entries must be integers ({exc})") from None
+    if exceeds_size_limit(p, n_total):
+        raise DomainError(f"{path}: domain size {p}^{n_total} exceeds the limit 2^20")
+    if not is_odd_prime(p):
+        raise DomainError(f"{path}: p must be an odd prime, got {p}")
+    comps: list = []
+    if headers:
+        for hdr in headers:
+            mo = _FIELD_HDR.match(hdr)
+            if mo:
+                modulus = [int(d) for d in mo.group(2).split(",")]
+                prim = int(mo.group(3)) if mo.group(3) else None
+                comps.append(FieldPart(FieldCtx(p, int(mo.group(1)), modulus, prim)))
+                continue
+            mo = _VEC_HDR.match(hdr)
+            if mo:
+                comps.append(VecPart(p, int(mo.group(1))))
+                continue
+            raise DomainError(f"{path}: unrecognized header {hdr!r}")
+        dom = Domain(comps)
+        if dom.n_total != n_total:
+            raise DomainError(
+                f"{path}: headers give {dom.n_total} digits but the size line says {n_total}"
+            )
+    else:
+        dom = Domain.vec(p, n_total)
+    if len(digits) != dom.size:
+        raise DomainError(f"{path}: expected {dom.size} table entries, found {len(digits)}")
+    if any(d < 0 or d >= p for d in digits):
+        raise DomainError(f"{path}: table digits must lie in 0..{p - 1}")
+    return PFunction(dom, np.array(digits, dtype=np.int64))
+
+
+def _outcome(loader, path):
+    try:
+        return loader(path)
+    except DomainError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "dom",
+    [
+        Domain.vec(3, 3),
+        Domain.vec(3, 12),
+        Domain.vec(5, 8),
+        Domain.vec(11, 3),
+        Domain.vec(53, 2),
+        Domain.vec(101, 2),
+        Domain([VecPart(3, 1), FieldPart(F9), VecPart(3, 2)]),
+    ],
+    ids=["v3_3", "v3_12", "v5_8", "v11_3", "v53_2", "v101_2", "v1f9v2"],
+)
+def test_dump_tt_matches_token_writer(tmp_path, rng, dom):
+    f = random_function(dom, rng)
+    assert dump_tt(f) == _dump_tt_oracle(f)
+    path = tmp_path / "f.tt"
+    save_tt(f, path)
+    assert load_tt(path) == f
+
+
+def test_dump_tt_matches_token_writer_on_zero_field_function(tmp_path):
+    f = zero_function(Domain.field(F27))
+    assert dump_tt(f) == _dump_tt_oracle(f)
+    path = tmp_path / "zero.tt"
+    save_tt(f, path)
+    assert load_tt(path) == f
+
+
+_SEPARATORS = [" ", " ", "  ", "\t", "\n", "\r", "\r\n", "\n\n", "\x0b", "\x0c", "\x1c",
+               "\u00a0", "\u2003"]
+_BAD_TOKENS = ["x", "2.5", "-", "+", "_1", "1_", "1__0", "1e3", "0x3", "\u00e9", "3,", "#", "--1",
+               "-1", "18446744073709551617", "9223372036854775808", "-18446744073709551615",
+               "1" + "0" * 39, "0" * 39 + "1"]
+
+
+@st.composite
+def _spelled(draw, d: int) -> str:
+    """One way int() reads as d: plain, zero-padded, signed, with '_', or in Arabic-Indic."""
+    s = str(d)
+    style = draw(st.sampled_from(["plain", "plain", "plain", "zeros", "plus", "minus", "under",
+                                  "arabic"]))
+    if style == "zeros":
+        return "0" * draw(st.integers(1, 24)) + s
+    if style == "plus":
+        return "+" + s
+    if style == "minus":
+        return "-0" if d == 0 else s
+    if style == "under":
+        return s[0] + "_" + s[1:] if len(s) > 1 else "0_" + s
+    if style == "arabic":
+        return "".join(chr(0x660 + int(c)) for c in s)
+    return s
+
+
+@st.composite
+def tt_file_texts(draw) -> str:
+    """Truth-table text spelled every way the token-by-token reader accepted."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13, 53]))
+    n = 1 if p == 53 else draw(st.sampled_from([1, 2]))
+    digits = draw(st.lists(st.integers(0, p - 1), min_size=p**n, max_size=p**n))
+    tokens = [draw(_spelled(d)) for d in digits]
+    fault = draw(st.sampled_from(["none", "none", "bad", "count"]))
+    if fault == "bad":
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(_BAD_TOKENS))
+    elif fault == "count":
+        tokens = tokens[:-1] if draw(st.booleans()) else tokens + ["0"]
+    seps = draw(st.lists(st.sampled_from(_SEPARATORS), min_size=len(tokens),
+                         max_size=len(tokens)))
+    lines = "".join(tok + sep for tok, sep in zip(tokens, seps)).split("\n")
+    gap = draw(st.sampled_from([" ", " ", " ", "\t", "\x1c", "\u2003", " \n"]))
+    lines.insert(0, f"{p}{gap}{n}")
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " \t", "\x0c"])))
+    if draw(st.booleans()):
+        header = draw(st.sampled_from([f"# vec n={n}", f" \t# vec  n={n} ", f"# vec n={n + 1}",
+                                       "# vec n=x \x1c"]))
+        lines.insert(draw(st.integers(0, len(lines))), header)
+    return "\n".join(lines)
+
+
+@settings(max_examples=200)
+@given(text=tt_file_texts())
+def test_load_tt_matches_token_reader(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.tt"
+        path.write_bytes(text.encode("utf-8"))
+        got, expected = _outcome(load_tt, path), _outcome(_load_tt_oracle, path)
+    assert type(got) is type(expected)
+    assert got == expected
