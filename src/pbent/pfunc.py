@@ -509,18 +509,6 @@ def from_expr(ctx: FieldCtx, src: str) -> PFunction:
 # followed by one space, or by a newline at the end of a row and of the table.
 # Both directions work on whole arrays rather than token by token.
 
-_ROW = 32
-
-
-def _residue_tokens(p: int) -> np.ndarray:
-    """Row r holds the ASCII digits of r, left-padded with NUL bytes."""
-    pw = 10 ** np.arange(len(str(p - 1)) - 1, -1, -1, dtype=np.int64)
-    r = np.arange(p, dtype=np.int64)[:, None]
-    tokens = (r // pw % 10 + ord("0")).astype(np.uint8)
-    tokens[(r < pw) & (pw > 1)] = 0
-    return tokens
-
-
 def dump_tt(f: PFunction) -> str:
     """Render a function in the truth-table file format."""
     dom = f.domain
@@ -535,12 +523,14 @@ def dump_tt(f: PFunction) -> str:
             else:
                 lines.append(f"# vec n={c.dim}")
     lines.append(f"{dom.p} {dom.n_total}")
-    tokens = _residue_tokens(dom.p)
-    cells = np.empty((dom.size, tokens.shape[1] + 1), dtype=np.uint8)
-    cells[:, :-1] = tokens[f.table]
-    cells[:, -1] = ord(" ")
-    cells[_ROW - 1 :: _ROW, -1] = ord("\n")
-    cells[-1, -1] = ord("\n")
+    # Row r of `tokens` is the decimal digits of r, right-padded with NULs.
+    width = len(str(dom.p - 1))
+    tokens = np.arange(dom.p).astype(f"S{width}").view(np.uint8).reshape(dom.p, width)
+    cells = np.empty((dom.size, width + 1), dtype=np.uint8)
+    cells[:, :width] = tokens[f.table]
+    cells[:, width] = ord(" ")
+    cells[31::32, width] = ord("\n")
+    cells[-1, width] = ord("\n")
     body = cells.ravel()
     return "\n".join(lines) + "\n" + body[body != 0].tobytes().decode("ascii")
 
@@ -564,7 +554,8 @@ def _table_digits(text: str, p: int) -> np.ndarray:
     Any other token (a sign, '_', a non-ASCII digit, a longer run or junk)
     goes through int() alone, which raises int()'s own ValueError.  Its value
     is stored as -1 when it lies outside 0..p-1, so the caller's range check
-    refuses it however large it is.
+    refuses it however large it is.  Non-ASCII text is first rejoined with
+    single spaces, so its tokens are those of str.split().
     """
     if not text.isascii():
         text = " ".join(text.split())
@@ -574,14 +565,14 @@ def _table_digits(text: str, p: int) -> np.ndarray:
     edges = np.flatnonzero(np.diff(~space, prepend=False, append=False))
     starts, ends = edges[::2], edges[1::2]
     lens = ends - starts
-    odd = lens > 18
+    via_int = lens > 18
     not_digit = np.flatnonzero(~space & ((buf < 48) | (buf > 57)))
-    odd[np.searchsorted(starts, not_digit, "right") - 1] = True
+    via_int[np.searchsorted(starts, not_digit, "right") - 1] = True
     vals = np.zeros(starts.size, dtype=np.int64)
-    for k in range(int(lens[~odd].max(initial=0))):
-        live = ~odd & (lens > k)
+    for k in range(int(lens[~via_int].max(initial=0))):
+        live = ~via_int & (lens > k)
         vals[live] = vals[live] * 10 + buf[starts[live] + k] - 48
-    for i in np.flatnonzero(odd):
+    for i in np.flatnonzero(via_int):
         v = int(data[starts[i] : ends[i]].decode())
         vals[i] = v if 0 <= v < p else -1
     return vals
@@ -596,18 +587,16 @@ def load_tt(path) -> PFunction:
     # A header is a line whose first non-blank character is '#'.
     parts = re.split(r"\n[^\S\n]*(#.*)", "\n" + text)
     headers = [hdr.rstrip() for hdr in parts[1::2]]
-    body = "\n".join(parts[::2])
-    start = len(body) - len(body.lstrip())
-    if start == len(body):
+    body = "\n".join(parts[::2]).lstrip()
+    if not body:
         raise DomainError(f"{path}: no data lines")
-    eol = body.find("\n", start)
-    eol = len(body) if eol < 0 else eol
-    first = body[start:eol].split()
+    first, _, rest = body.partition("\n")
+    first = first.split()
     if len(first) != 2:
         raise DomainError(f"{path}: first data line must be 'p n_total'")
     try:
         p, n_total = int(first[0]), int(first[1])
-        digits = _table_digits(body[eol:], p)
+        digits = _table_digits(rest, p)
     except ValueError as exc:
         raise DomainError(f"{path}: entries must be integers ({exc})") from None
     if exceeds_size_limit(p, n_total):
