@@ -507,7 +507,7 @@ def from_expr(ctx: FieldCtx, src: str) -> PFunction:
 # domains), then a line 'p n_total', then p^n_total whitespace-separated
 # digits in point-index order.  The writer puts 32 digits on a row, each
 # followed by one space, or by a newline at the end of a row and of the table.
-# Both directions work on whole arrays rather than token by token.
+# Both directions work on whole byte arrays.
 
 def dump_tt(f: PFunction) -> str:
     """Render a function in the truth-table file format."""
