@@ -1,142 +1,154 @@
 """Walsh transforms of p-ary functions, exact over Z[e_p].
 
-The fast path runs an n-dimensional radix-p DFT on the "exponent histogram"
-representation: a value of Z[e_p] is carried as p counts, one per root power,
-so multiplying by a root power is a cyclic shift of the counts.  A radix-p
-stage sends digit k at root power e to output digit j at root power
-s = e + sign*j*k mod p.  For p <= 19 it is one matrix product of the
-(digit, exponent) blocks against the fixed p^2 x p^2 0/1 kernel
-K[(k, e), (j, s)] = [s = e + sign*j*k mod p], at most 2 MiB; for larger p
-that product would cost p^3 * N multiply-adds and p^4 memory, so the stage
-gathers one rotated p x p block per input digit instead (p^2 * N adds, p^2
-memory).  Both run over bounded row chunks.  The stages run in Stockham
-order: each one transforms the most significant digit and writes it back as
-the least significant, so after n stages every digit is in its original
-place and no reordering pass is needed.
+Values travel as their p - 1 canonical coefficients (see cyclo).  The fast
+path is a radix-p DFT: stage k -> j multiplies rows by e^(sign*j*k), a fixed
+{-1, 0, 1} matrix.  For p <= 19 a stage is one float64 product against the
+(p(p-1))^2 kernel of those matrices; above, it gathers rotated rows from a
+doubled zero-padded copy (p^2 * N adds), and walsh_fast's first stage
+scatters N*p counts of its 0/1 input.  Stages run by row chunks in Stockham
+order (top digit in, lowest out), so nothing is reordered.  Gram matrices
+are symmetric (asserted), so W(b) = DFT[f o C^-1](b): walsh_fast scatters
+its table through walsh_perm.
 
-The stages run in float64, which is exact while every partial sum stays
-below 2^53.  A stage output entry is a sum of p input entries, so after n
-stages every partial sum is at most max|E| * p^n; the stages assert
-max|E| * N < 2^53 on their input.  That holds for walsh_fast's 0/1 input and
-for Poisson's signed input (canonical coefficients, |c| <= N) because
-N^2 <= SIZE_LIMIT^2 < 2^53.  The squared moduli in abs_sq_rows are int64
-sums whose size stays below p^(3n) <= SIZE_LIMIT^3 < 2^63.  Both bounds are
-asserted against SIZE_LIMIT below, so raising the limit fails loudly.
-
-A transform holds about four N x p count arrays, so walsh_fast refuses
-N * p > 2^24 with DomainError before allocating (at most 128 MiB per array;
-F_{1048573} would need 8 TiB each).  That admits every domain within
-SIZE_LIMIT for p <= 13 (asserted below), the largest at p = 17, 19 and 23,
-53^3 points and one-digit domains up to p = 4093.
-
-The naive path evaluates the defining double sum with the domain's own
-pairing and shares none of that machinery, which keeps the two routes
-independent.
+Exactness (float64 is exact below 2^53): after t stages a coefficient is a
+difference of two counts of at most p^t * A, A = max|input|, and a stage
+output sums 2p kernel terms, so partial sums stay within 4 * N * A.  |W|^2
+is each row's outer product times a {-1, 0, 1} kernel (p <= 19) or a
+lag-gather autocorrelation, within (p-1)^2 * max|c|^2.  Both are asserted
+on the input.  walsh_fast has |c| <= N and refuses N * p > 2^24, which
+caps an N x p array at 128 MiB and admits p <= 13 up to SIZE_LIMIT, 53^3
+and one-digit domains up to p = 4093.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .cyclo import CycInt, fold_top
 from .field import SIZE_LIMIT
 from .pfunc import Domain, DomainError, PFunction
 
-_FLOAT_EXACT = 1 << 53  # float64 holds every integer below this exactly
-assert SIZE_LIMIT * SIZE_LIMIT < _FLOAT_EXACT, "Poisson's signed input exceeds float64"
-assert SIZE_LIMIT**3 < 1 << 63, "squared moduli exceed int64"
-_EXPONENT_LIMIT = 1 << 24  # entries of one N x p count array
+_FLOAT_EXACT = 1 << 53
+assert 4 * SIZE_LIMIT**2 < _FLOAT_EXACT, "Poisson's stage sums are inexact"
+_EXPONENT_LIMIT = 1 << 24  # entries of one N x p array
 assert 13 * SIZE_LIMIT <= _EXPONENT_LIMIT, "full-size domains at p <= 13 are refused"
+assert _EXPONENT_LIMIT**2 < _FLOAT_EXACT, "walsh_fast's |W|^2 is inexact"
 
-# Multiply-adds (or gathered entries) per stage call.  Products this small
-# stay on one BLAS thread; one product per stage woke OpenBLAS's second
-# thread, which made a 5^8-point `pbent dual` about 60% slower on a 2-core
-# machine.
+# Multiply-adds per chunk: one product per stage woke OpenBLAS's second
+# thread, which made a 5^8-point `pbent dual` 60% slower on 2 cores.
 _CHUNK_MACS = 1 << 18
+# Largest p with product stages: a 23^4 transform took 3.5 s by products,
+# 0.9 s gathered.
+_PRODUCT_MAX_P = 19
+
+
+def _root_rows(t, p: int) -> np.ndarray:
+    """Canonical float64 rows of e^t for an integer array t."""
+    return fold_top(np.equal.outer(np.mod(t, p), np.arange(p)).astype(np.float64))
 
 
 @lru_cache(maxsize=None)
 def _stage_kernel(p: int, sign: int) -> np.ndarray:
-    """K[(k, e), (j, s)] = 1 when digit k at root power e feeds output digit j
-    at root power s = e + sign*j*k mod p."""
-    k, e, j = np.ix_(range(p), range(p), range(p))
-    K = np.zeros((p, p, p, p))
-    K[k, e, j, (e + sign * j * k) % p] = 1
-    K = K.reshape(p * p, p * p)
+    """K[(k, i), (j, s)]: coefficient s of e^i * e^(sign*j*k)."""
+    kj = sign * np.outer(np.arange(p), np.arange(p))
+    K = _root_rows(np.arange(p - 1)[:, None] + kj[:, None], p).reshape(p * p - p, -1)
     K.flags.writeable = False
     return K
 
 
+def _rotations(rows: np.ndarray, p: int) -> np.ndarray:
+    """View R[..., w, :]: the p counts of each row times e^-w."""
+    pad = np.zeros(rows.shape[:-1] + (2 * p,))
+    pad[..., : p - 1] = pad[..., p:-1] = rows
+    return sliding_window_view(pad, p, axis=-1)[..., :p, :]
+
+
 def _stage_product(top: np.ndarray, out: np.ndarray, p: int, sign: int) -> None:
-    """out[m, j, s] = sum_k top[k, m, s - sign*j*k]: one product against the
-    p^2 x p^2 kernel per chunk of rows."""
-    M = out.shape[0]
+    """out[m, j] = sum_k top[k, m] * e^(sign*j*k), one product per row chunk."""
     K = _stage_kernel(p, sign)
-    rows = _CHUNK_MACS // p**4
-    block = np.empty((min(rows, M), p, p))
-    flat = out.reshape(M, p * p)
-    for r0 in range(0, M, rows):
-        r1 = min(r0 + rows, M)
-        blk = block[: r1 - r0]
-        np.copyto(blk, top[:, r0:r1].transpose(1, 0, 2))
-        np.matmul(blk.reshape(r1 - r0, p * p), K, out=flat[r0:r1])
+    rows = max(1, _CHUNK_MACS // K.size)
+    flat = out.reshape(len(out), -1)
+    for r0 in range(0, len(out), rows):
+        blk = top[:, r0 : r0 + rows].transpose(1, 0, 2).reshape(-1, len(K))
+        np.matmul(blk, K, out=flat[r0 : r0 + rows])
 
 
 def _stage_gather(top: np.ndarray, out: np.ndarray, p: int, sign: int) -> None:
-    """The same stage as _stage_product, one gathered p x p block of root
-    powers per input digit k: O(p^2) memory and p^2 * N adds, for primes
-    whose kernel would be too large to pay off."""
-    M = out.shape[0]
+    """The same stage, gathering rotated rows instead of multiplying."""
+    rows = max(1, _CHUNK_MACS // (4 * p * p))  # 53^3: 0.39 s a stage, 0.73 s at 4x rows
+    lag = -sign * np.arange(p)
+    for r0 in range(0, len(out), rows):
+        R = _rotations(top[:, r0 : r0 + rows], p)
+        acc = R[0][:, [0] * p]
+        for k in range(1, p):
+            acc += R[k][:, lag * k % p]
+        out[r0 : r0 + rows] = fold_top(acc)
+
+
+def _stage_one_hot(table: np.ndarray, p: int, sign: int) -> np.ndarray:
+    """The first stage on rows e^(table): N*p counts of e^(table[k, m] +
+    sign*j*k) at row m, digit j."""
+    g = table.reshape(p, -1, 1)
+    kj = sign * np.outer(np.arange(p), np.arange(p))[:, None]
     rows = max(1, _CHUNK_MACS // (p * p))
-    out[...] = 0
-    s = np.arange(p)
-    for k in range(p):
-        shift = (s[None, :] - sign * k * s[:, None]) % p  # [j, s] -> e
-        for r0 in range(0, M, rows):
-            r1 = min(r0 + rows, M)
-            out[r0:r1] += top[k, r0:r1][:, shift]
+    out = np.empty((g.shape[1], p, p - 1))
+    for r0 in range(0, len(out), rows):
+        m = min(rows, len(out) - r0)
+        e = (g[:, r0 : r0 + m] + kj) % p + np.arange(0, m * p * p, p).reshape(m, p)
+        counts = np.bincount(e.ravel(), minlength=m * p * p)  # e: flat (m, j, e) index
+        out[r0 : r0 + m] = fold_top(counts.reshape(m, p, p))
+    return out.reshape(-1, p - 1)
 
 
-def _dft_exponent(E: np.ndarray, p: int, n: int, sign: int) -> np.ndarray:
-    """All n radix-p stages, kernel e^(sign * j * k), exact in float64.
-
-    A float64 E is used as scratch space and overwritten.
-    """
-    N = E.shape[0]
-    assert int(np.abs(E).max()) * N < _FLOAT_EXACT, "stage sums would not be exact"
-    M = N // p
-    # the product stops paying off once one kernel exceeds a chunk (p >= 23)
-    stage = _stage_product if p**4 <= _CHUNK_MACS else _stage_gather
-    src = E.astype(np.float64, copy=False)
-    dst = np.empty_like(src)
-    for _ in range(n):
-        # (top digit, lower digits, exponent) -> (lower digits, new digit, exponent)
-        stage(src.reshape(p, M, p), dst.reshape(M, p, p), p, sign)
+def _dft(rows: np.ndarray, p: int, stages: int, sign: int) -> np.ndarray:
+    """Radix-p stages e^(sign*j*k) on float64 canonical rows (overwritten)."""
+    N = rows.shape[0]
+    assert 4 * N * int(np.abs(rows).max()) < _FLOAT_EXACT, "stage sums would not be exact"
+    stage = _stage_product if p <= _PRODUCT_MAX_P else _stage_gather
+    src, dst = rows, np.empty_like(rows)
+    for _ in range(stages):
+        stage(src.reshape(p, N // p, -1), dst.reshape(N // p, p, -1), p, sign)
         src, dst = dst, src
     return src.astype(np.int64)
-
-
-def _expand(values: np.ndarray) -> np.ndarray:
-    # canonical coefficients are also a valid exponent representation
-    pad = np.zeros((values.shape[0], 1), dtype=values.dtype)
-    return np.concatenate([values, pad], axis=1)
 
 
 def rotate_rows(values: np.ndarray, p: int, e) -> np.ndarray:
     """Multiply canonical row i by the root power e^(e[i]); an int e applies
     the same power to every row, and a single row broadcasts against e."""
     cols = (np.arange(p) - np.reshape(e, (-1, 1))) % p
-    return fold_top(np.take_along_axis(_expand(values), cols, axis=1))
+    return fold_top(np.take_along_axis(np.pad(values, ((0, 0), (0, 1))), cols, axis=1))
 
 
 def mul_rows(values: np.ndarray, p: int, coeffs) -> np.ndarray:
-    """Multiply every canonical row by the element with canonical coefficients
-    coeffs: the rows rotated by e^j, weighted by coeffs[j], summed exactly."""
+    """Multiply every canonical row by the element with coefficients coeffs:
+    the sum of coeffs[j] times the rows rotated by e^j."""
     out = np.zeros_like(values)
     for j, c in enumerate(coeffs):
         if c:
             out += int(c) * rotate_rows(values, p, j)
+    return out
+
+
+def _abs_sq(values: np.ndarray, p: int) -> np.ndarray:
+    """|c|^2 for every canonical row c, by row chunks."""
+    N = values.shape[0]
+    A = int(np.abs(values).max(initial=0))
+    assert (p - 1) ** 2 * A * A < _FLOAT_EXACT, "|W|^2 sums would not be exact"
+    out = np.empty((N, p - 1), dtype=np.int64)
+    small = p <= _PRODUCT_MAX_P
+    if small:  # (p-1)^3 entries: row (i, j) of Q is e^(i - j)
+        i, j = np.divmod(np.arange((p - 1) ** 2), p - 1)
+        Q = _root_rows(i - j, p)
+    rows = max(1, _CHUNK_MACS // ((p - 1) ** 3 if small else p * p))
+    for r0 in range(0, N, rows):
+        c = values[r0 : r0 + rows].astype(np.float64)
+        if small:
+            R = (c[:, i] * c[:, j]) @ Q
+        else:  # row . (row times e^-w) is the count of e^w in |c|^2
+            R = fold_top(np.einsum("mws,ms->mw", _rotations(c, p)[..., :-1], c))
+        out[r0 : r0 + rows] = R
     return out
 
 
@@ -159,21 +171,13 @@ class WalshSpectrum:
     def abs_sq_rows(self) -> np.ndarray:
         """Canonical coefficient rows of |W(b)|^2 for every b."""
         if self._abs_sq is None:
-            p = self.domain.p
-            A = _expand(self.values)
-            R = np.zeros_like(A)
-            for e in range(p):
-                for j in range(p):
-                    R[:, e] += A[:, j] * A[:, (j - e) % p]
-            self._abs_sq = fold_top(R)
+            self._abs_sq = _abs_sq(self.values, self.domain.p)
         return self._abs_sq
 
     def parseval_ok(self) -> bool:
         """Exact check of the energy identity: total |W|^2 equals p^(2 n_total)."""
-        total = self.abs_sq_rows().sum(axis=0)
-        expected = np.zeros(self.domain.p - 1, dtype=np.int64)
-        expected[0] = self.domain.p ** (2 * self.domain.n_total)
-        return bool(np.array_equal(total, expected))
+        dom = self.domain
+        return CycInt(dom.p, self.abs_sq_rows().sum(axis=0)) == dom.p ** (2 * dom.n_total)
 
     def histogram(self) -> list[tuple[CycInt, int]]:
         """Distinct |W|^2 values with multiplicities, sorted by coefficients."""
@@ -191,18 +195,14 @@ class WalshSpectrum:
         return {
             "p": self.domain.p,
             "domain": self.domain.describe(),
-            "values": [[int(c) for c in row] for row in self.values],
+            "values": self.values.tolist(),
             "abs_sq_histogram": self.histogram_json(),
         }
 
 
 def walsh_naive(f: PFunction) -> WalshSpectrum:
-    """Reference transform straight from the definition, O(N^2).
-
-    For each b it tallies how often f(x) - <b, x> hits each residue and folds
-    the histogram into canonical form.  Intended as the oracle for the fast
-    path; fine up to a few hundred points.
-    """
+    """The fast path's oracle, O(N^2): for each b, tally f(x) - <b, x> by
+    residue with the domain's own pairing, sharing none of walsh_fast."""
     dom = f.domain
     p, N = dom.p, dom.size
     table = [int(v) for v in f.table]
@@ -217,28 +217,27 @@ def walsh_naive(f: PFunction) -> WalshSpectrum:
     return WalshSpectrum(dom, values)
 
 
-def _by_pairing(values: np.ndarray, dom: Domain) -> np.ndarray:
-    """Re-index dot-product transform rows by the pairing's Gram matrix
-    (<b, x> = (C b) . x); an identity C (vector parts, F_p) needs nothing."""
+def _pairing(dom: Domain) -> np.ndarray | None:
+    """walsh_perm(), or None for an identity Gram matrix (vectors, F_p)."""
     C = dom.gram()
-    if np.array_equal(C, np.eye(dom.n_total, dtype=C.dtype)):
-        return values
-    return values[dom.walsh_perm()]
+    assert np.array_equal(C, C.T), "the pairing is not symmetric"
+    return None if np.array_equal(C, np.eye(len(C))) else dom.walsh_perm()
 
 
 def walsh_fast(f: PFunction) -> WalshSpectrum:
-    """Radix-p DFT over Z[e_p], O(n p^n) ring operations, exact.
-
-    The dot-product transform is computed digit by digit; field components
-    are folded in afterwards by re-indexing with the pairing's Gram matrix.
-    """
+    """Radix-p DFT over Z[e_p], O(n p^n) ring operations, exact."""
     dom = f.domain
     p, N, n = dom.p, dom.size, dom.n_total
     if N * p > _EXPONENT_LIMIT:
         raise DomainError(f"a transform on {p}^{n} points needs {N * p} counts, over 2^24")
-    E = np.zeros((N, p))
-    E[np.arange(N), f.table] = 1
-    values = _by_pairing(fold_top(_dft_exponent(E, p, n, sign=-1)), dom)
+    table = f.table
+    if (perm := _pairing(dom)) is not None:
+        table = np.empty_like(table)
+        table[perm] = f.table
+    if p <= _PRODUCT_MAX_P:
+        values = _dft(_root_rows(np.arange(p), p)[table], p, n, -1)
+    else:
+        values = _dft(_stage_one_hot(table, p, -1), p, n - 1, -1)
     return WalshSpectrum(dom, values)
 
 
@@ -248,7 +247,8 @@ def poisson_check(f: PFunction, W: WalshSpectrum) -> bool:
     if W.domain != dom:
         raise ValueError("spectrum does not belong to this function's domain")
     p, n = dom.p, dom.n_total
-    E = _dft_exponent(_expand(W.values), p, n, sign=+1)
-    lhs = _by_pairing(fold_top(E), dom)
-    rhs = rotate_rows(np.eye(1, p - 1, dtype=np.int64) * dom.size, p, f.table)
+    lhs = _dft(W.values.astype(np.float64), p, n, sign=+1)
+    if (perm := _pairing(dom)) is not None:
+        lhs = lhs[perm]
+    rhs = dom.size * _root_rows(np.arange(p), p)[f.table]
     return bool(np.array_equal(lhs, rhs))

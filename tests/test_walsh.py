@@ -1,11 +1,13 @@
 """Walsh transforms: fast path vs naive path, energy and inversion identities."""
 import itertools
+import json
+import math
 
 import numpy as np
 import pytest
 
 from pbent.cyclo import CycInt, root_power
-from pbent.field import make_field
+from pbent.field import BUILTIN_MODULI, make_field
 from pbent.pfunc import (
     Domain,
     FieldPart,
@@ -17,6 +19,7 @@ from pbent.pfunc import (
 )
 from pbent.walsh import (
     WalshSpectrum,
+    _stage_kernel,
     mul_rows,
     poisson_check,
     rotate_rows,
@@ -99,6 +102,108 @@ def test_fast_equals_naive_large_primes(dom, rng):
         W = walsh_fast(f)
         assert spectra_equal(W, walsh_naive(f))
         assert poisson_check(f, W)
+
+
+# walsh_fast's first stage on these is a scatter of N*p counts; the old
+# gathered stage took 9.5 s on 1009 points, the naive oracle about 1 s.
+@pytest.mark.parametrize("p", [211, 1009])
+def test_fast_equals_naive_one_digit_large_primes(p, rng):
+    f = random_function(Domain.vec(p, 1), rng)
+    W = walsh_fast(f)
+    assert spectra_equal(W, walsh_naive(f))
+    assert W.parseval_ok()
+
+
+# Gram matrices that are not the identity: walsh_fast scatters the input
+# table through walsh_perm instead of re-indexing the output.
+F343 = make_field(7, 3, (1, 1, 0, 1))
+PAIRING_DOMAINS = [
+    Domain.field(make_field(5, 3)),
+    Domain.field(F343),
+    Domain([VecPart(5, 1), FieldPart(F25), VecPart(5, 1)]),
+    Domain.field(F49).extend(VecPart(7, 1)),
+]
+
+
+@pytest.mark.parametrize("dom", PAIRING_DOMAINS, ids=["f125", "f343", "v1f25v1", "f49v1"])
+def test_fast_equals_naive_through_the_pairing(dom, rng):
+    C = dom.gram()
+    assert not np.array_equal(C, np.eye(len(C), dtype=C.dtype))
+    f = random_function(dom, rng)
+    W = walsh_fast(f)
+    assert spectra_equal(W, walsh_naive(f))
+    assert poisson_check(f, W)
+
+
+@pytest.mark.parametrize("key", sorted(BUILTIN_MODULI), ids=lambda k: f"F{k[0]}^{k[1]}")
+def test_builtin_fields_have_symmetric_gram(key):
+    C = Domain.field(make_field(*key)).gram()
+    assert np.array_equal(C, C.T)
+
+
+def test_walsh_fast_asserts_a_symmetric_pairing(rng, monkeypatch):
+    dom = Domain.field(F25)
+    f = random_function(dom, rng)
+    monkeypatch.setattr(dom, "gram", lambda: np.array([[1, 1], [0, 1]]))
+    with pytest.raises(AssertionError):
+        walsh_fast(f)
+
+
+# ---- the canonical-coefficient core and its exactness bounds --------------------------
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19])
+def test_stage_kernel_blocks_are_root_multiplication(p):
+    units = [CycInt(p, np.eye(p - 1, dtype=np.int64)[i]) for i in range(p - 1)]
+    for sign in (-1, 1):
+        K = _stage_kernel(p, sign).reshape(p, p - 1, p, p - 1)
+        for k in range(p):
+            for j in range(p):
+                r = root_power(p, sign * j * k)
+                expected = [(u * r).coeffs for u in units]
+                assert np.array_equal(K[k, :, j, :], expected), (sign, k, j)
+
+
+def _max_abs_sq_coeff(p: int) -> int:
+    """Largest |c| with (p-1)^2 * c^2 < 2^53, the asserted |W|^2 bound."""
+    return math.isqrt(((1 << 53) - 1) // (p - 1) ** 2)
+
+
+# 3..7 use the product form, 23 and 53 the lag-gather form
+@pytest.mark.parametrize("p", [3, 5, 7, 23, 53])
+def test_abs_sq_rows_match_ring_arithmetic(p, rng):
+    dom = Domain.vec(p, 2 if p < 23 else 1)
+    top = _max_abs_sq_coeff(p)
+    values = rng.integers(-top, top + 1, size=(dom.size, p - 1))
+    values[0] = top  # every coefficient at the bound
+    values[1] = -top
+    values[2] = top * (-1) ** np.arange(p - 1)
+    values[3 : dom.size // 2] = rng.integers(-9, 10, size=(dom.size // 2 - 3, p - 1))
+    rows = WalshSpectrum(dom, values).abs_sq_rows()
+    for b in range(dom.size):
+        assert CycInt(p, rows[b]) == CycInt(p, values[b]).abs_sq(), b
+
+
+@pytest.mark.parametrize("p", [3, 23])
+def test_abs_sq_asserts_its_bound(p):
+    dom = Domain.vec(p, 1)
+    values = np.zeros((p, p - 1), dtype=np.int64)
+    values[1, 0] = _max_abs_sq_coeff(p) + 1
+    with pytest.raises(AssertionError):
+        WalshSpectrum(dom, values).abs_sq_rows()
+
+
+@pytest.mark.parametrize("dom", [Domain.vec(3, 2), Domain.vec(23, 1)], ids=["v3_2", "v23_1"])
+def test_stages_assert_their_bound(dom):
+    """Partial sums stay within 4 * N * max|input| < 2^53."""
+    f = zero_function(dom)
+    top = ((1 << 53) - 1) // (4 * dom.size)
+    values = np.zeros((dom.size, dom.p - 1), dtype=np.int64)
+    values[1, 0] = top
+    assert not poisson_check(f, WalshSpectrum(dom, values))
+    values[1, 0] = top + 1
+    with pytest.raises(AssertionError):
+        poisson_check(f, WalshSpectrum(dom, values))
 
 
 # ---- energy and inversion identities ----------------------------------------------------
@@ -249,6 +354,20 @@ def test_histogram_matches_per_entry_count(dom, rng):
         assert len(counts) > 10  # many distinct values, so the order matters
         hist = [(v.coeffs, c) for v, c in W.histogram()]
         assert hist == sorted(counts.items())
+
+
+@pytest.mark.parametrize(
+    "dom",
+    [Domain.field(F27), Domain([VecPart(3, 1), FieldPart(F9), VecPart(3, 1)]), Domain.vec(3, 8)],
+    ids=["f27", "v1f9v1", "v3_8"],
+)
+def test_spectrum_json_matches_per_entry_ints(dom, rng):
+    W = walsh_fast(random_function(dom, rng))
+    blob = W.to_json()
+    oracle = dict(blob, values=[[int(c) for c in row] for row in W.values])
+    assert json.dumps(blob, sort_keys=True, indent=2) == json.dumps(
+        oracle, sort_keys=True, indent=2
+    )
 
 
 def test_spectrum_shape_is_validated():
