@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -283,11 +284,13 @@ def cmd_search(ns: argparse.Namespace) -> int:
                 witnesses += 1
                 lines.append(json.dumps(rec, sort_keys=True))
 
-    if ns.width == 1 or len(tasks) <= 1:
+    # a fork pool starts all of its workers at the first submit
+    workers = min(ns.width, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         for task in tasks:
             consume(_search_chunk(task))
     else:
-        with ProcessPoolExecutor(max_workers=ns.width) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for records in pool.map(_search_chunk, tasks):
                 consume(records)
 

@@ -13,10 +13,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .bent import NON_WEAKLY_REGULAR, Verdict, classify, extract_dual, is_bent
-from .cyclo import CycInt, fold_top
+from .cyclo import CycInt
 from .field import FieldCtx, FieldElement, FieldError
 from .pfunc import Domain, PFunction, VecPart
-from .walsh import mul_rows, rotate_rows, walsh_fast
+from .walsh import _abs_sq, _dft, _root_rows, mul_rows, rotate_rows, walsh_fast
 
 
 class ConstructionError(ValueError):
@@ -199,17 +199,9 @@ def cor1_family(
     spec = SdsSpec(f=family(alphas[0]), g=g, h=[family(a) for a in alphas[1:]])
     F = semi_direct_sum(spec)
 
-    plus = minus = 0
-    for lam in range(ctx.p**n):
-        acc = alphas[0]
-        for j in range(n):
-            lj = (lam // ctx.p**j) % ctx.p
-            if lj:
-                acc = acc + lj * alphas[j + 1]
-        if acc.eta() == 1:
-            plus += 1
-        else:
-            minus += 1
+    eta = _lambda_eta(ctx, alphas[0].index, [a.index for a in alphas[1:]])
+    plus = int((eta == 1).sum())
+    minus = eta.size - plus
     return Cor1Result(F, plus > 0 and minus > 0, (plus, minus))
 
 
@@ -269,32 +261,27 @@ def _independent(ctx: FieldCtx, a, b) -> np.ndarray:
     return (a >= p) & ~in_span
 
 
-@lru_cache(maxsize=8)
-def _phase_onehot(p: int, nw: int) -> np.ndarray:
-    """M[b, (w, s)] = 1 when s = -b1*b2 + w.b mod p, for b = b1 + p*b2 in
-    F_p^2 and the first nw points w = w1 + p*w2; shape (p^2, nw*p), read-only.
-
-    A row of eta(Lambda_b) values times M is the signed root-power counts of
-    T(w) = sum_b eta(Lambda_b) * e^(-b1*b2 + w.b) for those w.
-    """
-    b = np.arange(p * p, dtype=np.int64)[:, None]
-    w = np.arange(nw, dtype=np.int64)[None, :]
-    s = (-(b % p) * (b // p) + (w % p) * (b % p) + (w // p) * (b // p)) % p
-    M = np.zeros((p * p, nw, p), dtype=np.int64)
-    M[b, w, s] = 1
-    M = M.reshape(p * p, nw * p)
-    M.flags.writeable = False
-    return M
-
-
-def _lambda_eta(ctx: FieldCtx, a, b) -> np.ndarray:
-    """eta(Lambda_b), Lambda_b = 1 + b1*alpha + b2*beta, built on digit
-    vectors: one row per (alpha, beta) index pair, one column per
-    b = b1 + p*b2 in F_p^2."""
+def _lambda_eta(ctx: FieldCtx, base, coeffs) -> np.ndarray:
+    """eta(base + sum_j lambda_j * a_j) for every lambda in F_p^n, built on
+    digit vectors: base and each a_j in coeffs are element indices (scalars
+    or arrays over pairs); row lambda = lambda_1 + p*lambda_2 + ... of the
+    result holds one column per pair."""
     p = ctx.p
-    j = np.arange(p * p, dtype=np.int64)[:, None]
-    lam = (ctx.digits[1] + (j % p) * ctx.digits[a, None] + (j // p) * ctx.digits[b, None]) % p
-    return ctx.eta_table()[lam @ (p ** np.arange(ctx.m, dtype=np.int64))]
+    lam = np.arange(p ** len(coeffs), dtype=np.int64)[:, None, None]
+    acc = ctx.digits[np.asarray(base)]
+    for j, a in enumerate(coeffs):
+        acc = acc + ((lam // p**j) % p) * ctx.digits[np.asarray(a)]
+    return ctx.eta_table()[(acc % p) @ (p ** np.arange(ctx.m, dtype=np.int64))]
+
+
+def _pair_rows(ctx: FieldCtx, alphas, betas) -> tuple[np.ndarray, np.ndarray]:
+    """eta(Lambda_b), Lambda_b = 1 + b1*alpha + b2*beta, as [b, pair], and the
+    float64 canonical rows of eta(Lambda_b) * e^(-b1*b2) as [b, pair, coeff],
+    for b = b1 + p*b2 in F_p^2 and the pairs of index lists alphas, betas."""
+    p = ctx.p
+    eta = _lambda_eta(ctx, 1, [alphas, betas])
+    j = np.arange(p * p)
+    return eta, eta[:, :, None] * _root_rows(-(j % p) * (j // p), p)[:, None, :]
 
 
 def ndcor_condition_sum(spec: NdCorSpec) -> CycInt:
@@ -302,11 +289,10 @@ def ndcor_condition_sum(spec: NdCorSpec) -> CycInt:
 
     The three-term independence makes every argument nonzero.  |S| != p is the
     exact certificate that the constructed sum has a non-bent dual.  S is
-    T(0) of evaluate_pairs, counted by the same eta table and phase matrix.
+    T(0) of evaluate_pairs: the plain sum of its rows.
     """
-    ctx = spec.ctx
-    eta = _lambda_eta(ctx, [spec.alpha.index], [spec.beta.index])
-    return CycInt(ctx.p, fold_top(eta @ _phase_onehot(ctx.p, 1))[0])
+    _, rows = _pair_rows(spec.ctx, [spec.alpha.index], [spec.beta.index])
+    return CycInt(spec.ctx.p, rows.sum(axis=(0, 1)))
 
 
 def ndcor_function(spec: NdCorSpec) -> PFunction:
@@ -518,7 +504,7 @@ def _square_trace_regularity(ctx: FieldCtx) -> str:
     return classify(monomial_bent(ctx, ctx.one, 0)).regularity
 
 
-# Pairs per block of evaluate_pairs: its count arrays hold rows * p^3 entries.
+# Pairs per block of evaluate_pairs: a pair's rows hold p^2 (p - 1) < p^3 coefficients.
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -551,19 +537,16 @@ def evaluate_pairs(ctx: FieldCtx, pairs) -> list[dict]:
     * the dual is bent iff |T(w)|^2 = p^2 for every w;
     * the paper's S is T(0), and 'abs_sq_S' is |T(0)|^2.
 
-    Each T(w) is carried as p signed counts of root powers, one integer
-    product of the eta rows against the fixed p^2 x p^3 0/1 matrix
-    _phase_onehot; |T(w)|^2 is the cyclic autocorrelation of those counts,
-    folded to canonical coefficients.  Every count is at most p^2 and every
-    autocorrelation entry at most p^4 in absolute value.  Pairs run in blocks
-    of at most _BLOCK_ENTRIES / p^3, so memory stays bounded.
+    Each block's rows eta(Lambda_b) * e^(-b1*b2) go through the Walsh core:
+    two radix-p stages of sign +1 give T(w) at row pair*p^2 + w, and its
+    |.|^2 squares them; both assert their exactness bounds on these rows.
+    Pairs run in blocks of at most _BLOCK_ENTRIES / p^3, so memory stays
+    bounded.
     """
     # F's own domain; a field too large for it is refused as classify would
     Domain.field(ctx).extend(VecPart(ctx.p, 2))
     p = ctx.p
-    assert p**4 < 1 << 63, "root-power counts or their autocorrelation exceed int64"
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    M = _phase_onehot(p, p * p)
     target = np.zeros(p - 1, dtype=np.int64)
     target[0] = p * p
     rows = max(1, _BLOCK_ENTRIES // p**3)
@@ -572,16 +555,11 @@ def evaluate_pairs(ctx: FieldCtx, pairs) -> list[dict]:
         a, b = pairs[r0 : r0 + rows].T.tolist()
         if not _independent(ctx, a, b).all():
             raise ConstructionError("{1, alpha, beta} must be linearly independent over F_p")
-        eta = _lambda_eta(ctx, a, b)
-        counts = (eta @ M).reshape(len(a), p * p, p)  # [pair, w, root power]
-        # |T|^2 on e^t: sum_s counts[s] * counts[s - t], for t = 0 .. p-1
-        auto = np.stack(
-            [(counts * np.roll(counts, t, axis=-1)).sum(axis=-1) for t in range(p)],
-            axis=-1,
-        )
-        abs_sq = fold_top(auto)
+        eta, phased = _pair_rows(ctx, a, b)
+        T = _dft(phased.reshape(-1, p - 1), p, 2, +1)  # row pair*p^2 + w: T(w)
+        abs_sq = _abs_sq(T, p).reshape(len(a), p * p, p - 1)
         dual_bent = (abs_sq == target).all(axis=(1, 2)).tolist()
-        mixed = (eta != eta[:, :1]).any(axis=1).tolist()
+        mixed = (eta != eta[:1]).any(axis=0).tolist()
         for k in range(len(a)):
             regularity = NON_WEAKLY_REGULAR if mixed[k] else _square_trace_regularity(ctx)
             out.append(_pair_record(

@@ -376,10 +376,6 @@ class FieldCtx:
             e >>= 1
         return result
 
-    def add_indices(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        d = (self.digits[a] + self.digits[b]) % self.p
-        return d @ np.array(self._pw, dtype=np.int64)
-
     # ---- elements -----------------------------------------------------------
 
     def element(self, idx: int) -> "FieldElement":

@@ -145,14 +145,6 @@ class Domain:
             self._cache["comp_idx"] = out
         return self._cache["comp_idx"]  # type: ignore[return-value]
 
-    def component_indices(self, i: int) -> tuple[int, ...]:
-        return tuple(
-            (i // off) % c.size for c, off in zip(self.components, self._comp_offsets)
-        )
-
-    def compose_components(self, parts) -> int:
-        return int(sum(int(v) * off for v, off in zip(parts, self._comp_offsets)))
-
     def point_add(self, i: int, j: int) -> int:
         """Pointwise sum; in digit space this is digit-wise addition mod p."""
         p = self.p

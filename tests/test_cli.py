@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import tempfile
 import time
 from pathlib import Path
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pbent.cli as cli
 import pbent.field as field_module
 from pbent.bent import NON_WEAKLY_REGULAR, classify
 from pbent.cli import main
@@ -596,6 +598,39 @@ def test_search_width_does_not_change_output(capsys, tmp_path):
         )
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_search_width_is_capped_by_cores(capsys, tmp_path, monkeypatch):
+    """A fork pool starts all of its workers at the first submit, so a width
+    beyond the cores never reaches the pool; the output does not change."""
+    recorded = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            recorded.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    outputs = []
+    for width in ("1", "1000000"):
+        path = tmp_path / f"w{width}.jsonl"
+        code, _, _ = run(
+            capsys, "search", "--p", "3", "--m", "4",
+            "--stable", "--width", width, "--out", str(path),
+        )
+        assert code == 0
+        outputs.append(path.read_bytes())
+    assert recorded == [2]
+    assert outputs[0] == outputs[1]
 
 
 def test_search_timing_field_present_without_stable(capsys, tmp_path):

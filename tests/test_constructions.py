@@ -1,4 +1,6 @@
 """Construction machinery: sums, the two-coordinate family, recursion, bundled examples."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from pbent.bent import (
 )
 from pbent.constructions import (
     ConstructionError,
+    _independent,
     _rank_mod_p,
     NdCorSpec,
     SdsSpec,
@@ -283,6 +286,40 @@ def test_cor1_cm_kind():
     assert (rep.regularity == NON_WEAKLY_REGULAR) == res.both_characters
 
 
+def _outer_bent(n: int) -> PFunction:
+    """A bent function on F_3^n: y1^2, y1*y2, or y1^2 + y2*y3."""
+    if n == 2:
+        return coordinate_product(3)
+    dom = Domain.vec(3, n)
+    d = dom.digits_matrix()
+    return PFunction(dom, (d[:, 0] ** 2 + (d[:, 1] * d[:, 2] if n == 3 else 0)) % 3)
+
+
+@pytest.mark.parametrize("kind,k", [("monomial", 0), ("cm", 1)])
+@pytest.mark.parametrize(
+    "ctx,n",
+    [(F27, 1), (F27, 2), (F81, 1), (F81, 2), (F81, 3)],  # n + 1 independent needs m > n
+    ids=["F27-n1", "F27-n2", "F81-n1", "F81-n2", "F81-n3"],
+)
+def test_cor1_character_counts_match_scalar_sweep(ctx, n, kind, k, rng):
+    """(plus, minus) against eta of a0 + sum(lambda_j a_j) in field arithmetic."""
+    for _ in range(3):
+        while True:
+            alphas = [ctx.element(int(i)) for i in rng.integers(1, ctx.q, size=n + 1)]
+            if _rank_mod_p([a.coeffs for a in alphas], ctx.p) == n + 1:
+                break
+        plus = minus = 0
+        for lam in itertools.product(range(ctx.p), repeat=n):
+            acc = alphas[0]
+            for lj, aj in zip(lam, alphas[1:]):
+                acc = acc + lj * aj
+            plus += acc.eta() == 1
+            minus += acc.eta() == -1
+        res = cor1_family(ctx, kind, k, alphas, _outer_bent(n))
+        assert res.character_counts == (plus, minus)
+        assert res.both_characters == (plus > 0 and minus > 0)
+
+
 # ---- the planted two-coordinate family -------------------------------------------------
 
 
@@ -548,10 +585,23 @@ def test_evaluate_pairs_equals_full_classification_on_all_f27_pairs():
 
 
 @pytest.mark.parametrize(
-    "ctx,k", [(F81, 150), (F125, 120)], ids=["F81", "F125"]
+    "ctx,k",
+    [
+        (F81, 150),
+        (F125, 120),
+        (make_field(7, 3, (1, 0, 1, 1)), 20),
+        (make_field(11, 3, (1, 0, 4, 1)), 3),
+        (make_field(13, 3, (1, 0, 4, 1)), 1),
+    ],
+    ids=["F81", "F125", "F343", "F1331", "F2197"],
 )
 def test_evaluate_pairs_equals_full_classification_on_samples(ctx, k, rng):
-    _check_against_oracle(ctx, _sample(list(independent_pairs(ctx)), rng, k))
+    """k distinct seeded pairs, drawn without listing every pair of the field."""
+    a, b = rng.integers(0, ctx.q, size=(2, 2 * k + 8))
+    keep = _independent(ctx, a, b)
+    pairs = list(dict.fromkeys(zip(a[keep].tolist(), b[keep].tolist())))[:k]
+    assert len(pairs) == k
+    _check_against_oracle(ctx, sorted(pairs))
 
 
 def test_evaluate_pairs_finds_bent_duals_on_f243(rng):
@@ -597,7 +647,7 @@ def test_evaluate_pairs_rejects_dependent_pairs_and_oversized_fields():
 
 
 def test_condition_sum_matches_its_definition(rng):
-    """S by the eta table and phase matrix against scalar field arithmetic."""
+    """S as the sum of the canonical eta rows against scalar field arithmetic."""
     cases = [(F27, pair) for pair in independent_pairs(F27)]
     cases += [(F125, pair) for pair in _sample(list(independent_pairs(F125)), rng, 40)]
     for ctx, (a, b) in cases:
