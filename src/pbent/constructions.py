@@ -466,20 +466,30 @@ def independent_pairs(ctx: FieldCtx):
             yield a, b
 
 
+@lru_cache(maxsize=4)
+def _poly_strs(ctx: FieldCtx) -> dict[int, str]:
+    """The field's element polynomials by index, each formatted on first use."""
+    return {}
+
+
 def _pair_record(
     ctx: FieldCtx, a_idx: int, b_idx: int, s2: CycInt,
     bent: bool, regularity: str, dual_bent: bool,
 ) -> dict:
     """The JSON-ready search record; 'abs_sq_S' is an int when the squared
     modulus is rational, otherwise the coefficient list."""
+    polys = _poly_strs(ctx)
+    for idx in (a_idx, b_idx):
+        if idx not in polys:
+            polys[idx] = ctx.element(idx).poly_str()
     return {
         "p": ctx.p,
         "m": ctx.m,
         "modulus": list(ctx.modulus),
         "alpha": a_idx,
-        "alpha_poly": ctx.element(a_idx).poly_str(),
+        "alpha_poly": polys[a_idx],
         "beta": b_idx,
-        "beta_poly": ctx.element(b_idx).poly_str(),
+        "beta_poly": polys[b_idx],
         "abs_sq_S": s2.as_int() if s2.is_rational else list(s2.coeffs),
         "bent": bent,
         "regularity": regularity,

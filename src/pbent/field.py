@@ -2,10 +2,13 @@
 
 A FieldCtx freezes one concrete field: the modulus, a primitive element, and
 the lookup tables that make bulk evaluation cheap (digit matrix, discrete
-exp/log, traces, the trace bilinear form).  Elements travel as integer
-indices; index = sum(coeffs[i] * p^i) with the constant digit least
-significant, so index order is also the truth-table point order used
-everywhere else in the package.
+exp/log, traces, the trace bilinear form).  Every table comes from powers of
+one matrix, the modulus's companion matrix M (multiplication by the root w
+on digit columns): element a acts as sum_i a_i M^i, and Tr(w^k) is the
+matrix trace of M^k.  Elements travel as integer indices; index =
+sum(coeffs[i] * p^i) with the constant digit least significant, so index
+order is also the truth-table point order used everywhere else in the
+package.
 """
 from __future__ import annotations
 
@@ -138,83 +141,61 @@ class FieldCtx:
 
         # digits[i] = coefficient vector of the element with index i
         idx = np.arange(q, dtype=np.int64)
-        self.digits = np.stack([(idx // p**i) % p for i in range(m)], axis=1)
+        self.digits = idx[:, None] // np.array(self._pw, dtype=np.int64)
+        self.digits %= p
 
-        # reductions of w^m .. w^(2m-2), needed for schoolbook multiplication
-        self._high_powers = self._build_high_powers()
+        # companion matrix of the modulus: multiplication by w on digit columns
+        comp = np.zeros((m, m), dtype=np.int64)
+        comp[1:, :-1] = np.eye(m - 1, dtype=np.int64)
+        comp[:, -1] = [(-c) % p for c in mod[:m]]
+        powers = [np.eye(m, dtype=np.int64)]
+        for _ in range(2 * m - 2):
+            powers.append(powers[-1] @ comp % p)
+        self._basis_mats = np.stack(powers[:m])  # M^0 .. M^(m-1)
+        traces = np.array([np.trace(a) for a in powers]) % p  # Tr(w^k), k <= 2m-2
 
         if primitive is None:
             primitive = self._find_primitive()
         else:
             primitive = int(primitive)
+            if not 0 < primitive < q:
+                raise FieldError(f"primitive index {primitive} is outside 1..{q - 1}")
             if not self._has_full_order(primitive):
                 raise FieldError(f"element with index {primitive} is not primitive")
         self.primitive_index = primitive
 
         self._build_exp_log()
-        self._build_trace()
+        # Tr is F_p-linear, so Tr(a) = sum_i a_i Tr(w^i)
+        self.trace_table = self.digits @ traces[:m] % p
+        # Gram matrix of the trace form Tr(w^i w^j), used by the fast transform
+        self.gram = traces[np.add.outer(np.arange(m), np.arange(m))]
         self._eta_table: np.ndarray | None = None
-        self._pairing_perm: np.ndarray | None = None
 
     # ---- construction helpers -------------------------------------------
-
-    def _build_high_powers(self) -> list[tuple[int, ...]]:
-        p, m = self.p, self.m
-        if m == 1:
-            return []
-        out = [tuple((-c) % p for c in self.modulus[:m])]  # w^m
-        for _ in range(m - 2):
-            shifted = [0] + list(out[-1])
-            top = shifted.pop()
-            out.append(tuple((c + top * r) % p for c, r in zip(shifted, out[0])))
-        return out
-
-    def root_power_digits(self, e: int) -> tuple[int, ...]:
-        """Digit vector of w^e for 0 <= e <= 2m-2, w the modulus root."""
-        m = self.m
-        if e < m:
-            return tuple(1 if i == e else 0 for i in range(m))
-        return self._high_powers[e - m]
-
-    def mul_digits(self, a, b) -> tuple[int, ...]:
-        """Schoolbook product of two digit vectors, reduced by the modulus."""
-        p, m = self.p, self.m
-        prod = [0] * (2 * m - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] = (prod[i + j] + ai * bj) % p
-        res = list(prod[:m])
-        for e in range(m, 2 * m - 1):
-            c = prod[e]
-            if c:
-                red = self._high_powers[e - m]
-                res = [(r + c * d) % p for r, d in zip(res, red)]
-        return tuple(res)
-
-    def _pow_digits(self, a, e: int) -> tuple[int, ...]:
-        result = tuple(1 if i == 0 else 0 for i in range(self.m))
-        base = tuple(a)
-        while e:
-            if e & 1:
-                result = self.mul_digits(result, base)
-            base = self.mul_digits(base, base)
-            e >>= 1
-        return result
 
     def compose(self, digit_vec) -> int:
         return int(sum(int(d) * w for d, w in zip(digit_vec, self._pw)))
 
+    def _mult_matrix(self, idx: int) -> np.ndarray:
+        # matrix of multiplication by element idx on digit column vectors
+        return np.tensordot(self.digits[idx], self._basis_mats, axes=1) % self.p
+
+    def _mat_pow(self, a: np.ndarray, e: int) -> np.ndarray:
+        result = np.eye(self.m, dtype=np.int64)
+        while e:
+            if e & 1:
+                result = result @ a % self.p
+            a = a @ a % self.p
+            e >>= 1
+        return result
+
     def _has_full_order(self, idx: int) -> bool:
-        if idx == 0:
-            return False
-        a = tuple(int(d) for d in self.digits[idx])
-        one = tuple(1 if i == 0 else 0 for i in range(self.m))
-        for ell in prime_factors(self.q - 1):
-            if self._pow_digits(a, (self.q - 1) // ell) == one:
-                return False
-        return True
+        a = self._mult_matrix(idx)
+        one = np.eye(self.m, dtype=np.int64)
+        return not any(
+            np.array_equal(self._mat_pow(a, (self.q - 1) // ell), one)
+            for ell in prime_factors(self.q - 1)
+        )
 
     def _find_primitive(self) -> int:
         for idx in range(2, self.q):
@@ -222,56 +203,25 @@ class FieldCtx:
                 return idx
         raise FieldError("no primitive element found (internal error)")
 
-    def _mult_matrix(self, h_digits) -> np.ndarray:
-        # matrix of multiplication by h on digit column vectors
-        cols = [
-            self.mul_digits(h_digits, self.root_power_digits(i)) for i in range(self.m)
-        ]
-        return np.array(cols, dtype=np.int64).T
-
     def _build_exp_log(self) -> None:
         p, m, q = self.p, self.m, self.q
         rows = np.zeros((q - 1, m), dtype=np.int64)
         rows[0, 0] = 1
-        g = tuple(int(d) for d in self.digits[self.primitive_index])
+        g = self._mult_matrix(self.primitive_index)
         filled = 1
-        # double the known prefix of powers each round: g^(t+k) = g^k * g^t
+        # double the known prefix of powers each round: g^(t+k) = g^k * g^t,
+        # squaring g's matrix alongside so that it stays that of g^filled
         while filled < q - 1:
-            h = self._pow_digits(g, filled)
-            mat = self._mult_matrix(h)
             take = min(filled, q - 1 - filled)
-            rows[filled : filled + take] = (rows[:take] @ mat.T) % p
+            rows[filled : filled + take] = (rows[:take] @ g.T) % p
             filled += take
+            g = g @ g % p
         pw = np.array(self._pw, dtype=np.int64)
         self.exp = rows @ pw
         self.log = np.full(q, -1, dtype=np.int64)
         self.log[self.exp] = np.arange(q - 1, dtype=np.int64)
         if (self.log[1:] < 0).any():
             raise FieldError("primitive element does not generate the field (internal error)")
-
-    def _build_trace(self) -> None:
-        p, m = self.p, self.m
-        # Frobenius x -> x^p is F_p-linear; column i is digits((w^i)^p)
-        frob = np.array(
-            [self._pow_digits(self.root_power_digits(i), p) for i in range(m)],
-            dtype=np.int64,
-        ).T
-        s = np.eye(m, dtype=np.int64)
-        acc = np.eye(m, dtype=np.int64)
-        for _ in range(m - 1):
-            acc = (frob @ acc) % p
-            s = (s + acc) % p
-        tr_digits = (self.digits @ s.T) % p
-        if m > 1 and tr_digits[:, 1:].any():
-            raise FieldError("trace left the prime field (internal error)")
-        self.trace_table = tr_digits[:, 0].astype(np.int64)
-        # Gram matrix of the trace form Tr(w^i w^j), used by the fast transform
-        gram = np.zeros((m, m), dtype=np.int64)
-        for i in range(m):
-            for j in range(m):
-                v = np.array(self.root_power_digits(i + j), dtype=np.int64)
-                gram[i, j] = int(((s @ v) % p)[0])
-        self.gram = gram
 
     # ---- index-space operations ------------------------------------------
 
@@ -327,31 +277,6 @@ class FieldCtx:
             self._eta_table = table
         return self._eta_table
 
-    def pairing_perm(self) -> np.ndarray:
-        """Index permutation b -> c with Tr(b*x) = c . x for all x, i.e.
-        digits(c) = gram @ digits(b); built on first use and read-only, since
-        every domain on this field shares it.
-
-        Digit r of c is sum_i gram[r, i] * b_i mod p, grown over the input
-        digits as one mixed-radix outer sum (digit i is the outer axis of the
-        first p^(i+1) indices), so the build costs O(q*m), not O(q*m^2).
-        """
-        if self._pairing_perm is None:
-            d = np.arange(self.p, dtype=np.int64)
-            perm = np.zeros(self.q, dtype=np.int64)
-            for r, weight in enumerate(self._pw):
-                acc = np.zeros(1, dtype=np.int64)
-                for i in range(self.m):
-                    acc = np.add.outer(self.gram[r, i] * d, acc).reshape(-1)
-                perm += (acc % self.p) * weight
-            hit = np.zeros(self.q, dtype=bool)
-            hit[perm] = True
-            if not hit.all():
-                raise FieldError("degenerate trace form (internal error)")
-            perm.flags.writeable = False
-            self._pairing_perm = perm
-        return self._pairing_perm
-
     # ---- vectorized index-space operations ---------------------------------
 
     def mul_indices(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -404,7 +329,7 @@ class FieldCtx:
         """The residue of x, i.e. the root of the modulus inside the field."""
         if self.m == 1:
             return FieldElement(self, (-self.modulus[0]) % self.p)
-        return FieldElement(self, self.compose(self.root_power_digits(1)))
+        return FieldElement(self, self.p)
 
     @property
     def g(self) -> "FieldElement":

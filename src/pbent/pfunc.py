@@ -135,16 +135,6 @@ class Domain:
             )
         return self._cache["digits"]  # type: ignore[return-value]
 
-    def component_index_arrays(self) -> list[np.ndarray]:
-        """Per-component local indices for every point, each shape (size,)."""
-        if "comp_idx" not in self._cache:
-            idx = np.arange(self.size, dtype=np.int64)
-            out = []
-            for c, off in zip(self.components, self._comp_offsets):
-                out.append((idx // off) % c.size)
-            self._cache["comp_idx"] = out
-        return self._cache["comp_idx"]  # type: ignore[return-value]
-
     def point_add(self, i: int, j: int) -> int:
         """Pointwise sum; in digit space this is digit-wise addition mod p."""
         p = self.p
@@ -198,25 +188,29 @@ class Domain:
         return self._cache["gram"]  # type: ignore[return-value]
 
     def walsh_perm(self) -> np.ndarray:
-        """Index permutation b -> index(C * digits(b)) for the Gram matrix C.
+        """Index permutation b -> index(C * digits(b)) for the Gram matrix C,
+        so <b, x> = digits(perm[b]) . digits(x); built on first use and
+        read-only.
 
-        C is block diagonal, so each component maps its own local index: a
-        field part through its field's pairing permutation, a vector part
-        not at all.  The local images combine in mixed radix into a
-        read-only array; a domain that is one field part returns the field's
-        own array, with no copy.
+        Digit r of the image is sum_i C[r, i] * b_i mod p, grown over the
+        input digits as one mixed-radix outer sum (digit i is the outer axis
+        of the first p^(i+1) indices), so the build costs O(size * n_total),
+        not O(size * n_total^2).
         """
         if "wperm" not in self._cache:
-            comps = self.components
-            if len(comps) == 1 and isinstance(comps[0], FieldPart):
-                perm = comps[0].ctx.pairing_perm()
-            else:
-                perm = np.zeros(self.size, dtype=np.int64)
-                parts = zip(comps, self.component_index_arrays(), self._comp_offsets)
-                for c, idx, off in parts:
-                    local = c.ctx.pairing_perm()[idx] if isinstance(c, FieldPart) else idx
-                    perm += local * off
-                perm.flags.writeable = False
+            C = self.gram()
+            d = np.arange(self.p, dtype=np.int64)
+            perm = np.zeros(self.size, dtype=np.int64)
+            for r, weight in enumerate(self._digit_pw):
+                acc = np.zeros(1, dtype=np.int64)
+                for i in range(self.n_total):
+                    acc = np.add.outer(C[r, i] * d, acc).reshape(-1)
+                perm += (acc % self.p) * weight
+            hit = np.zeros(self.size, dtype=bool)
+            hit[perm] = True
+            if not hit.all():
+                raise DomainError("degenerate pairing (internal error)")
+            perm.flags.writeable = False
             self._cache["wperm"] = perm
         return self._cache["wperm"]  # type: ignore[return-value]
 
@@ -533,7 +527,7 @@ def save_tt(f: PFunction, path) -> None:
 
 
 _FIELD_HDR = re.compile(
-    r"#\s*field\s+m=(\d+)\s+modulus=([\d,]+)(?:\s+primitive=(\d+))?\s*$"
+    r"#\s*field\s+m=(\d+)\s+modulus=(\d+(?:,\d+)*)(?:\s+primitive=(\d+))?\s*$"
 )
 _VEC_HDR = re.compile(r"#\s*vec\s+n=(\d+)\s*$")
 

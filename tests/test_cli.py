@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pbent.cli as cli
 import pbent.field as field_module
@@ -227,17 +227,45 @@ def test_large_prime_truth_table_classifies(capsys, tmp_path):
 
 
 _JUNK = st.sampled_from(["x", "2.5", "-", "1e3", "0x3", "\u00e9", "3,"])
+# an irreducible x^2 + c per prime, for a '# field m=2' header
+_QUADRATIC = {3: "1,0,1", 5: "2,0,1", 7: "1,0,1", 11: "1,0,1", 13: "11,0,1"}
+
+
+@st.composite
+def tt_headers(draw, p: int, n: int, fault: str) -> list[str]:
+    """'# field' / '# vec' header lines for a p^n table, or none; a 'modulus'
+    or 'primitive' fault puts a field header in and breaks that part of it."""
+    layouts = ["field", "field+vec"]
+    if fault not in ("modulus", "primitive"):
+        layouts += ["none", "vec"]
+    layout = draw(st.sampled_from(layouts))
+    if layout == "none":
+        return []
+    if layout == "vec":
+        return [f"# vec n={n}"]
+    m = n if layout == "field" or n < 2 else 1
+    modulus = "0,1" if m == 1 else _QUADRATIC[p]
+    if fault == "modulus":
+        modulus = draw(st.sampled_from([modulus + ",", modulus.replace(",", ",,", 1)]))
+    field = f"# field m={m} modulus={modulus}"
+    if fault == "primitive":
+        field += f" primitive={draw(st.sampled_from([0, p**m, 10**23]))}"
+    return [field] + ([f"# vec n={n - m}"] if m < n else [])
 
 
 @st.composite
 def tt_texts(draw) -> str:
-    """Truth-table text: a size line and digit tokens, with at most one fault."""
+    """Truth-table text: headers, a size line and digit tokens, with at most
+    one fault."""
     p = draw(st.sampled_from([3, 5, 7, 11, 13, 3, 5, 7, -1, 0, 1, 2, 4, 9]))
     n = draw(st.sampled_from([1, 2, 1, 2, 0, -1]))
     count = p**n if p >= 3 and n >= 1 else 3
     digits = draw(st.lists(st.integers(0, max(p - 1, 0)), min_size=count, max_size=count))
     tokens = [str(p), str(n)] + [str(d) for d in digits]
-    fault = draw(st.sampled_from(["none", "junk", "range", "count", "overflow"]))
+    fault = draw(st.sampled_from(
+        ["none", "junk", "range", "count", "overflow", "modulus", "primitive"]
+    ))
+    headers = draw(tt_headers(p, n, fault)) if p in _QUADRATIC and n >= 1 else []
     if fault == "junk":
         tokens[draw(st.integers(0, len(tokens) - 1))] = draw(_JUNK)
     elif fault == "range":
@@ -249,11 +277,14 @@ def tt_texts(draw) -> str:
         tokens[draw(st.integers(0, len(tokens) - 1))] = draw(
             st.sampled_from([str(big), f"-{big}", f"{big:0>40}", "0" * 19 + "1"])
         )
-    return " ".join(tokens[:2]) + "\n" + " ".join(tokens[2:]) + "\n"
+    lines = headers + [" ".join(tokens[:2]), " ".join(tokens[2:])]
+    return "\n".join(lines) + "\n"
 
 
-@settings(max_examples=50)
+@settings(max_examples=100)
 @given(text=tt_texts())
+@example(text="# field m=1 modulus=0,1 primitive=3\n3 1\n0 1 2\n")
+@example(text="# field m=2 modulus=1,,1\n3 2\n" + "0 " * 9 + "\n")
 def test_truth_table_text_never_escapes_the_exit_contract(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "f.tt"

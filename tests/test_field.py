@@ -17,6 +17,7 @@ from pbent.field import (
     poly_is_irreducible,
     trace,
 )
+from pbent.pfunc import Domain
 
 TEST_MODULI = {
     (3, 2): (1, 0, 1),  # x^2 + 1
@@ -55,6 +56,43 @@ def poly_pow_mod(a, e, modulus, p):
         base = poly_mul_mod(base, base, modulus, p)
         e >>= 1
     return result
+
+
+def oracle_root(modulus, p):
+    """Digits of w, the residue of x modulo (p, modulus)."""
+    m = len(modulus) - 1
+    return poly_mul_mod((0, 1) + (0,) * (m - 1), (1,), modulus, p)
+
+
+def oracle_trace(a, modulus, p):
+    """Tr(a) = a + a^p + ... + a^(p^(m-1)) by the pure-python powmod; every
+    digit but the constant one must vanish."""
+    m = len(modulus) - 1
+    acc = [0] * m
+    for i in range(m):
+        conj = poly_pow_mod(a, p**i, modulus, p)
+        acc = [(x + y) % p for x, y in zip(acc, conj)]
+    assert all(c == 0 for c in acc[1:])
+    return acc[0]
+
+
+def oracle_has_full_order(a, modulus, p):
+    """Does the digit tuple a generate the multiplicative group?"""
+    order = p ** (len(modulus) - 1) - 1
+    one = tuple(1 if i == 0 else 0 for i in range(len(modulus) - 1))
+    if poly_pow_mod(a, order, modulus, p) != one:
+        return False  # a = 0
+    n = order
+    f = 2
+    factors = set()
+    while f * f <= n:
+        while n % f == 0:
+            factors.add(f)
+            n //= f
+        f += 1
+    if n > 1:
+        factors.add(n)
+    return all(poly_pow_mod(a, order // ell, modulus, p) != one for ell in factors)
 
 
 def oracle_divides(candidate, modulus, p):
@@ -139,9 +177,11 @@ def test_prime_field_defaults():
 
 def test_explicit_primitive_is_validated():
     k = make_field(3, 2, TEST_MODULI[(3, 2)])
-    # index 1 is the multiplicative identity, never primitive for q > 2
-    with pytest.raises(FieldError):
-        FieldCtx(3, 2, TEST_MODULI[(3, 2)], primitive=1)
+    # index 1 is the multiplicative identity, never primitive for q > 2; 0 has
+    # no order, and the rest are not element indices of F_9 at all
+    for bad in (1, 0, -1, 9, 10**23):
+        with pytest.raises(FieldError):
+            FieldCtx(3, 2, TEST_MODULI[(3, 2)], primitive=bad)
     FieldCtx(3, 2, TEST_MODULI[(3, 2)], primitive=k.primitive_index)
 
 
@@ -189,15 +229,27 @@ def test_inverses_and_powers(ctx):
 
 @pytest.mark.parametrize("ctx", all_fields(), ids=lambda c: f"F_{c.p}^{c.m}")
 def test_trace_matches_frobenius_oracle(ctx, rng):
-    # Tr(x) = x + x^p + ... + x^(p^(m-1)), summed with the pure-python powmod
     for a in rng.integers(0, ctx.q, size=40):
         da = tuple(int(v) for v in ctx.digits[a])
-        acc = [0] * ctx.m
-        for i in range(ctx.m):
-            conj = poly_pow_mod(da, ctx.p**i, ctx.modulus, ctx.p)
-            acc = [(x + y) % ctx.p for x, y in zip(acc, conj)]
-        assert all(c == 0 for c in acc[1:])
-        assert ctx.trace_idx(int(a)) == acc[0]
+        assert ctx.trace_idx(int(a)) == oracle_trace(da, ctx.modulus, ctx.p)
+
+
+@pytest.mark.parametrize("ctx", all_fields(), ids=lambda c: f"F_{c.p}^{c.m}")
+def test_gram_matches_trace_oracle(ctx):
+    w = oracle_root(ctx.modulus, ctx.p)
+    for i in range(ctx.m):
+        for j in range(ctx.m):
+            w_ij = poly_pow_mod(w, i + j, ctx.modulus, ctx.p)
+            assert int(ctx.gram[i, j]) == oracle_trace(w_ij, ctx.modulus, ctx.p)
+
+
+@pytest.mark.parametrize(
+    "ctx",
+    all_fields() + [make_field(5, 1, (2, 1)), make_field(7, 1, (3, 1))],
+    ids=lambda c: f"F_{c.p}^{c.m}:{','.join(map(str, c.modulus))}",
+)
+def test_w_is_the_residue_of_x(ctx):
+    assert ctx.w.coeffs == oracle_root(ctx.modulus, ctx.p)
 
 
 @pytest.mark.parametrize("ctx", all_fields(), ids=lambda c: f"F_{c.p}^{c.m}")
@@ -234,22 +286,29 @@ def test_eta_is_multiplicative(ctx, rng):
 
 @pytest.mark.parametrize("ctx", all_fields(), ids=lambda c: f"F_{c.p}^{c.m}")
 def test_primitive_element_has_full_order(ctx):
-    order = ctx.q - 1
+    """The primitive index is the smallest index of full order."""
+    def full(idx):
+        return oracle_has_full_order(tuple(int(v) for v in ctx.digits[idx]), ctx.modulus, ctx.p)
+
+    assert full(ctx.primitive_index)
+    assert not any(full(idx) for idx in range(ctx.primitive_index))
+
+
+def _exp_fields():
+    f81 = make_field(3, 4)
+    gens = [FieldCtx(3, 4, f81.modulus, primitive=g) for g in f81.primitive_indices()]
+    return gens + [make_field(5, 3), make_field(3, 6, TEST_MODULI[(3, 6)])]
+
+
+@pytest.mark.parametrize(
+    "ctx", _exp_fields(), ids=lambda c: f"F_{c.p}^{c.m}:g{c.primitive_index}"
+)
+def test_exp_table_is_powers_of_the_generator(ctx):
     g = tuple(int(v) for v in ctx.digits[ctx.primitive_index])
-    one = tuple(1 if i == 0 else 0 for i in range(ctx.m))
-    assert poly_pow_mod(g, order, ctx.modulus, ctx.p) == one
-    n = order
-    f = 2
-    factors = set()
-    while f * f <= n:
-        while n % f == 0:
-            factors.add(f)
-            n //= f
-        f += 1
-    if n > 1:
-        factors.add(n)
-    for ell in sorted(factors):
-        assert poly_pow_mod(g, order // ell, ctx.modulus, ctx.p) != one
+    power = tuple(1 if i == 0 else 0 for i in range(ctx.m))
+    for k in range(ctx.q - 1):
+        assert int(ctx.exp[k]) == ctx.compose(power)
+        power = poly_mul_mod(power, g, ctx.modulus, ctx.p)
 
 
 def test_exp_log_tables_are_inverse_bijections():
@@ -299,11 +358,12 @@ def test_pairing_perm_matches_trace_form(p, m, mod):
     ctx = make_field(p, m, mod)
     idx = np.arange(ctx.q)
     traces = ctx.trace_table[ctx.mul_indices(idx[:, None], idx[None, :])]  # [b, x]
-    perm = ctx.pairing_perm()
+    dom = Domain.field(ctx)
+    perm = dom.walsh_perm()
     assert np.array_equal((ctx.digits[perm] @ ctx.digits.T) % p, traces)
-    assert perm is ctx.pairing_perm()
+    assert perm is dom.walsh_perm()
     with pytest.raises(ValueError):
-        perm[0] = perm[1]  # shared by every domain over the field
+        perm[0] = perm[1]  # cached, so read-only
 
 
 def test_context_identity():

@@ -72,20 +72,6 @@ def test_domain_identity_and_describe():
     assert info["components"][1]["kind"] == "vec"
 
 
-@pytest.mark.parametrize("dom", sample_domains(), ids=DOMAIN_IDS)
-def test_component_round_trip(dom):
-    """Local indices are the mixed-radix digits of the point index, the first
-    component lowest: each lies in range, and they compose back to the index."""
-    sizes = [c.size for c in dom.components]
-    offsets = np.cumprod([1] + sizes[:-1])
-    arrays = dom.component_index_arrays()
-    assert len(arrays) == len(sizes)
-    for arr, size in zip(arrays, sizes):
-        assert arr.min() >= 0 and arr.max() < size
-    composed = sum(arr * int(off) for arr, off in zip(arrays, offsets))
-    assert np.array_equal(composed, np.arange(dom.size))
-
-
 # ---- the additive group ------------------------------------------------------------
 
 
@@ -145,8 +131,7 @@ def test_pairing_nondegenerate_and_walsh_perm(dom):
     perm = dom.walsh_perm()
     assert np.unique(perm).size == dom.size  # bijective
     assert not perm.flags.writeable
-    if len(dom.components) == 1 and isinstance(dom.components[0], FieldPart):
-        assert perm is dom.components[0].ctx.pairing_perm()  # no second copy
+    assert perm is dom.walsh_perm()  # cached per domain
     D = dom.digits_matrix()
     step = max(1, dom.size // 48)
     for b in range(0, dom.size, step):
