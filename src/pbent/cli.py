@@ -14,9 +14,9 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 from math import isclose, sqrt
 
 import numpy as np
@@ -32,7 +32,7 @@ from .constructions import (
     coordinate_product,
     direct_sum,
     evaluate_pairs,
-    independent_pairs,
+    independent_betas,
     monomial_bent,
     ndcor_condition_sum,
     ndcor_function,
@@ -48,6 +48,7 @@ from .pfunc import (
     DomainError,
     ExprError,
     PFunction,
+    VecPart,
     dump_tt,
     from_expr,
     load_tt,
@@ -237,76 +238,63 @@ def _default_outer(p: int, n: int) -> PFunction:
 # ---- search ----------------------------------------------------------------------
 
 
-@lru_cache(maxsize=4)
-def _worker_field(p: int, m: int, modulus: tuple[int, ...], primitive: int) -> FieldCtx:
-    return FieldCtx(p, m, modulus, primitive)
+_worker_field = lru_cache(maxsize=4)(FieldCtx)  # each worker builds a field once
 
 
-def _search_chunk(task) -> list[dict]:
-    """Closed-form records of one chunk of pairs; without --stable each
-    record's runtime_ms is the chunk's time divided by its pair count."""
-    p, m, modulus, primitive, pairs, stable = task
+def _search_chunk(task) -> tuple[str, int, int, int]:
+    """The first `count` betas of one alpha, in index order: the witness lines
+    as text, the pairs scanned, how many have |S|^2 = p^2, and the witnesses.
+    Without --stable each record's runtime_ms is the chunk's time per pair."""
+    p, m, modulus, primitive, alpha, count, stable = task
     ctx = _worker_field(p, m, modulus, primitive)
     t0 = time.perf_counter()
-    out = evaluate_pairs(ctx, pairs)
+    betas = independent_betas(ctx, alpha)[:count]
+    records = evaluate_pairs(ctx, np.column_stack((np.full_like(betas, alpha), betas)))
     if not stable:
-        per_pair = round((time.perf_counter() - t0) * 1000.0 / len(out), 3)
-        for rec in out:
+        per_pair = round((time.perf_counter() - t0) * 1000.0 / len(records), 3)
+        for rec in records:
             rec["runtime_ms"] = per_pair
-    return out
+    hits = [rec for rec in records if rec["dual_bent"] is False]
+    text = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in hits)
+    eq_p2 = sum(rec["abs_sq_S"] == p * p for rec in records)
+    return text, len(records), eq_p2, len(hits)
 
 
 def cmd_search(ns: argparse.Namespace) -> int:
     ctx = _field_from(ns)
     if ctx.m < 3:
         raise CLIError("the pair search needs m >= 3 for {1, alpha, beta} to fit")
-    pairs = independent_pairs(ctx)
+    # every alpha outside F_p has the q - p^2 betas outside span{1, alpha}
+    per_alpha = ctx.q - ctx.p**2
+    total = (ctx.q - ctx.p) * per_alpha
     if ns.limit is not None:
-        pairs = islice(pairs, ns.limit)
-    pair_list = list(pairs)
-
-    chunk = 64
-    tasks = [
-        (ctx.p, ctx.m, ctx.modulus, ctx.primitive_index, pair_list[i : i + chunk], ns.stable)
-        for i in range(0, len(pair_list), chunk)
-    ]
-    lines: list[str] = []
+        total = min(total, ns.limit)
+    n_tasks = -(-total // per_alpha)
+    if n_tasks:  # F's own domain; a field too large for it is refused up front
+        Domain.field(ctx).extend(VecPart(ctx.p, 2))
+    tasks = (
+        (ctx.p, ctx.m, ctx.modulus, ctx.primitive_index, ctx.p + k,
+         min(per_alpha, total - k * per_alpha), ns.stable)
+        for k in range(n_tasks)
+    )
     scanned = eq_p2 = witnesses = 0
-    p2 = ctx.p * ctx.p
-
-    def consume(records: list[dict]) -> None:
-        nonlocal scanned, eq_p2, witnesses
-        for rec in records:
-            scanned += 1
-            if rec["abs_sq_S"] == p2:
-                eq_p2 += 1
-            if rec["dual_bent"] is False:
-                witnesses += 1
-                lines.append(json.dumps(rec, sort_keys=True))
-
     # a fork pool starts all of its workers at the first submit
-    workers = min(ns.width, len(tasks), os.cpu_count() or 1)
-    if workers <= 1:
-        for task in tasks:
-            consume(_search_chunk(task))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for records in pool.map(_search_chunk, tasks):
-                consume(records)
-
-    summary = {
-        "summary": {
-            "p": ctx.p,
-            "m": ctx.m,
-            "modulus": list(ctx.modulus),
-            "pairs_scanned": scanned,
-            "abs_sq_eq_p2": eq_p2,
-            "abs_sq_ne_p2": scanned - eq_p2,
-            "witnesses": witnesses,
-        }
-    }
-    lines.append(json.dumps(summary, sort_keys=True))
-    _emit("\n".join(lines) + "\n", ns.out)
+    workers = min(ns.width, n_tasks, os.cpu_count() or 1)
+    with ExitStack() as stack:
+        out = sys.stdout if ns.out is None else stack.enter_context(open(ns.out, "w"))
+        if workers <= 1:
+            chunks = map(_search_chunk, tasks)
+        else:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            chunks = pool.map(_search_chunk, tasks)
+        for text, n, n_eq, n_hits in chunks:
+            out.write(text)
+            scanned += n
+            eq_p2 += n_eq
+            witnesses += n_hits
+        summary = {"p": ctx.p, "m": ctx.m, "modulus": list(ctx.modulus), "pairs_scanned": scanned,
+                   "abs_sq_eq_p2": eq_p2, "abs_sq_ne_p2": scanned - eq_p2, "witnesses": witnesses}
+        out.write(json.dumps({"summary": summary}, sort_keys=True) + "\n")
     return 0
 
 

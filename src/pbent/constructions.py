@@ -271,7 +271,7 @@ def _lambda_eta(ctx: FieldCtx, base, coeffs) -> np.ndarray:
     acc = ctx.digits[np.asarray(base)]
     for j, a in enumerate(coeffs):
         acc = acc + ((lam // p**j) % p) * ctx.digits[np.asarray(a)]
-    return ctx.eta_table()[(acc % p) @ (p ** np.arange(ctx.m, dtype=np.int64))]
+    return ctx.eta_table[(acc % p) @ (p ** np.arange(ctx.m, dtype=np.int64))]
 
 
 def _pair_rows(ctx: FieldCtx, alphas, betas) -> tuple[np.ndarray, np.ndarray]:
@@ -457,12 +457,17 @@ def sporadic_primitive_scan(
 
 # ---- search over (alpha, beta) pairs ----------------------------------------------
 
+def independent_betas(ctx: FieldCtx, a: int) -> np.ndarray:
+    """The beta indices with {1, alpha, beta} independent for one alpha = a
+    outside F_p, in index order: the q - p^2 elements outside span{1, alpha}."""
+    return np.flatnonzero(_independent(ctx, a, np.arange(ctx.q, dtype=np.int64)))
+
+
 def independent_pairs(ctx: FieldCtx):
     """All (alpha, beta) index pairs with {1, alpha, beta} independent, in
-    lexicographic index order; one vectorized test per alpha."""
-    betas = np.arange(ctx.q, dtype=np.int64)
+    lexicographic index order."""
     for a in range(ctx.p, ctx.q):  # indices below p are F_p itself
-        for b in np.flatnonzero(_independent(ctx, a, betas)).tolist():
+        for b in independent_betas(ctx, a).tolist():
             yield a, b
 
 
@@ -473,11 +478,11 @@ def _poly_strs(ctx: FieldCtx) -> dict[int, str]:
 
 
 def _pair_record(
-    ctx: FieldCtx, a_idx: int, b_idx: int, s2: CycInt,
+    ctx: FieldCtx, a_idx: int, b_idx: int, s2: list[int],
     bent: bool, regularity: str, dual_bent: bool,
 ) -> dict:
-    """The JSON-ready search record; 'abs_sq_S' is an int when the squared
-    modulus is rational, otherwise the coefficient list."""
+    """The JSON-ready search record from the canonical coefficients s2 of
+    |S|^2; 'abs_sq_S' is an int when they are rational, otherwise the list."""
     polys = _poly_strs(ctx)
     for idx in (a_idx, b_idx):
         if idx not in polys:
@@ -490,7 +495,7 @@ def _pair_record(
         "alpha_poly": polys[a_idx],
         "beta": b_idx,
         "beta_poly": polys[b_idx],
-        "abs_sq_S": s2.as_int() if s2.is_rational else list(s2.coeffs),
+        "abs_sq_S": s2 if any(s2[1:]) else s2[0],
         "bent": bent,
         "regularity": regularity,
         "dual_bent": dual_bent,
@@ -503,7 +508,7 @@ def evaluate_pair(ctx: FieldCtx, a_idx: int, b_idx: int) -> dict:
     spec = NdCorSpec(ctx, ctx.element(a_idx), ctx.element(b_idx))
     rep = classify(ndcor_function(spec))
     return _pair_record(
-        ctx, a_idx, b_idx, ndcor_condition_sum(spec).abs_sq(),
+        ctx, a_idx, b_idx, list(ndcor_condition_sum(spec).abs_sq().coeffs),
         rep.is_bent, rep.regularity, rep.dual_is_bent,
     )
 
@@ -570,9 +575,7 @@ def evaluate_pairs(ctx: FieldCtx, pairs) -> list[dict]:
         abs_sq = _abs_sq(T, p).reshape(len(a), p * p, p - 1)
         dual_bent = (abs_sq == target).all(axis=(1, 2)).tolist()
         mixed = (eta != eta[:1]).any(axis=0).tolist()
-        for k in range(len(a)):
+        for k, s2 in enumerate(abs_sq[:, 0].tolist()):
             regularity = NON_WEAKLY_REGULAR if mixed[k] else _square_trace_regularity(ctx)
-            out.append(_pair_record(
-                ctx, a[k], b[k], CycInt(p, abs_sq[k, 0]), True, regularity, dual_bent[k]
-            ))
+            out.append(_pair_record(ctx, a[k], b[k], s2, True, regularity, dual_bent[k]))
     return out

@@ -12,6 +12,8 @@ package.
 """
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 SIZE_LIMIT = 1 << 20
@@ -169,7 +171,6 @@ class FieldCtx:
         self.trace_table = self.digits @ traces[:m] % p
         # Gram matrix of the trace form Tr(w^i w^j), used by the fast transform
         self.gram = traces[np.add.outer(np.arange(m), np.arange(m))]
-        self._eta_table: np.ndarray | None = None
 
     # ---- construction helpers -------------------------------------------
 
@@ -259,23 +260,17 @@ class FieldCtx:
     def eta_idx(self, a: int) -> int:
         if a == 0:
             raise FieldError("the quadratic character is undefined at 0")
-        return int(self.eta_table()[a])
+        return int(self.eta_table[a])
 
+    @cached_property
     def eta_table(self) -> np.ndarray:
         """eta by index (+1 on squares, -1 on non-squares, 0 at index 0),
         read-only and built on first use."""
-        if self._eta_table is None:
-            # Definition-first: raise every element to (q-1)/2 by square and
-            # multiply, then read off +-1.
-            res = self.pow_indices(np.arange(self.q, dtype=np.int64), (self.q - 1) // 2)
-            minus_one = self.p - 1  # index of the constant polynomial p-1
-            if not np.all((res[1:] == 1) | (res[1:] == minus_one)):
-                raise FieldError("quadratic character computation failed (internal error)")
-            table = np.where(res == 1, 1, -1).astype(np.int64)
-            table[0] = 0
-            table.flags.writeable = False
-            self._eta_table = table
-        return self._eta_table
+        # a primitive element is a non-square, so eta(g^k) = (-1)^k
+        table = 1 - 2 * (self.log & 1)
+        table[0] = 0
+        table.flags.writeable = False
+        return table
 
     # ---- vectorized index-space operations ---------------------------------
 

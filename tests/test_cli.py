@@ -3,9 +3,11 @@ import contextlib
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ import pbent.field as field_module
 from pbent.bent import NON_WEAKLY_REGULAR, classify
 from pbent.cli import main
 from pbent.constructions import (
+    ConstructionError,
     NdCorSpec,
     SdsSpec,
     agw_combine,
@@ -203,6 +206,7 @@ def test_huge_truth_table_sizes_exit_2_at_once(capsys, tmp_path, table):
         ("construct", "monomial", "--p", "2305843009213693951", "--m", "3",
          "--modulus", "1,0,0,1", "--alpha", "1"),
         ("classify", "--p", "1048573", "--m", "1", "--expr", "Tr(x^2)"),  # N*p = 2^40
+        ("search", "--p", "17", "--m", "3", "--modulus", "1,0,3,1"),  # F has 17^5 points
     ],
 )
 def test_huge_field_flags_exit_2_at_once(capsys, argv):
@@ -664,6 +668,58 @@ def test_search_width_is_capped_by_cores(capsys, tmp_path, monkeypatch):
     assert outputs[0] == outputs[1]
 
 
+def test_search_refuses_an_oversized_field_before_any_pair(capsys, tmp_path):
+    """F_{17^3} has 22.6M pairs, but F on it would have 17^5 > 2^20 points: the
+    refusal comes before any pair is listed and before --out is created."""
+    path = tmp_path / "search.jsonl"
+    argv = ("search", "--p", "17", "--m", "3", "--modulus", "1,0,3,1", "--out", str(path))
+    for width in ("1", "2"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--width", width)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (2, "", "error: domain size 17^5 exceeds the limit 2^20\n")
+        assert not path.exists()
+    # with no pair to evaluate there is nothing to refuse
+    code, _, err = run(capsys, *argv, "--limit", "0", "--stable")
+    assert (code, err) == (0, "")
+    assert json.loads(path.read_text())["summary"]["pairs_scanned"] == 0
+
+
+def test_search_memory_stays_flat(capsys, tmp_path):
+    """Each alpha's lines are written as its chunk finishes, so no list of
+    pairs, tasks or lines grows with the field."""
+    tracemalloc.start()
+    try:
+        code, _, _ = run(
+            capsys, "search", "--p", "3", "--m", "4", "--stable", "--width", "1",
+            "--out", str(tmp_path / "search.jsonl"),
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1 << 20
+
+
+def test_search_error_mid_scan_leaves_no_worker(capsys, tmp_path, monkeypatch):
+    """A chunk that fails in a worker ends the scan with exit 2, and the pool
+    is shut down before main returns.  The forked workers inherit the patch."""
+    real = cli.evaluate_pairs
+
+    def failing(ctx, pairs):
+        if pairs[0][0] == ctx.p + 3:
+            raise ConstructionError("injected failure")
+        return real(ctx, pairs)
+
+    monkeypatch.setattr(cli, "evaluate_pairs", failing)
+    code, _, err = run(
+        capsys, "search", "--p", "3", "--m", "4", "--stable", "--width", "2",
+        "--out", str(tmp_path / "search.jsonl"),
+    )
+    assert (code, err) == (2, "error: injected failure\n")
+    assert multiprocessing.active_children() == []
+
+
 def test_search_timing_field_present_without_stable(capsys, tmp_path):
     lines = search_lines(capsys, tmp_path, "--limit", "60")
     records = [json.loads(line) for line in lines]
@@ -695,6 +751,21 @@ PINNED_SEARCHES = [
         ("--p", "5", "--m", "3", "--limit", "1200", "--width", "2"),
         "c25cd7ebe3b111dc332c2a3013f78d6972e2d9724f89decaf485e1c6a54f85c3",
         id="f125-limit1200",
+    ),
+    pytest.param(
+        ("--p", "3", "--m", "5", "--modulus", "1,0,0,0,2,1", "--width", "2"),
+        "13da55eff7f0389e3b0f438df81c961177f724d7350f47d412532ae03abf5f36",
+        id="f243-width2",
+    ),
+    pytest.param(  # stops in the middle of an alpha's betas
+        ("--p", "3", "--m", "4", "--limit", "1000", "--width", "1"),
+        "a3c3a56f1c6fcd55ab6462ae927176026f68f47304678bbc45b55a080eccedc6",
+        id="f81-limit1000",
+    ),
+    pytest.param(
+        ("--p", "5", "--m", "3", "--limit", "1234", "--width", "2"),
+        "fc2396d9a49a68b798970eb5022cb6d694aff3f02f643d3c83d406c1c9e06044",
+        id="f125-limit1234",
     ),
 ]
 

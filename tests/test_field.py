@@ -5,6 +5,8 @@ modulo (p, modulus), with no lookup tables, so that every table-backed
 operation in the library is checked against something that cannot share its
 bugs.
 """
+from math import gcd
+
 import numpy as np
 import pytest
 
@@ -274,6 +276,19 @@ def test_eta_matches_brute_force_squares(ctx):
     assert len(squares) == (ctx.q - 1) // 2
     for i in range(1, ctx.q):
         assert ctx.eta_idx(i) == (1 if i in squares else -1)
+
+
+@pytest.mark.parametrize("ctx", all_fields(), ids=lambda c: f"F_{c.p}^{c.m}")
+def test_eta_table_is_eulers_criterion(ctx):
+    """eta(a) = a^((q-1)/2), whichever primitive element the log table uses."""
+    k = next(k for k in range(2, ctx.q + 1) if gcd(k, ctx.q - 1) == 1)
+    other = FieldCtx(ctx.p, ctx.m, ctx.modulus, int(ctx.exp[k % (ctx.q - 1)]))
+    power = ctx.pow_indices(np.arange(ctx.q), (ctx.q - 1) // 2)
+    assert set(power.tolist()) <= {0, 1, ctx.p - 1}
+    expected = np.where(power == ctx.p - 1, -1, power)
+    for c in (ctx, other):
+        assert np.array_equal(c.eta_table, expected)
+        assert not c.eta_table.flags.writeable
 
 
 @pytest.mark.parametrize("ctx", all_fields(), ids=lambda c: f"F_{c.p}^{c.m}")

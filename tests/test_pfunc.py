@@ -5,9 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from pbent.field import FieldCtx, exceeds_size_limit, is_odd_prime, make_field
+from pbent.field import FieldCtx, FieldError, exceeds_size_limit, is_odd_prime, make_field
 from pbent.pfunc import (
     Domain,
     DomainError,
@@ -358,7 +358,9 @@ def _dump_tt_oracle(f: PFunction) -> str:
     return "\n".join(lines) + "\n"
 
 
-_FIELD_HDR = re.compile(r"#\s*field\s+m=(\d+)\s+modulus=([\d,]+)(?:\s+primitive=(\d+))?\s*$")
+_FIELD_HDR = re.compile(
+    r"#\s*field\s+m=(\d+)\s+modulus=(\d+(?:,\d+)*)(?:\s+primitive=(\d+))?\s*$"
+)
 _VEC_HDR = re.compile(r"#\s*vec\s+n=(\d+)\s*$")
 
 
@@ -422,8 +424,8 @@ def _load_tt_oracle(path) -> PFunction:
 def _outcome(loader, path):
     try:
         return loader(path)
-    except DomainError as exc:
-        return str(exc)
+    except (DomainError, FieldError) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 @pytest.mark.parametrize(
@@ -501,14 +503,32 @@ def tt_file_texts(draw) -> str:
     for _ in range(draw(st.integers(0, 2))):
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " \t", "\x0c"])))
     if draw(st.booleans()):
-        header = draw(st.sampled_from([f"# vec n={n}", f" \t# vec  n={n} ", f"# vec n={n + 1}",
-                                       "# vec n=x \x1c"]))
-        lines.insert(draw(st.integers(0, len(lines))), header)
+        mod = ",".join(map(str, _irreducible(p, n)))
+        headers = draw(st.sampled_from([
+            [f"# vec n={n}"], [f" \t# vec  n={n} "], [f"# vec n={n + 1}"], ["# vec n=x \x1c"],
+            [f"# field m={n} modulus={mod}"],
+            [f"\t#  field m={n}  modulus={mod} primitive={draw(st.integers(0, p**n))} "],
+            [f"# field m={n} modulus=2,,1"], [f"# field m={n} modulus={mod},"],
+            [f"# field m={n} modulus={'0,' * n}1"], [f"# field m={n} modulus=1,1"],
+            ["# field m=1 modulus=1,1", f"# vec n={n - 1}"],
+        ]))
+        for header in headers:
+            lines.insert(draw(st.integers(0, len(lines))), header)
     return "\n".join(lines)
+
+
+def _irreducible(p: int, n: int) -> tuple[int, ...]:
+    """x + 1, or x^2 + c with -c a non-square mod p, lowest coefficient first."""
+    if n == 1:
+        return (1, 1)
+    c = next(c for c in range(1, p) if pow(-c % p, (p - 1) // 2, p) == p - 1)
+    return (c, 0, 1)
 
 
 @settings(max_examples=200)
 @given(text=tt_file_texts())
+@example(text="# field m=2 modulus=2,,1\n3 2\n0 1 2 0 1 2 0 1 2\n")
+@example(text="# field m=2 modulus=1,0,1\n3 2\n0 1 2 0 1 2 0 1 2\n")
 def test_load_tt_matches_token_reader(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "f.tt"
