@@ -24,7 +24,7 @@ import numpy as np
 
 from .cyclo import CycInt, gauss_sum, legendre, root_power
 from .pfunc import Domain, PFunction
-from .walsh import WalshSpectrum, rotate_rows, walsh_fast
+from .walsh import WalshSpectrum, _row_elements, rotate_rows, walsh_fast
 
 NOT_BENT = "not_bent"
 REGULAR = "regular"
@@ -61,8 +61,7 @@ def _unit_is_imaginary(p: int, n: int) -> bool:
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
     """One opaque key per canonical coefficient row, equal iff the rows are."""
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).reshape(-1)
+    return _row_elements(np.ascontiguousarray(rows, dtype=np.int64))
 
 
 @lru_cache(maxsize=None)
@@ -90,10 +89,10 @@ def is_bent(W: WalshSpectrum) -> Verdict:
     p, n = W.domain.p, W.domain.n_total
     target = np.zeros(p - 1, dtype=np.int64)
     target[0] = p**n
-    rows_ok = (W.abs_sq_rows() == target).all(axis=1)
-    if rows_ok.all():
+    eq = W.abs_sq_rows() == target
+    if eq.all():
         return Verdict(True)
-    return Verdict(False, int(np.argmin(rows_ok)))
+    return Verdict(False, int(np.argmin(eq.all(axis=1))))
 
 
 def extract_dual(W: WalshSpectrum) -> tuple[PFunction, np.ndarray]:
@@ -221,7 +220,7 @@ def weak_regular_dual_relation(f: PFunction, report: ClassReport) -> Verdict:
 
     Wd = walsh_fast(report.dual)
     neg = dom.negation_perm()
-    lhs = Wd.values[neg]  # row y holds W_dual(-y)
+    lhs = np.take(Wd.values, neg, axis=0)  # row y holds W_dual(-y)
     # rhs rows: target_scalar * e^(f(y))
     base = np.array(target_scalar.coeffs, dtype=np.int64)
     rhs = rotate_rows(np.broadcast_to(base, lhs.shape), p, f.table)

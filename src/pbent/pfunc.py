@@ -135,19 +135,6 @@ class Domain:
             )
         return self._cache["digits"]  # type: ignore[return-value]
 
-    def point_add(self, i: int, j: int) -> int:
-        """Pointwise sum; in digit space this is digit-wise addition mod p."""
-        p = self.p
-        di = [(i // int(w)) % p for w in self._digit_pw]
-        dj = [(j // int(w)) % p for w in self._digit_pw]
-        return int(sum(((a + b) % p) * int(w) for a, b, w in zip(di, dj, self._digit_pw)))
-
-    def point_neg(self, i: int) -> int:
-        p = self.p
-        return int(
-            sum(((-((i // int(w)) % p)) % p) * int(w) for w in self._digit_pw)
-        )
-
     def negation_perm(self) -> np.ndarray:
         if "negperm" not in self._cache:
             self._cache["negperm"] = ((-self.digits_matrix()) % self.p) @ self._digit_pw
@@ -192,20 +179,18 @@ class Domain:
         so <b, x> = digits(perm[b]) . digits(x); built on first use and
         read-only.
 
-        Digit r of the image is sum_i C[r, i] * b_i mod p, grown over the
-        input digits as one mixed-radix outer sum (digit i is the outer axis
-        of the first p^(i+1) indices), so the build costs O(size * n_total),
-        not O(size * n_total^2).
+        C is block diagonal, one block per component, so each component's
+        permutation is built on its own digits and the components are
+        combined by their mixed-radix offsets in one outer sum each.
         """
         if "wperm" not in self._cache:
             C = self.gram()
-            d = np.arange(self.p, dtype=np.int64)
-            perm = np.zeros(self.size, dtype=np.int64)
-            for r, weight in enumerate(self._digit_pw):
-                acc = np.zeros(1, dtype=np.int64)
-                for i in range(self.n_total):
-                    acc = np.add.outer(C[r, i] * d, acc).reshape(-1)
-                perm += (acc % self.p) * weight
+            perm = np.zeros(1, dtype=np.int64)
+            pos = 0
+            for c, off in zip(self.components, self._comp_offsets):
+                block = _block_perm(C[pos : pos + c.dim, pos : pos + c.dim], self.p)
+                perm = np.add.outer(block * off, perm).reshape(-1)
+                pos += c.dim
             hit = np.zeros(self.size, dtype=bool)
             hit[perm] = True
             if not hit.all():
@@ -213,6 +198,23 @@ class Domain:
             perm.flags.writeable = False
             self._cache["wperm"] = perm
         return self._cache["wperm"]  # type: ignore[return-value]
+
+
+def _block_perm(C: np.ndarray, p: int) -> np.ndarray:
+    """b -> index(C * digits(b)) on p^d points for a d x d Gram block C.
+
+    Digit r of the image is sum_i C[r, i] * b_i mod p, grown over the input
+    digits as one mixed-radix outer sum (digit i is the outer axis of the
+    first p^(i+1) indices), so the build costs O(p^d * d), not O(p^d * d^2).
+    """
+    d = np.arange(p, dtype=np.int64)
+    perm = np.zeros(p ** len(C), dtype=np.int64)
+    for r in range(len(C)):
+        acc = np.zeros(1, dtype=np.int64)
+        for i in range(len(C)):
+            acc = np.add.outer(C[r, i] * d, acc).reshape(-1)
+        perm += (acc % p) * p**r
+    return perm
 
 
 class PFunction:
@@ -256,14 +258,6 @@ class PFunction:
 
     def __hash__(self) -> int:
         return hash((self.domain, self.table.tobytes()))
-
-    def translate(self, a: int) -> "PFunction":
-        """The function x -> f(x + a)."""
-        dom = self.domain
-        D = dom.digits_matrix()
-        a_digits = (a // dom._digit_pw) % dom.p
-        perm = ((D + a_digits) % dom.p) @ dom._digit_pw
-        return PFunction(dom, self.table[perm])
 
     def as_vec(self) -> "PFunction":
         """The same table viewed over plain coordinates F_p^{n_total}."""

@@ -6,9 +6,12 @@ path is a radix-p DFT: stage k -> j multiplies rows by e^(sign*j*k), a fixed
 (p(p-1))^2 kernel of those matrices; above, it gathers rotated rows from a
 doubled zero-padded copy (p^2 * N adds), and walsh_fast's first stage
 scatters N*p counts of its 0/1 input.  Stages run by row chunks in Stockham
-order (top digit in, lowest out), so nothing is reordered.  Gram matrices
-are symmetric (asserted), so W(b) = DFT[f o C^-1](b): walsh_fast scatters
-its table through walsh_perm.
+order (top digit in, lowest out), so no final reorder is needed.  A product
+stage's Stockham reorder copies canonical rows as opaque (p-1)*8-byte
+elements, and row gathers take whole rows (np.take on axis 0): at p = 3 a
+row is two float64s, which a transposed float64 copy or a 2-D fancy index
+moves 8 bytes at a time.  Gram matrices are symmetric (asserted), so
+W(b) = DFT[f o C^-1](b): walsh_fast scatters its table through walsh_perm.
 
 Exactness (float64 is exact below 2^53): after t stages a coefficient is a
 difference of two counts of at most p^t * A, A = max|input|, and a stage
@@ -65,14 +68,29 @@ def _rotations(rows: np.ndarray, p: int) -> np.ndarray:
     return sliding_window_view(pad, p, axis=-1)[..., :p, :]
 
 
+def _row_elements(rows: np.ndarray) -> np.ndarray:
+    """View each canonical row of a C-contiguous array as one opaque element."""
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[-1])))[..., 0]
+
+
 def _stage_product(top: np.ndarray, out: np.ndarray, p: int, sign: int) -> None:
-    """out[m, j] = sum_k top[k, m] * e^(sign*j*k), one product per row chunk."""
+    """out[m, j] = sum_k top[k, m] * e^(sign*j*k), one product per row chunk.
+
+    The Stockham reorder copies a chunk's p x rows canonical rows into one
+    buffer, reused by every chunk, as whole (p-1)*8-byte elements: a float64
+    copy of the transposed chunk moves 8 bytes at a time, two per row at
+    p = 3.  The product then reads the buffer as (rows, p(p-1)) float64.
+    """
     K = _stage_kernel(p, sign)
-    rows = max(1, _CHUNK_MACS // K.size)
+    rows = min(len(out), max(1, _CHUNK_MACS // K.size))
     flat = out.reshape(len(out), -1)
+    elems = _row_elements(top)
+    buf = np.empty((rows, len(K)))
+    buf_elems = _row_elements(buf.reshape(rows, p, p - 1))
     for r0 in range(0, len(out), rows):
-        blk = top[:, r0 : r0 + rows].transpose(1, 0, 2).reshape(-1, len(K))
-        np.matmul(blk, K, out=flat[r0 : r0 + rows])
+        m = min(rows, len(out) - r0)
+        buf_elems[:m] = elems[:, r0 : r0 + m].T
+        np.matmul(buf[:m], K, out=flat[r0 : r0 + m])
 
 
 def _stage_gather(top: np.ndarray, out: np.ndarray, p: int, sign: int) -> None:
@@ -235,7 +253,7 @@ def walsh_fast(f: PFunction) -> WalshSpectrum:
         table = np.empty_like(table)
         table[perm] = f.table
     if p <= _PRODUCT_MAX_P:
-        values = _dft(_root_rows(np.arange(p), p)[table], p, n, -1)
+        values = _dft(np.take(_root_rows(np.arange(p), p), table, axis=0), p, n, -1)
     else:
         values = _dft(_stage_one_hot(table, p, -1), p, n - 1, -1)
     return WalshSpectrum(dom, values)
@@ -249,6 +267,6 @@ def poisson_check(f: PFunction, W: WalshSpectrum) -> bool:
     p, n = dom.p, dom.n_total
     lhs = _dft(W.values.astype(np.float64), p, n, sign=+1)
     if (perm := _pairing(dom)) is not None:
-        lhs = lhs[perm]
-    rhs = dom.size * _root_rows(np.arange(p), p)[f.table]
+        lhs = np.take(lhs, perm, axis=0)
+    rhs = dom.size * np.take(_root_rows(np.arange(p), p), f.table, axis=0)
     return bool(np.array_equal(lhs, rhs))

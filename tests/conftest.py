@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from pbent.pfunc import Domain, PFunction
+
 settings.register_profile("suite", deadline=None, derandomize=True)
 settings.load_profile("suite")
 
@@ -23,3 +25,30 @@ def seed(request) -> int:
 @pytest.fixture
 def rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+# ---- point arithmetic on a domain's indices, for the tests' oracles ---------------
+
+
+def _digit_weights(dom: Domain) -> list[int]:
+    return [dom.p**i for i in range(dom.n_total)]
+
+
+def point_add(dom: Domain, i: int, j: int) -> int:
+    """Pointwise sum; in digit space this is digit-wise addition mod p."""
+    p = dom.p
+    return sum(((i // w + j // w) % p) * w for w in _digit_weights(dom))
+
+
+def point_neg(dom: Domain, i: int) -> int:
+    p = dom.p
+    return sum((-(i // w) % p) * w for w in _digit_weights(dom))
+
+
+def translate(f: PFunction, a: int) -> PFunction:
+    """The function x -> f(x + a)."""
+    dom = f.domain
+    weights = np.array(_digit_weights(dom), dtype=np.int64)
+    a_digits = (a // weights) % dom.p
+    perm = ((dom.digits_matrix() + a_digits) % dom.p) @ weights
+    return PFunction(dom, f.table[perm])

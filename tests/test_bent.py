@@ -71,6 +71,12 @@ def test_zero_function_is_not_bent():
     assert not report.is_bent
     assert report.witnesses["not_bent_at"] == v.witness
     assert report.dual is None and report.dual_is_bent is None
+    W = walsh_fast(product_function(3, 2))
+    assert is_bent(W) == (True, None)
+    for bad, witness in (([11, 80], 11), ([80], 80)):
+        values = W.values.copy()
+        values[bad] = 0  # |W(b)|^2 = 0 there, 9 everywhere else
+        assert is_bent(WalshSpectrum(W.domain, values)) == (False, witness)
 
 
 def test_extract_dual_rejects_non_bent():

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import point_add, point_neg, translate
 from hypothesis import example, given, settings, strategies as st
+from test_walsh import PAIRING_DOMAINS
 
 from pbent.field import FieldCtx, FieldError, exceeds_size_limit, is_odd_prime, make_field
 from pbent.pfunc import (
@@ -80,10 +82,12 @@ def test_point_addition_group_laws(dom, rng):
     pts = rng.integers(0, dom.size, size=(40, 3))
     for i, j, k in pts:
         i, j, k = int(i), int(j), int(k)
-        assert dom.point_add(i, j) == dom.point_add(j, i)
-        assert dom.point_add(dom.point_add(i, j), k) == dom.point_add(i, dom.point_add(j, k))
-        assert dom.point_add(i, 0) == i
-        assert dom.point_add(i, dom.point_neg(i)) == 0
+        assert point_add(dom, i, j) == point_add(dom, j, i)
+        assert point_add(dom, point_add(dom, i, j), k) == point_add(
+            dom, i, point_add(dom, j, k)
+        )
+        assert point_add(dom, i, 0) == i
+        assert point_add(dom, i, point_neg(dom, i)) == 0
 
 
 @pytest.mark.parametrize("dom", sample_domains(), ids=DOMAIN_IDS)
@@ -91,13 +95,13 @@ def test_negation_perm_matches_point_neg(dom):
     perm = dom.negation_perm()
     assert np.array_equal(perm[perm], np.arange(dom.size))  # involution
     for i in range(0, dom.size, max(1, dom.size // 64)):
-        assert int(perm[i]) == dom.point_neg(i)
+        assert int(perm[i]) == point_neg(dom, i)
 
 
 def test_field_point_add_matches_field_arithmetic(rng):
     dom = Domain.field(F27)
     for a, b in rng.integers(0, 27, size=(50, 2)):
-        assert dom.point_add(int(a), int(b)) == F27.add_idx(int(a), int(b))
+        assert point_add(dom, int(a), int(b)) == F27.add_idx(int(a), int(b))
 
 
 # ---- the bilinear pairing -----------------------------------------------------------
@@ -110,7 +114,7 @@ def test_inner_product_is_symmetric_bilinear(dom, rng):
         b, x, y = int(b), int(x), int(y)
         assert dom.inner_product(b, x) == dom.inner_product(x, b)
         assert (
-            dom.inner_product(b, dom.point_add(x, y))
+            dom.inner_product(b, point_add(dom, x, y))
             == (dom.inner_product(b, x) + dom.inner_product(b, y)) % p
         )
     assert dom.inner_product(0, int(rng.integers(0, dom.size))) == 0
@@ -124,6 +128,32 @@ def test_inner_product_matches_gram(dom, rng):
         b, x = int(b), int(x)
         expected = int(D[b] @ C @ D[x]) % dom.p
         assert dom.inner_product(b, x) == expected
+
+
+def _walsh_perm_all_digits(dom):
+    """walsh_perm as one mixed-radix outer sum over all n_total digits per
+    output digit, ignoring the Gram matrix's blocks."""
+    C, p = dom.gram(), dom.p
+    d = np.arange(p, dtype=np.int64)
+    perm = np.zeros(dom.size, dtype=np.int64)
+    for r in range(dom.n_total):
+        acc = np.zeros(1, dtype=np.int64)
+        for i in range(dom.n_total):
+            acc = np.add.outer(C[r, i] * d, acc).reshape(-1)
+        perm += (acc % p) * p**r
+    return perm
+
+
+F729 = make_field(3, 6, (2, 1, 0, 0, 0, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "dom",
+    [*sample_domains(), *PAIRING_DOMAINS, Domain.field(F729).extend(VecPart(3, 6))],
+    ids=[*DOMAIN_IDS, "f125", "f343", "v1f25v1", "f49v1", "f729v6"],
+)
+def test_walsh_perm_matches_all_digit_build(dom):
+    assert np.array_equal(dom.walsh_perm(), _walsh_perm_all_digits(dom))
 
 
 @pytest.mark.parametrize("dom", sample_domains(), ids=DOMAIN_IDS)
@@ -180,11 +210,11 @@ def test_pfunction_basics():
 def test_translate_oracle(dom, rng):
     f = random_function(dom, rng)
     a = int(rng.integers(0, dom.size))
-    shifted = f.translate(a)
+    shifted = translate(f, a)
     for x in range(0, dom.size, max(1, dom.size // 80)):
-        assert shifted(x) == f(dom.point_add(x, a))
-    assert f.translate(0) == f
-    assert f.translate(a).translate(dom.point_neg(a)) == f
+        assert shifted(x) == f(point_add(dom, x, a))
+    assert translate(f, 0) == f
+    assert translate(translate(f, a), point_neg(dom, a)) == f
 
 
 def test_as_vec_keeps_table():

@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import translate
 
+import pbent.walsh as walsh
 from pbent.cyclo import CycInt, root_power
 from pbent.field import BUILTIN_MODULI, make_field
 from pbent.pfunc import (
@@ -18,7 +20,9 @@ from pbent.pfunc import (
     zero_function,
 )
 from pbent.walsh import (
+    _CHUNK_MACS,
     WalshSpectrum,
+    _dft,
     _stage_kernel,
     mul_rows,
     poisson_check,
@@ -133,6 +137,30 @@ def test_fast_equals_naive_through_the_pairing(dom, rng):
     W = walsh_fast(f)
     assert spectra_equal(W, walsh_naive(f))
     assert poisson_check(f, W)
+
+
+def _stage_product_by_transpose(top, out, p, sign):
+    """The product stage with its reorder as a float64 transpose copy."""
+    K = _stage_kernel(p, sign)
+    rows = max(1, _CHUNK_MACS // K.size)
+    flat = out.reshape(len(out), -1)
+    for r0 in range(0, len(out), rows):
+        blk = top[:, r0 : r0 + rows].transpose(1, 0, 2).reshape(-1, len(K))
+        np.matmul(blk, K, out=flat[r0 : r0 + rows])
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19])
+def test_product_stage_matches_transpose_copy(p, sign, rng, monkeypatch):
+    rows = max(1, _CHUNK_MACS // _stage_kernel(p, sign).size)
+    n = 1
+    while p**n <= 2 * rows:  # a stage writes p^n rows: at least three chunks
+        n += 1
+    assert p**n % rows, "the last chunk should be partial"
+    x = rng.integers(-50, 51, size=(p ** (n + 1), p - 1)).astype(np.float64)
+    got = _dft(x.copy(), p, n + 1, sign)
+    monkeypatch.setattr(walsh, "_stage_product", _stage_product_by_transpose)
+    assert np.array_equal(got, _dft(x, p, n + 1, sign))
 
 
 @pytest.mark.parametrize("key", sorted(BUILTIN_MODULI), ids=lambda k: f"F{k[0]}^{k[1]}")
@@ -288,7 +316,7 @@ def test_translate_multiplies_by_root(rng):
     f = random_function(dom, rng)
     a = int(rng.integers(1, dom.size))
     Wf = walsh_fast(f)
-    Wg = walsh_fast(f.translate(a))
+    Wg = walsh_fast(translate(f, a))
     for b in range(dom.size):
         assert Wg[b] == Wf[b] * root_power(3, dom.inner_product(b, a))
 
