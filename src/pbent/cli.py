@@ -21,7 +21,7 @@ from math import isclose, sqrt
 
 import numpy as np
 
-from .bent import ClassReport, classify
+from .bent import ClassReport, classify, extract_dual, is_bent
 from .constructions import (
     ConstructionError,
     NdCorSpec,
@@ -136,13 +136,14 @@ def cmd_classify(ns: argparse.Namespace) -> int:
 
 
 def cmd_dual(ns: argparse.Namespace) -> int:
-    f = _load_function(ns)
-    report = classify(f)
-    if not report.is_bent:
-        b = report.witnesses.get("not_bent_at")
-        sys.stderr.write(f"not bent (witness b={b}); no dual exists\n")
+    """Write f*; whether f* is bent is left to `classify`."""
+    W = walsh_fast(_load_function(ns))
+    bent = is_bent(W)
+    if not bent:
+        sys.stderr.write(f"not bent (witness b={bent.witness}); no dual exists\n")
         return 1
-    _emit(dump_tt(report.dual), ns.out)
+    dual, _ = extract_dual(W)
+    _emit(dump_tt(dual), ns.out)
     return 0
 
 

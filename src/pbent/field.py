@@ -141,10 +141,11 @@ class FieldCtx:
         self.modulus = mod
         self._pw = tuple(p**i for i in range(m))
 
-        # digits[i] = coefficient vector of the element with index i
-        idx = np.arange(q, dtype=np.int64)
-        self.digits = idx[:, None] // np.array(self._pw, dtype=np.int64)
-        self.digits %= p
+        # digits[i] = coefficient vector of the element with index i; digit
+        # column j counts 0..p-1 in runs of p^j, repeating every p^(j+1)
+        self.digits = np.empty((q, m), dtype=np.int64)
+        for j, pw in enumerate(self._pw):
+            self.digits[:, j].reshape(q // (pw * p), p, pw)[...] = np.arange(p)[:, None]
 
         # companion matrix of the modulus: multiplication by w on digit columns
         comp = np.zeros((m, m), dtype=np.int64)
@@ -287,14 +288,13 @@ class FieldCtx:
         a = np.asarray(a, dtype=np.int64)
         if e < 0:
             raise FieldError("vectorized powers take nonnegative exponents")
-        result = np.ones(a.shape, dtype=np.int64)
-        base = a.copy()
-        while e:
-            if e & 1:
-                result = self.mul_indices(result, base)
-            base = self.mul_indices(base, base)
-            e >>= 1
-        return result
+        if e == 0:
+            return np.ones(a.shape, dtype=np.int64)
+        out = np.zeros(a.shape, dtype=np.int64)
+        nz = a != 0
+        # a^e = g^(log(a) * e); e is reduced first so the product fits int64
+        out[nz] = self.exp[self.log[a[nz]] * (e % (self.q - 1)) % (self.q - 1)]
+        return out
 
     # ---- elements -----------------------------------------------------------
 
@@ -396,10 +396,6 @@ class FieldElement:
         return FieldElement(self.ctx, self.ctx.mul_idx(self.index, other.index))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._check(other)
-        return FieldElement(self.ctx, self.ctx.mul_idx(self.index, self.ctx.inv_idx(other.index)))
 
     def __pow__(self, e: int):
         return FieldElement(self.ctx, self.ctx.pow_idx(self.index, e))

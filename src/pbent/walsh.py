@@ -200,8 +200,14 @@ class WalshSpectrum:
     def histogram(self) -> list[tuple[CycInt, int]]:
         """Distinct |W|^2 values with multiplicities, sorted by coefficients."""
         rows = self.abs_sq_rows()
-        rows = rows[np.lexsort(rows.T[::-1])]
-        starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
+        rows = np.take(rows, np.lexsort(rows.T[::-1]), axis=0)
+        # a run starts where any column changes, tested a column at a time:
+        # a 2-D compare with .any(axis=1) took 7x as long at 3^12
+        new = np.zeros(len(rows), dtype=bool)
+        new[0] = True
+        for col in rows.T:
+            new[1:] |= col[1:] != col[:-1]
+        starts = np.flatnonzero(new)
         counts = np.diff(np.r_[starts, len(rows)])
         p = self.domain.p
         return [(CycInt(p, rows[i]), int(c)) for i, c in zip(starts, counts)]

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import pbent.bent as bent_module
 import pbent.cli as cli
 import pbent.field as field_module
 from pbent.bent import NON_WEAKLY_REGULAR, classify
@@ -33,10 +34,12 @@ from pbent.constructions import (
     sporadic,
 )
 from pbent.field import make_field
-from pbent.pfunc import Domain, PFunction, from_expr, load_tt, save_tt
+from pbent.pfunc import Domain, PFunction, dump_tt, from_expr, load_tt, save_tt
 from pbent.walsh import walsh_fast
 
 F27 = make_field(3, 3)
+F81 = make_field(3, 4)
+F243 = make_field(3, 5, (1, 2, 0, 0, 0, 1))  # x^5 + 2x + 1
 MOD36 = "2,1,0,0,0,0,1"
 
 
@@ -99,11 +102,51 @@ def test_dual_roundtrip(capsys, tmp_path):
     assert load_tt(dd_path) == from_expr(F27, "Tr(x^2)")
 
 
-def test_dual_of_non_bent_exits_1(capsys):
+@pytest.mark.parametrize(
+    "build,regularity,dual_bent",
+    [
+        (lambda: from_expr(F81, "Tr(wx^2)"), "regular", True),
+        (lambda: from_expr(F27, "Tr(x^2)"), "weakly_regular_not_regular", True),
+        # its eta pattern is dual bent but not constant
+        (lambda: ndcor_function(NdCorSpec(F243, F243.w, F243.w**4 + F243.w**2 + F243.w)),
+         NON_WEAKLY_REGULAR, True),
+        (lambda: ndcor_function(NdCorSpec(F27, F27.w, F27.w**2)), NON_WEAKLY_REGULAR, False),
+        (lambda: sporadic("g2", F81, 0), NON_WEAKLY_REGULAR, False),
+    ],
+    ids=["regular", "weakly-regular", "ndcor-dual-bent", "ndcor", "sporadic-g2"],
+)
+def test_dual_writes_classify_dual(capsys, tmp_path, build, regularity, dual_bent):
+    f = build()
+    rep = classify(f)
+    assert (rep.regularity, rep.dual_is_bent) == (regularity, dual_bent)
+    in_path, out_path = tmp_path / "f.tt", tmp_path / "dual.tt"
+    save_tt(f, in_path)
+    code, out, err = run(capsys, "dual", "--tt", str(in_path), "--out", str(out_path))
+    assert (code, out, err) == (0, "", "")
+    assert out_path.read_bytes() == dump_tt(rep.dual).encode()
+
+
+def test_dual_runs_one_transform(capsys, monkeypatch):
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return walsh_fast(f)
+
+    monkeypatch.setattr(cli, "walsh_fast", counted)
+    monkeypatch.setattr(bent_module, "walsh_fast", counted)
+    code, _, _ = run(capsys, "dual", "--p", "3", "--m", "3", "--expr", "Tr(x^2)")
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_dual_of_non_bent_exits_1(capsys, tmp_path):
     code, out, err = run(capsys, "dual", "--p", "3", "--m", "3", "--expr", "0")
-    assert code == 1
-    assert out == ""
-    assert "not bent" in err
+    assert (code, out, err) == (1, "", "not bent (witness b=0); no dual exists\n")
+    path = tmp_path / "f.tt"  # |W(b)|^2 = 9 at b = 0 and 1, not at 2
+    save_tt(PFunction(Domain.vec(3, 2), np.array([2, 2, 1, 1, 0, 0, 0, 0, 0])), path)
+    code, out, err = run(capsys, "dual", "--tt", str(path))
+    assert (code, out, err) == (1, "", "not bent (witness b=2); no dual exists\n")
 
 
 # ---- config errors ------------------------------------------------------------------

@@ -212,10 +212,41 @@ def test_vectorized_ops_match_scalar(ctx, rng):
     mul = ctx.mul_indices(a, b)
     for i in range(len(a)):
         assert int(mul[i]) == ctx.mul_idx(int(a[i]), int(b[i]))
-    e = int(rng.integers(2, 12))
-    pw = ctx.pow_indices(a, e)
-    for i in range(0, len(a), 17):
-        assert int(pw[i]) == ctx.pow_idx(int(a[i]), e)
+
+
+def pow_by_squaring(ctx, a, e):
+    """Square-and-multiply over mul_indices: the oracle for pow_indices,
+    which takes one log-table gather instead."""
+    result = np.ones(a.shape, dtype=np.int64)
+    base = a.copy()
+    while e:
+        if e & 1:
+            result = ctx.mul_indices(result, base)
+        base = ctx.mul_indices(base, base)
+        e >>= 1
+    return result
+
+
+@pytest.mark.parametrize("ctx", all_fields(), ids=lambda c: f"F_{c.p}^{c.m}")
+def test_pow_indices_matches_square_and_multiply(ctx):
+    a = np.arange(ctx.q, dtype=np.int64)
+    # every residue of e mod q - 1 twice, the multiples of q - 1 among them,
+    # and exponents whose product with a log would overflow int64
+    for e in [*range(2 * (ctx.q - 1) + 2), (3**41 + 1) // 2, 2**70 + 1]:
+        assert np.array_equal(ctx.pow_indices(a, e), pow_by_squaring(ctx, a, e)), e
+    assert ctx.pow_indices(np.zeros(3, dtype=np.int64), 0).tolist() == [1, 1, 1]
+    for e in (0, 1, 2, ctx.q - 1, ctx.q):
+        assert [ctx.pow_idx(int(x), e) for x in a] == pow_by_squaring(ctx, a, e).tolist()
+    with pytest.raises(FieldError):
+        ctx.pow_indices(a, -1)
+
+
+@pytest.mark.parametrize("ctx", all_fields(), ids=lambda c: f"F_{c.p}^{c.m}")
+def test_digits_are_base_p_expansions(ctx):
+    idx = np.arange(ctx.q, dtype=np.int64)
+    pw = ctx.p ** np.arange(ctx.m, dtype=np.int64)
+    assert ctx.digits.dtype == np.int64
+    assert np.array_equal(ctx.digits, idx[:, None] // pw % ctx.p)
 
 
 @pytest.mark.parametrize("ctx", all_fields(), ids=lambda c: f"F_{c.p}^{c.m}")
@@ -342,7 +373,7 @@ def test_element_arithmetic_and_identities():
     assert (w + w + w).index == 0
     assert w * w**2 == w**3
     assert (2 * w + 1) - 1 == 2 * w
-    assert w / w == k.one
+    assert w * w.inverse() == k.one
     assert -(-w) == w
     assert (w**26).index == 1  # order divides q - 1
     assert trace(w) == w.trace()
