@@ -5,6 +5,7 @@ ternary examples (g1, g2, g3).
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -457,24 +458,28 @@ def sporadic_primitive_scan(
 
 # ---- search over (alpha, beta) pairs ----------------------------------------------
 
-def independent_betas(ctx: FieldCtx, a: int) -> np.ndarray:
-    """The beta indices with {1, alpha, beta} independent for one alpha = a
-    outside F_p, in index order: the q - p^2 elements outside span{1, alpha}."""
-    return np.flatnonzero(_independent(ctx, a, np.arange(ctx.q, dtype=np.int64)))
+def pair_slice(ctx: FieldCtx, start: int, stop: int) -> np.ndarray:
+    """Pairs start..stop of the scan's pair list as an [n, 2] index array.
+
+    The list holds every (alpha, beta) with {1, alpha, beta} independent, in
+    lexicographic index order: each alpha outside F_p (index >= p) has the
+    q - p^2 betas outside span{1, alpha}, so pair k has alpha = p + k // (q - p^2).
+    """
+    p, q = ctx.p, ctx.q
+    per_alpha = q - p * p
+    first = start // per_alpha
+    alphas = np.arange(p + first, p - (-stop // per_alpha), dtype=np.int64)[:, None]
+    rows, betas = np.nonzero(_independent(ctx, alphas, np.arange(q, dtype=np.int64)))
+    lo = start - first * per_alpha
+    return np.column_stack((alphas[rows, 0], betas))[lo : lo + stop - start]
 
 
 def independent_pairs(ctx: FieldCtx):
     """All (alpha, beta) index pairs with {1, alpha, beta} independent, in
-    lexicographic index order."""
-    for a in range(ctx.p, ctx.q):  # indices below p are F_p itself
-        for b in independent_betas(ctx, a).tolist():
-            yield a, b
-
-
-@lru_cache(maxsize=4)
-def _poly_strs(ctx: FieldCtx) -> dict[int, str]:
-    """The field's element polynomials by index, each formatted on first use."""
-    return {}
+    lexicographic index order, listed one alpha at a time."""
+    per_alpha = ctx.q - ctx.p**2
+    for k in range(0, (ctx.q - ctx.p) * per_alpha, per_alpha):
+        yield from map(tuple, pair_slice(ctx, k, k + per_alpha).tolist())
 
 
 def _pair_record(
@@ -483,18 +488,14 @@ def _pair_record(
 ) -> dict:
     """The JSON-ready search record from the canonical coefficients s2 of
     |S|^2; 'abs_sq_S' is an int when they are rational, otherwise the list."""
-    polys = _poly_strs(ctx)
-    for idx in (a_idx, b_idx):
-        if idx not in polys:
-            polys[idx] = ctx.element(idx).poly_str()
     return {
         "p": ctx.p,
         "m": ctx.m,
         "modulus": list(ctx.modulus),
         "alpha": a_idx,
-        "alpha_poly": polys[a_idx],
+        "alpha_poly": ctx.element(a_idx).poly_str(),
         "beta": b_idx,
-        "beta_poly": polys[b_idx],
+        "beta_poly": ctx.element(b_idx).poly_str(),
         "abs_sq_S": s2 if any(s2[1:]) else s2[0],
         "bent": bent,
         "regularity": regularity,
@@ -504,7 +505,7 @@ def _pair_record(
 
 def evaluate_pair(ctx: FieldCtx, a_idx: int, b_idx: int) -> dict:
     """Condition sum plus full classification (both Walsh transforms) for one
-    (alpha, beta) pair: the oracle for evaluate_pairs."""
+    (alpha, beta) pair: the oracle for evaluate_pairs and pair_lines."""
     spec = NdCorSpec(ctx, ctx.element(a_idx), ctx.element(b_idx))
     rep = classify(ndcor_function(spec))
     return _pair_record(
@@ -519,13 +520,27 @@ def _square_trace_regularity(ctx: FieldCtx) -> str:
     return classify(monomial_bent(ctx, ctx.one, 0)).regularity
 
 
-# Pairs per block of evaluate_pairs: a pair's rows hold p^2 (p - 1) < p^3 coefficients.
-_BLOCK_ENTRIES = 1 << 16
+# Pairs per block of evaluate_pairs: a pair's rows hold p^2 (p - 1) < p^3
+# coefficients.  Blocks of 2^16 entries raised a serial 1,200-pair F_125
+# scan's peak RSS from 32.0 to 34.6 MiB (tracemalloc 0.9 to 2.7 MB), at the
+# same speed; at p = 7 they are faster (F_343: 1.1-1.3 s against 2.0-2.7 s).
+_BLOCK_ENTRIES = 1 << 13
 
 
-def evaluate_pairs(ctx: FieldCtx, pairs) -> list[dict]:
-    """Closed-form records for (alpha, beta) index pairs, equal to
-    [evaluate_pair(ctx, a, b) for a, b in pairs] but with no transform.
+class PairVerdicts(NamedTuple):
+    """evaluate_pairs' verdicts, one entry per pair (F is always bent)."""
+
+    abs_sq_S: np.ndarray  # [pair, p - 1] canonical coefficients of |S|^2 = |T(0)|^2
+    mixed: np.ndarray  # eta(Lambda_b) takes both signs: F is non-weakly regular
+    dual_bent: np.ndarray
+
+    def take(self, idx) -> "PairVerdicts":
+        return PairVerdicts(*(column[idx] for column in self))
+
+
+def evaluate_pairs(ctx: FieldCtx, pairs) -> PairVerdicts:
+    """Closed-form verdicts for (alpha, beta) index pairs, the ones
+    evaluate_pair(ctx, a, b) reaches by classification, with no transform of F.
 
     F = Tr(x^2) + (y1 + Tr(alpha x^2)) * (y2 + Tr(beta x^2)) is the
     semi-direct sum f(x) + g(y + h(x)) with f = Tr(x^2), g = y1*y2 and
@@ -564,18 +579,55 @@ def evaluate_pairs(ctx: FieldCtx, pairs) -> list[dict]:
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     target = np.zeros(p - 1, dtype=np.int64)
     target[0] = p * p
+    out = PairVerdicts(
+        np.empty((len(pairs), p - 1), dtype=np.int64),
+        np.empty(len(pairs), dtype=bool),
+        np.empty(len(pairs), dtype=bool),
+    )
+    if not _independent(ctx, *pairs.T).all():
+        raise ConstructionError("{1, alpha, beta} must be linearly independent over F_p")
     rows = max(1, _BLOCK_ENTRIES // p**3)
-    out = []
     for r0 in range(0, len(pairs), rows):
-        a, b = pairs[r0 : r0 + rows].T.tolist()
-        if not _independent(ctx, a, b).all():
-            raise ConstructionError("{1, alpha, beta} must be linearly independent over F_p")
+        a, b = pairs[r0 : r0 + rows].T
         eta, phased = _pair_rows(ctx, a, b)
         T = _dft(phased.reshape(-1, p - 1), p, 2, +1)  # row pair*p^2 + w: T(w)
         abs_sq = _abs_sq(T, p).reshape(len(a), p * p, p - 1)
-        dual_bent = (abs_sq == target).all(axis=(1, 2)).tolist()
-        mixed = (eta != eta[:1]).any(axis=0).tolist()
-        for k, s2 in enumerate(abs_sq[:, 0].tolist()):
-            regularity = NON_WEAKLY_REGULAR if mixed[k] else _square_trace_regularity(ctx)
-            out.append(_pair_record(ctx, a[k], b[k], s2, True, regularity, dual_bent[k]))
+        block = slice(r0, r0 + len(a))
+        out.abs_sq_S[block] = abs_sq[:, 0]
+        out.mixed[block] = (eta != eta[:1]).any(axis=0)
+        out.dual_bent[block] = (abs_sq == target).all(axis=(1, 2))
     return out
+
+
+@lru_cache(maxsize=4)
+def _line_parts(ctx: FieldCtx) -> tuple[str, dict[int, str]]:
+    """The field's fixed text of a search line, from "m" to the regularity's
+    key, and the JSON polynomial strings by element index, each filled on
+    first use."""
+    modulus = json.dumps(list(ctx.modulus))
+    return f'"m": {ctx.m}, "modulus": {modulus}, "p": {ctx.p}, "regularity": ', {}
+
+
+def pair_lines(
+    ctx: FieldCtx, pairs: np.ndarray, verdicts: PairVerdicts, runtime_ms: float | None = None
+) -> str:
+    """The pairs' search records as JSON lines from a per-field template:
+    line k is json.dumps(evaluate_pair(ctx, *pairs[k]), sort_keys=True) with
+    'runtime_ms' added when given, with no dict or json.dumps per record."""
+    fixed, polys = _line_parts(ctx)
+    alphas, betas = pairs.T.tolist()
+    for idx in set(alphas).union(betas).difference(polys):
+        polys[idx] = json.dumps(ctx.element(idx).poly_str())
+    rational = ~verdicts.abs_sq_S[:, 1:].any(axis=1)
+    regular = json.dumps(_square_trace_regularity(ctx)) if not verdicts.mixed.all() else None
+    regs = {True: json.dumps(NON_WEAKLY_REGULAR), False: regular}
+    end = "}\n" if runtime_ms is None else f', "runtime_ms": {runtime_ms!r}}}\n'
+    return "".join(
+        f'{{"abs_sq_S": {s2[0] if rat else s2}, "alpha": {a}, "alpha_poly": {polys[a]}, '
+        f'"bent": true, "beta": {b}, "beta_poly": {polys[b]}, '
+        f'"dual_bent": {"true" if dual else "false"}, {fixed}{regs[mixed]}{end}'
+        for a, b, s2, rat, mixed, dual in zip(
+            alphas, betas, verdicts.abs_sq_S.tolist(), rational.tolist(),
+            verdicts.mixed.tolist(), verdicts.dual_bent.tolist(),
+        )
+    )

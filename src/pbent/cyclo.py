@@ -30,6 +30,26 @@ def fold_top(full) -> np.ndarray:
     return full[..., :-1] - full[..., -1:]
 
 
+def format_coeffs(coeffs) -> str:
+    """Text of the element with canonical integer coefficients coeffs: its
+    nonzero terms c*e^j by increasing j, such as '3 - 2e + e^2', or '0'."""
+    parts: list[str] = []
+    for j, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        mag = abs(c)
+        if j == 0:
+            body = str(mag)
+        else:
+            unit = "e" if j == 1 else f"e^{j}"
+            body = unit if mag == 1 else f"{mag}{unit}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts) if parts else "0"
+
+
 class CycInt:
     """An element of Z[e_p] with exact integer coefficients."""
 
@@ -166,21 +186,7 @@ class CycInt:
     # ---- presentation ---------------------------------------------------
 
     def __str__(self) -> str:
-        parts: list[str] = []
-        for j, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = abs(c)
-            if j == 0:
-                body = str(mag)
-            else:
-                unit = "e" if j == 1 else f"e^{j}"
-                body = unit if mag == 1 else f"{mag}{unit}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts) if parts else "0"
+        return format_coeffs(self.coeffs)
 
     def __repr__(self) -> str:
         return f"CycInt(p={self.p}, {self})"

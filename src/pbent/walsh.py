@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .cyclo import CycInt, fold_top
+from .cyclo import CycInt, fold_top, format_coeffs
 from .field import SIZE_LIMIT
 from .pfunc import Domain, DomainError, PFunction
 
@@ -162,8 +162,10 @@ def _abs_sq(values: np.ndarray, p: int) -> np.ndarray:
     rows = max(1, _CHUNK_MACS // ((p - 1) ** 3 if small else p * p))
     for r0 in range(0, N, rows):
         c = values[r0 : r0 + rows].astype(np.float64)
-        if small:
-            R = (c[:, i] * c[:, j]) @ Q
+        if small:  # products c_i * c_j, formed in place in the gathered c[:, i]
+            R = c[:, i]
+            R *= c[:, j]
+            R = R @ Q
         else:  # row . (row times e^-w) is the count of e^w in |c|^2
             R = fold_top(np.einsum("mws,ms->mw", _rotations(c, p)[..., :-1], c))
         out[r0 : r0 + rows] = R
@@ -197,8 +199,8 @@ class WalshSpectrum:
         dom = self.domain
         return CycInt(dom.p, self.abs_sq_rows().sum(axis=0)) == dom.p ** (2 * dom.n_total)
 
-    def histogram(self) -> list[tuple[CycInt, int]]:
-        """Distinct |W|^2 values with multiplicities, sorted by coefficients."""
+    def _distinct_abs_sq(self) -> tuple[list, list[int]]:
+        """The distinct |W|^2 rows, sorted by coefficients, and their counts."""
         rows = self.abs_sq_rows()
         rows = np.take(rows, np.lexsort(rows.T[::-1]), axis=0)
         # a run starts where any column changes, tested a column at a time:
@@ -208,12 +210,16 @@ class WalshSpectrum:
         for col in rows.T:
             new[1:] |= col[1:] != col[:-1]
         starts = np.flatnonzero(new)
-        counts = np.diff(np.r_[starts, len(rows)])
+        return rows[starts].tolist(), np.diff(np.r_[starts, len(rows)]).tolist()
+
+    def histogram(self) -> list[tuple[CycInt, int]]:
+        """Distinct |W|^2 values with multiplicities, sorted by coefficients."""
         p = self.domain.p
-        return [(CycInt(p, rows[i]), int(c)) for i, c in zip(starts, counts)]
+        return [(CycInt(p, row), c) for row, c in zip(*self._distinct_abs_sq())]
 
     def histogram_json(self) -> dict[str, int]:
-        return {str(v): c for v, c in self.histogram()}
+        """The histogram keyed by each value's text, formatted from its row."""
+        return {format_coeffs(row): c for row, c in zip(*self._distinct_abs_sq())}
 
     def to_json(self) -> dict:
         return {

@@ -1,10 +1,13 @@
 """End-to-end command-line tests, run in-process through main()."""
+import concurrent.futures
 import contextlib
 import hashlib
 import io
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -680,7 +683,8 @@ def test_search_width_does_not_change_output(capsys, tmp_path):
 
 def test_search_width_is_capped_by_cores(capsys, tmp_path, monkeypatch):
     """A fork pool starts all of its workers at the first submit, so a width
-    beyond the cores never reaches the pool; the output does not change."""
+    beyond the cores never reaches the pool, and a scan too small to pay for
+    a worker starts none; the output does not change."""
     recorded = []
 
     class SerialPool:
@@ -693,22 +697,31 @@ def test_search_width_is_capped_by_cores(capsys, tmp_path, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def submit(self, fn, task):
+            future = concurrent.futures.Future()
+            future.set_result(fn(task))
+            return future
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     outputs = []
     for width in ("1", "1000000"):
         path = tmp_path / f"w{width}.jsonl"
         code, _, _ = run(
-            capsys, "search", "--p", "3", "--m", "4",
+            capsys, "search", "--p", "3", "--m", "5", "--modulus", "1,0,0,0,2,1",
             "--stable", "--width", width, "--out", str(path),
         )
         assert code == 0
         outputs.append(path.read_bytes())
     assert recorded == [2]
     assert outputs[0] == outputs[1]
+    # F_81's 5,616 pairs cost less than one worker's start
+    code, _, _ = run(
+        capsys, "search", "--p", "3", "--m", "4", "--stable", "--width", "1000000",
+        "--out", str(tmp_path / "f81.jsonl"),
+    )
+    assert code == 0
+    assert recorded == [2]
 
 
 def test_search_refuses_an_oversized_field_before_any_pair(capsys, tmp_path):
@@ -745,22 +758,39 @@ def test_search_memory_stays_flat(capsys, tmp_path):
 
 
 def test_search_error_mid_scan_leaves_no_worker(capsys, tmp_path, monkeypatch):
-    """A chunk that fails in a worker ends the scan with exit 2, and the pool
-    is shut down before main returns.  The forked workers inherit the patch."""
+    """A task that fails in a worker ends the scan with exit 2, and the pool
+    is shut down before main returns.  The forked workers inherit the patch,
+    which fails only outside this process, so the scan must have forked."""
     real = cli.evaluate_pairs
+    main_pid = os.getpid()
 
     def failing(ctx, pairs):
-        if pairs[0][0] == ctx.p + 3:
+        if os.getpid() != main_pid and pairs[0][0] >= ctx.p + 40:
             raise ConstructionError("injected failure")
         return real(ctx, pairs)
 
     monkeypatch.setattr(cli, "evaluate_pairs", failing)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     code, _, err = run(
-        capsys, "search", "--p", "3", "--m", "4", "--stable", "--width", "2",
+        capsys, "search", "--p", "3", "--m", "5", "--modulus", "1,0,0,0,2,1",
+        "--limit", "20000", "--stable", "--width", "2",
         "--out", str(tmp_path / "search.jsonl"),
     )
     assert (code, err) == (2, "error: injected failure\n")
     assert multiprocessing.active_children() == []
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    """classify, dual and serial search never pay for the pool's imports."""
+    code = (
+        "import sys, pbent.cli; "
+        "print(sorted(set(sys.modules) & {'concurrent.futures.process', 'multiprocessing'}))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_search_timing_field_present_without_stable(capsys, tmp_path):

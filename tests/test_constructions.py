@@ -1,5 +1,6 @@
 """Construction machinery: sums, the two-coordinate family, recursion, bundled examples."""
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -32,6 +33,8 @@ from pbent.constructions import (
     monomial_bent,
     ndcor_condition_sum,
     ndcor_function,
+    pair_lines,
+    pair_slice,
     semi_direct_sum,
     sds_dual,
     sds_is_bent_condition,
@@ -572,10 +575,19 @@ def _sample(pairs, rng, k):
 
 
 def _check_against_oracle(ctx, pairs):
-    records = evaluate_pairs(ctx, pairs)
-    assert len(records) == len(pairs)
-    for (a, b), rec in zip(pairs, records):
-        assert rec == evaluate_pair(ctx, a, b), (a, b)
+    """Every rendered line, with and without runtime_ms, is the json.dumps of
+    the full classification's record; returns those records."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    verdicts = evaluate_pairs(ctx, pairs)
+    lines = pair_lines(ctx, pairs, verdicts).splitlines()
+    timed = pair_lines(ctx, pairs, verdicts, 0.125).splitlines()
+    assert len(lines) == len(timed) == len(pairs)
+    records = []
+    for (a, b), line, timed_line in zip(pairs.tolist(), lines, timed):
+        rec = evaluate_pair(ctx, a, b)
+        assert line == json.dumps(rec, sort_keys=True), (a, b)
+        assert timed_line == json.dumps({**rec, "runtime_ms": 0.125}, sort_keys=True), (a, b)
+        records.append(rec)
     return records
 
 
@@ -596,12 +608,15 @@ def test_evaluate_pairs_equals_full_classification_on_all_f27_pairs():
     ids=["F81", "F125", "F343", "F1331", "F2197"],
 )
 def test_evaluate_pairs_equals_full_classification_on_samples(ctx, k, rng):
-    """k distinct seeded pairs, drawn without listing every pair of the field."""
+    """k distinct seeded pairs, drawn without listing every pair of the field;
+    at p = 5 and 7 some |S|^2 are irrational and print as coefficient lists."""
     a, b = rng.integers(0, ctx.q, size=(2, 2 * k + 8))
     keep = _independent(ctx, a, b)
     pairs = list(dict.fromkeys(zip(a[keep].tolist(), b[keep].tolist())))[:k]
     assert len(pairs) == k
-    _check_against_oracle(ctx, sorted(pairs))
+    records = _check_against_oracle(ctx, sorted(pairs))
+    if ctx.p in (5, 7):
+        assert any(isinstance(r["abs_sq_S"], list) for r in records)
 
 
 def test_evaluate_pairs_finds_bent_duals_on_f243(rng):
@@ -610,10 +625,8 @@ def test_evaluate_pairs_finds_bent_duals_on_f243(rng):
     ctx = make_field(3, 5, (1, 0, 0, 0, 2, 1))
     pairs = list(independent_pairs(ctx))
     assert len(pairs) == (243 - 3) * (243 - 9)
-    pool = _sample(pairs, rng, 3000)
-    bent_dual = [
-        (r["alpha"], r["beta"]) for r in evaluate_pairs(ctx, pool) if r["dual_bent"]
-    ]
+    pool = np.array(_sample(pairs, rng, 3000))
+    bent_dual = pool[evaluate_pairs(ctx, pool).dual_bent].tolist()
     assert len(bent_dual) >= 4
     picked = _sample(bent_dual, rng, 8) + _sample(pairs, rng, 40)
     records = _check_against_oracle(ctx, picked)
@@ -627,15 +640,26 @@ def test_evaluate_pairs_constant_eta_pairs_are_regular_on_f729(rng):
     ctx = make_field(3, 6, (1, 0, 0, 0, 1, 1, 1))
     assert classify(monomial_bent(ctx, ctx.one, 0)).regularity == REGULAR
     pairs = list(independent_pairs(ctx))
-    constant = [
-        (r["alpha"], r["beta"])
-        for r in evaluate_pairs(ctx, _sample(pairs, rng, 6000))
-        if r["regularity"] != NON_WEAKLY_REGULAR
-    ]
+    pool = np.array(_sample(pairs, rng, 6000))
+    constant = pool[~evaluate_pairs(ctx, pool).mixed].tolist()
     assert len(constant) >= 4
     records = _check_against_oracle(ctx, _sample(constant, rng, 4) + _sample(pairs, rng, 12))
     for rec in records[:4]:
         assert rec["regularity"] == REGULAR and rec["dual_bent"] is True
+
+
+def test_pair_slice_cuts_the_pair_list_anywhere(rng):
+    """Any start..stop of the scan, inside one alpha's betas or across
+    several, is the same slice of independent_pairs."""
+    ctx = make_field(3, 4)
+    pairs = list(independent_pairs(ctx))
+    assert len(pairs) == (81 - 3) * (81 - 9)
+    cuts = [(0, 0), (0, 1), (71, 73), (0, len(pairs)), (len(pairs) - 5, len(pairs))]
+    cuts += [tuple(sorted(c)) for c in rng.integers(0, len(pairs) + 1, size=(20, 2)).tolist()]
+    for start, stop in cuts:
+        got = pair_slice(ctx, start, stop)
+        assert got.shape == (stop - start, 2)
+        assert list(map(tuple, got.tolist())) == pairs[start:stop], (start, stop)
 
 
 def test_evaluate_pairs_rejects_dependent_pairs_and_oversized_fields():

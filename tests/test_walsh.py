@@ -382,6 +382,9 @@ def test_histogram_matches_per_entry_count(dom, rng):
         assert len(counts) > 10  # many distinct values, so the order matters
         hist = [(v.coeffs, c) for v, c in W.histogram()]
         assert hist == sorted(counts.items())
+        # the JSON keys, formatted from the rows, are the values' text, in order
+        oracle = {str(CycInt(dom.p, key)): c for key, c in sorted(counts.items())}
+        assert json.dumps(W.histogram_json()) == json.dumps(oracle)
 
 
 @pytest.mark.parametrize(
