@@ -21,7 +21,7 @@ from math import isclose, sqrt
 
 import numpy as np
 
-from .bent import ClassReport, classify, extract_dual, is_bent
+from .bent import ClassReport, DualExtractionError, classify, extract_dual
 from .constructions import (
     ConstructionError,
     NdCorSpec,
@@ -138,12 +138,11 @@ def cmd_classify(ns: argparse.Namespace) -> int:
 
 def cmd_dual(ns: argparse.Namespace) -> int:
     """Write f*; whether f* is bent is left to `classify`."""
-    W = walsh_fast(_load_function(ns))
-    bent = is_bent(W)
-    if not bent:
-        sys.stderr.write(f"not bent (witness b={bent.witness}); no dual exists\n")
+    try:
+        dual, _ = extract_dual(walsh_fast(_load_function(ns)))
+    except DualExtractionError as exc:
+        sys.stderr.write(f"not bent (witness b={exc.witness}); no dual exists\n")
         return 1
-    dual, _ = extract_dual(W)
     _emit(dump_tt(dual), ns.out)
     return 0
 

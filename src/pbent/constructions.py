@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bent import NON_WEAKLY_REGULAR, Verdict, classify, extract_dual, is_bent
+from .bent import NON_WEAKLY_REGULAR, DualExtractionError, Verdict, classify, extract_dual, is_bent
 from .cyclo import CycInt
 from .field import FieldCtx, FieldElement, FieldError
 from .pfunc import Domain, PFunction, VecPart
@@ -84,7 +84,7 @@ class SdsSpec:
 
     f lives on any domain, g on the vector space F_p^n, and h is a list of n
     coordinate maps on f's domain.  This is the one place that validates a
-    semi-direct sum, g's bentness last; g's spectrum is kept as g_spectrum.
+    semi-direct sum, g's bentness last; it keeps g_spectrum and g_dual.
     """
 
     f: PFunction
@@ -103,8 +103,10 @@ class SdsSpec:
         if self.g.p != self.f.p:
             raise ConstructionError("mismatched characteristic")
         self.g_spectrum = walsh_fast(self.g)
-        if not is_bent(self.g_spectrum):
-            raise ConstructionError("the outer function g must be bent")
+        try:
+            self.g_dual, _ = extract_dual(self.g_spectrum)
+        except DualExtractionError:
+            raise ConstructionError("the outer function g must be bent") from None
 
     def inner_function(self, b: int) -> PFunction:
         """G_b(x) = f(x) + <b, h(x)>, the function whose bentness drives the sum."""
@@ -151,20 +153,18 @@ def sds_walsh_factorization(spec: SdsSpec) -> bool:
 
 def sds_dual(spec: SdsSpec) -> PFunction:
     """Dual of a bent semi-direct sum: F*(x, y) = G_y*(x) + g*(y)."""
-    gstar, _ = extract_dual(spec.g_spectrum)
     rows = [
-        _dual_of(spec.inner_function(y))[0].table + gstar.table[y]
+        _dual_of(spec.inner_function(y))[0].table + spec.g_dual.table[y]
         for y in range(spec.g.domain.size)
     ]
     return PFunction(spec.f.domain.extend(*spec.g.domain.components), np.concatenate(rows))
 
 
 def _dual_of(f: PFunction) -> tuple[PFunction, np.ndarray]:
-    W = walsh_fast(f)
-    bent = is_bent(W)
-    if not bent:
-        raise ConstructionError(f"function is not bent (witness b={bent.witness})")
-    return extract_dual(W)
+    try:
+        return extract_dual(walsh_fast(f))
+    except DualExtractionError as exc:
+        raise ConstructionError(f"function is not bent (witness b={exc.witness})") from None
 
 
 # ---- the correlation family over F_{p^m} x F_p^n --------------------------------

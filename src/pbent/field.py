@@ -43,6 +43,14 @@ def exceeds_size_limit(p: int, n: int) -> bool:
     return p > SIZE_LIMIT or n >= SIZE_LIMIT.bit_length() or (n > 0 and p**n > SIZE_LIMIT)
 
 
+def digit_table(p: int, n: int) -> np.ndarray:
+    """Base-p digits of 0..p^n - 1, lowest first: column j counts 0..p-1 in runs of p^j."""
+    digits = np.empty((p**n, n), dtype=np.int64)
+    for j in range(n):
+        digits[:, j].reshape(-1, p, p**j)[...] = np.arange(p)[:, None]
+    return digits
+
+
 def is_odd_prime(n: int) -> bool:
     if n < 3 or n % 2 == 0:
         return False
@@ -141,11 +149,7 @@ class FieldCtx:
         self.modulus = mod
         self._pw = tuple(p**i for i in range(m))
 
-        # digits[i] = coefficient vector of the element with index i; digit
-        # column j counts 0..p-1 in runs of p^j, repeating every p^(j+1)
-        self.digits = np.empty((q, m), dtype=np.int64)
-        for j, pw in enumerate(self._pw):
-            self.digits[:, j].reshape(q // (pw * p), p, pw)[...] = np.arange(p)[:, None]
+        self.digits = digit_table(p, m)  # row i: coefficient vector of element i
 
         # companion matrix of the modulus: multiplication by w on digit columns
         comp = np.zeros((m, m), dtype=np.int64)

@@ -12,7 +12,7 @@ import re
 
 import numpy as np
 
-from .field import FieldCtx, FieldElement, FieldError, exceeds_size_limit, is_odd_prime
+from .field import FieldCtx, FieldElement, FieldError, digit_table, exceeds_size_limit, is_odd_prime
 
 
 class DomainError(ValueError):
@@ -129,10 +129,7 @@ class Domain:
     def digits_matrix(self) -> np.ndarray:
         """All point indices decomposed into base-p digits, shape (size, n_total)."""
         if "digits" not in self._cache:
-            idx = np.arange(self.size, dtype=np.int64)
-            self._cache["digits"] = np.stack(
-                [(idx // self._digit_pw[i]) % self.p for i in range(self.n_total)], axis=1
-            )
+            self._cache["digits"] = digit_table(self.p, self.n_total)
         return self._cache["digits"]  # type: ignore[return-value]
 
     def negation_perm(self) -> np.ndarray:

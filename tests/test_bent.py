@@ -9,6 +9,7 @@ from pbent.bent import (
     WEAKLY_REGULAR,
     ClassReport,
     DualExtractionError,
+    _candidate_table,
     bent_normalizer,
     classify,
     extract_dual,
@@ -17,7 +18,7 @@ from pbent.bent import (
 )
 from pbent.constructions import NdCorSpec, cm_bent, monomial_bent, ndcor_function
 from pbent.cyclo import CycInt, gauss_sum, legendre, root_power
-from pbent.field import make_field
+from pbent.field import is_odd_prime, make_field
 from pbent.pfunc import Domain, PFunction, from_expr, random_function, zero_function
 from pbent.walsh import WalshSpectrum, walsh_fast
 
@@ -101,8 +102,8 @@ def test_extract_dual_names_the_first_bad_row():
     W = walsh_fast(from_expr(F27, "Tr(x^2)"))
     for k, k2 in [(5, 17), (0, 26), (12, 13)]:
         values = W.values.copy()
-        values[k] = [10**6, 0]  # above every candidate key
-        values[k2] = [-(10**6), 3]  # below every candidate key
+        values[k] = [10**6, 0]  # |W(b)|^2 far above 27
+        values[k2] = [-(10**6), 3]
         with pytest.raises(DualExtractionError, match=rf"at b={k} "):
             extract_dual(WalshSpectrum(W.domain, values))
         values = W.values.copy()
@@ -128,6 +129,107 @@ def test_sum_of_squares_spectrum_and_dual_across_chunks(p, n):
     quarter = pow(4, -1, p)
     assert np.array_equal(dual.table, (-quarter * (D * D).sum(axis=1)) % p)
     assert np.all(units == legendre(-1, p) ** (n // 2))
+
+
+# ---- the candidate match against the definition |W(b)|^2 = p^n ---------------------------
+
+
+def _cycint_candidates(p: int, n: int) -> dict[tuple, tuple[int, int]]:
+    """Coefficients of u * P_n * e^c, built by CycInt products, -> (u, c)."""
+    P = bent_normalizer(p, n)
+    return {(u * (P * root_power(p, c))).coeffs: (u, c) for u in (1, -1) for c in range(p)}
+
+
+def _definition_bad(W: WalshSpectrum) -> np.ndarray:
+    """Rows with |W(b)|^2 != p^n: abs_sq_rows where its float64 sums are exact,
+    CycInt products in Python integers on rows with entries beyond 2^16."""
+    p, n = W.domain.p, W.domain.n_total
+    big = ((W.values > 2**16) | (W.values < -(2**16))).any(axis=1)
+    rest = WalshSpectrum(W.domain, np.where(big[:, None], 0, W.values))
+    target = np.zeros(p - 1, dtype=np.int64)
+    target[0] = p**n
+    bad = (rest.abs_sq_rows() != target).any(axis=1)
+    for b in np.flatnonzero(big):
+        bad[b] = CycInt(p, W.values[b]).abs_sq() != p**n
+    return bad
+
+
+def _check_match_against_definition(W: WalshSpectrum, cands: dict) -> bool:
+    """is_bent and extract_dual agree with the definition and the candidates;
+    returns the verdict."""
+    rows = [tuple(r) for r in W.values.tolist()]
+    bad = _definition_bad(W)
+    # the theorem: |x|^2 = p^n exactly for the 2p candidates
+    assert bad.tolist() == [r not in cands for r in rows]
+    if bad.any():
+        witness = int(np.argmax(bad))
+        assert is_bent(W) == (False, witness)
+        with pytest.raises(DualExtractionError, match=rf"at b={witness} ") as exc:
+            extract_dual(W)
+        assert exc.value.witness == witness
+        return False
+    assert is_bent(W) == (True, None)
+    dual, units = extract_dual(W)
+    assert list(zip(units.tolist(), dual.table.tolist())) == [cands[r] for r in rows]
+    return True
+
+
+def _bent_example(dom: Domain, rng) -> PFunction:
+    """Maiorana-McFarland x . pi(y) + g(y) on even n, with a random
+    permutation pi and a random g; sum of squares plus a random linear term
+    on odd n."""
+    p, n = dom.p, dom.n_total
+    D = dom.digits_matrix()
+    if n % 2:
+        return PFunction(dom, ((D * D).sum(axis=1) + D @ rng.integers(0, p, n)) % p)
+    k = n // 2
+    half = Domain.vec(p, k).digits_matrix()
+    y = D[:, k:] @ (p ** np.arange(k))
+    pi_y = half[rng.permutation(p**k)][y]
+    g = rng.integers(0, p, p**k)[y]
+    return PFunction(dom, ((D[:, :k] * pi_y).sum(axis=1) + g) % p)
+
+
+@pytest.mark.parametrize(
+    "p, ns",
+    [(3, (1, 2, 5, 6)), (5, (1, 2, 3, 4)), (7, (1, 2, 3)), (11, (1, 2)), (13, (1, 2)),
+     (23, (1, 2)), (53, (1, 2)), (101, (1, 2))],
+)
+def test_candidate_match_agrees_with_the_definition(p, ns, rng):
+    i64 = np.iinfo(np.int64)
+    for n in ns:
+        dom = Domain.vec(p, n)
+        cands = _cycint_candidates(p, n)
+        cand_rows = list(cands)
+        _check_match_against_definition(walsh_fast(random_function(dom, rng)), cands)
+        W = walsh_fast(_bent_example(dom, rng))
+        assert _check_match_against_definition(W, cands)
+        k, k2 = sorted(rng.choice(dom.size, size=2, replace=False))
+        other = cand_rows[(cand_rows.index(tuple(W.values[k].tolist())) + 1) % len(cand_rows)]
+        conjugate = CycInt(p, W.values[k]).conj().coeffs
+        tampers = {
+            "another candidate": {k: other},
+            "a conjugate": {k: conjugate, k2: conjugate},
+            "|x|^2 != p^n": {k2: (W[k2] * root_power(p, 1) + 1).coeffs},
+            "twice a candidate": {k: 2 * W.values[k]},
+            "+-10^6": {k: [10**6] + [0] * (p - 2), k2: [-(10**6)] + [3] * (p - 2)},
+            "int64 extremes": {k: [i64.max] * (p - 1), k2: [i64.min] + [0] * (p - 2)},
+        }
+        for kind, rows in tampers.items():
+            values = W.values.copy()
+            for b, row in rows.items():
+                values[b] = row
+            verdict = _check_match_against_definition(WalshSpectrum(dom, values), cands)
+            assert verdict == (kind in ("another candidate", "a conjugate")), (kind, p, n)
+
+
+def test_candidate_codes_are_distinct_below_257():
+    """Codes are linear mod 2^64 and P_(n+2) = p * P_n with p odd, so n = 1
+    and n = 2 cover every n; p <= 256 covers every p that walsh_fast takes
+    with n >= 2."""
+    for p in filter(is_odd_prime, range(3, 257)):
+        for n in (1, 2):
+            assert np.unique(_candidate_table(p, n)[0]).size == 2 * p
 
 
 # ---- classification of the standard examples -----------------------------------------------

@@ -19,7 +19,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import pbent.bent as bent_module
 import pbent.cli as cli
+import pbent.constructions as constructions_module
 import pbent.field as field_module
+import pbent.walsh as walsh_module
 from pbent.bent import NON_WEAKLY_REGULAR, classify
 from pbent.cli import main
 from pbent.constructions import (
@@ -37,7 +39,7 @@ from pbent.constructions import (
     sporadic,
 )
 from pbent.field import make_field
-from pbent.pfunc import Domain, PFunction, dump_tt, from_expr, load_tt, save_tt
+from pbent.pfunc import Domain, PFunction, dump_tt, from_expr, load_tt, save_tt, zero_function
 from pbent.walsh import walsh_fast
 
 F27 = make_field(3, 3)
@@ -141,6 +143,67 @@ def test_dual_runs_one_transform(capsys, monkeypatch):
     code, _, _ = run(capsys, "dual", "--p", "3", "--m", "3", "--expr", "Tr(x^2)")
     assert code == 0
     assert len(calls) == 1
+
+
+def _count_layers(monkeypatch) -> tuple[list, list]:
+    """Record the coefficient rows of every |W|^2 formed and the spectrum of
+    every bent-candidate match."""
+    abs_sq, matched = [], []
+    orig_abs_sq, orig_match = walsh_module._abs_sq, bent_module._match
+
+    def counted_abs_sq(values, p):
+        abs_sq.append(values)
+        return orig_abs_sq(values, p)
+
+    def counted_match(W):
+        matched.append(W)
+        return orig_match(W)
+
+    monkeypatch.setattr(walsh_module, "_abs_sq", counted_abs_sq)
+    monkeypatch.setattr(bent_module, "_match", counted_match)
+    return abs_sq, matched
+
+
+@pytest.mark.parametrize("expr, code", [("Tr(x^2)", 0), ("0", 1)])
+def test_dual_forms_no_abs_sq_and_matches_once(capsys, monkeypatch, expr, code):
+    abs_sq, matched = _count_layers(monkeypatch)
+    assert run(capsys, "dual", "--p", "3", "--m", "3", "--expr", expr)[0] == code
+    assert (len(abs_sq), len(matched)) == (0, 1)
+
+
+def test_classify_forms_abs_sq_once_for_the_histogram(capsys, monkeypatch):
+    abs_sq, matched = _count_layers(monkeypatch)
+    code, out, _ = run(capsys, "classify", "--p", "3", "--m", "3", "--expr", "Tr(x^2)")
+    assert code == 0 and json.loads(out)["dual_bent"] is True
+    W = walsh_fast(from_expr(F27, "Tr(x^2)"))
+    assert len(abs_sq) == 1 and np.array_equal(abs_sq[0], W.values)
+    # f's spectrum, then its dual's, each matched once
+    assert len(matched) == 2 and np.array_equal(matched[0].values, W.values)
+    del abs_sq[:], matched[:]
+    rep = classify(zero_function(Domain.vec(3, 2)))
+    assert (rep.is_bent, len(abs_sq), len(matched)) == (False, 0, 1)
+
+
+def test_construction_duals_match_each_spectrum_once(monkeypatch):
+    abs_sq, matched = _count_layers(monkeypatch)
+    dual, _ = constructions_module._dual_of(from_expr(F27, "Tr(x^2)"))
+    assert np.array_equal(dual.table, classify(from_expr(F27, "Tr(x^2)")).dual.table)
+    assert len(matched) == 3 and abs_sq == []  # _dual_of once, classify twice
+    with pytest.raises(ConstructionError, match=r"not bent \(witness b=0\)"):
+        constructions_module._dual_of(from_expr(F27, "0"))
+    assert len(matched) == 4 and abs_sq == []
+
+
+def test_dual_of_x_squared_on_a_1009_point_table(capsys, tmp_path):
+    """x^2 - b x = (x - b/2)^2 - b^2/4, so W(b) = g_p e^(-b^2/4) and the dual
+    is -b^2/4 mod p."""
+    p = 1009
+    x = np.arange(p)
+    in_path, out_path = tmp_path / "sq.tt", tmp_path / "dual.tt"
+    save_tt(PFunction(Domain.vec(p, 1), x * x % p), in_path)
+    code, out, err = run(capsys, "dual", "--tt", str(in_path), "--out", str(out_path))
+    assert (code, out, err) == (0, "", "")
+    assert np.array_equal(load_tt(out_path).table, -pow(4, -1, p) * x * x % p)
 
 
 def test_dual_of_non_bent_exits_1(capsys, tmp_path):
