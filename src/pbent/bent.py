@@ -83,15 +83,21 @@ def _candidate_table(p: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return table
 
 
-def _match(W: WalshSpectrum) -> tuple[np.ndarray, int | None]:
-    """Candidate-table position of every W(b), and the first b whose value is
-    no candidate (None when W is bent).  The code only picks the candidate;
+def match_rows(values: np.ndarray, p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate-table position of every canonical row, and whether the row
+    is that candidate (|row|^2 = p^n).  The code only picks the candidate;
     the verdict is exact row equality, so a code collision cannot change it."""
-    codes, rows, _, _ = _candidate_table(W.domain.p, W.domain.n_total)
-    values = np.ascontiguousarray(W.values, dtype=np.int64)
+    codes, rows, _, _ = _candidate_table(p, n)
+    values = np.ascontiguousarray(values, dtype=np.int64)
     pos = np.minimum(np.searchsorted(codes, _row_codes(values)), codes.size - 1)
     picked = np.take(rows, pos, axis=0)  # by columns: a 2-D compare took 7x as long at 3^12
     hit = np.logical_and.reduce([picked[:, j] == values[:, j] for j in range(values.shape[1])])
+    return pos, hit
+
+
+def _match(W: WalshSpectrum) -> tuple[np.ndarray, int | None]:
+    """match_rows on W, and the first b whose value is no candidate (None when W is bent)."""
+    pos, hit = match_rows(W.values, W.domain.p, W.domain.n_total)
     return pos, None if hit.all() else int(np.argmin(hit))
 
 
@@ -159,7 +165,8 @@ class ClassReport:
         out["witnesses"] = [
             {"kind": k, "index": v} for k, v in sorted(self.witnesses.items())
         ]
-        out["spectrum_histogram"] = self.spectrum.histogram_json()
+        bent_hist = {str(self.p**self.domain.n_total): len(self.spectrum)}  # |W(b)|^2 = p^n
+        out["spectrum_histogram"] = bent_hist if self.is_bent else self.spectrum.histogram_json()
         return out
 
 

@@ -26,12 +26,12 @@ from .constructions import (
     ConstructionError,
     NdCorSpec,
     SdsSpec,
+    _pair_verdicts,
     agw_combine,
     cm_bent,
     cor1_family,
     coordinate_product,
     direct_sum,
-    evaluate_pairs,
     monomial_bent,
     ndcor_condition_sum,
     ndcor_function,
@@ -241,7 +241,7 @@ def _default_outer(p: int, n: int) -> PFunction:
 
 _worker_field = lru_cache(maxsize=4)(FieldCtx)  # each worker builds a field once
 
-# Pairs per task: one evaluate_pairs call and one write.  A serial F_81 scan
+# Pairs per task: one _pair_verdicts call and one write.  A serial F_81 scan
 # peaks at 0.61 MB under tracemalloc and 31.8 MiB RSS with these tasks,
 # against 0.82 MB and 32.3 MiB at 2^10 pairs.
 _TASK_PAIRS = 1 << 9
@@ -258,7 +258,7 @@ def _search_chunk(task) -> tuple[str, int, int, int]:
     ctx = _worker_field(p, m, modulus, primitive)
     t0 = time.perf_counter()
     pairs = pair_slice(ctx, start, stop)
-    verdicts = evaluate_pairs(ctx, pairs)
+    verdicts = _pair_verdicts(ctx, pairs)
     hits = np.flatnonzero(~verdicts.dual_bent)
     per_pair = None if stable else round((time.perf_counter() - t0) * 1000.0 / len(pairs), 3)
     text = pair_lines(ctx, pairs[hits], verdicts.take(hits), per_pair)

@@ -13,7 +13,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bent import NON_WEAKLY_REGULAR, DualExtractionError, Verdict, classify, extract_dual, is_bent
+from .bent import (
+    NON_WEAKLY_REGULAR, DualExtractionError, Verdict, classify, extract_dual, is_bent, match_rows,
+)
 from .cyclo import CycInt
 from .field import FieldCtx, FieldElement, FieldError
 from .pfunc import Domain, PFunction, VecPart
@@ -464,9 +466,11 @@ def pair_slice(ctx: FieldCtx, start: int, stop: int) -> np.ndarray:
     The list holds every (alpha, beta) with {1, alpha, beta} independent, in
     lexicographic index order: each alpha outside F_p (index >= p) has the
     q - p^2 betas outside span{1, alpha}, so pair k has alpha = p + k // (q - p^2).
+    Like a slice, stop is clamped to the list's (q - p)(q - p^2) pairs.
     """
     p, q = ctx.p, ctx.q
     per_alpha = q - p * p
+    stop = min(stop, (q - p) * per_alpha)
     first = start // per_alpha
     alphas = np.arange(p + first, p - (-stop // per_alpha), dtype=np.int64)[:, None]
     rows, betas = np.nonzero(_independent(ctx, alphas, np.arange(q, dtype=np.int64)))
@@ -564,38 +568,40 @@ def evaluate_pairs(ctx: FieldCtx, pairs) -> PairVerdicts:
     * F is non-weakly regular iff eta(Lambda_b) takes both signs.  Otherwise
       eta is +1 throughout (b = 0 gives Lambda = 1), F's unit is that of
       Tr(x^2) on F_{p^m} (P_{m+2} = p * P_m), and so is its regularity;
-    * the dual is bent iff |T(w)|^2 = p^2 for every w;
+    * the dual is bent iff |T(w)|^2 = p^2, i.e. T(w) = +-p*e^c, for every w;
     * the paper's S is T(0), and 'abs_sq_S' is |T(0)|^2.
 
     Each block's rows eta(Lambda_b) * e^(-b1*b2) go through the Walsh core:
-    two radix-p stages of sign +1 give T(w) at row pair*p^2 + w, and its
-    |.|^2 squares them; both assert their exactness bounds on these rows.
-    Pairs run in blocks of at most _BLOCK_ENTRIES / p^3, so memory stays
-    bounded.
+    two radix-p stages of sign +1 give T(w) at row pair*p^2 + w, and |.|^2
+    squares the T(0) rows; both assert their exactness bounds.  Pairs run in
+    blocks of at most _BLOCK_ENTRIES / p^3, so memory stays bounded.
     """
     # F's own domain; a field too large for it is refused as classify would
     Domain.field(ctx).extend(VecPart(ctx.p, 2))
-    p = ctx.p
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    target = np.zeros(p - 1, dtype=np.int64)
-    target[0] = p * p
+    if not _independent(ctx, *pairs.T).all():
+        raise ConstructionError("{1, alpha, beta} must be linearly independent over F_p")
+    return _pair_verdicts(ctx, pairs)
+
+
+def _pair_verdicts(ctx: FieldCtx, pairs: np.ndarray) -> PairVerdicts:
+    """evaluate_pairs without its checks, for pair_slice's [n, 2] pairs, which
+    are independent by construction, in a field the search has sized."""
+    p = ctx.p
     out = PairVerdicts(
         np.empty((len(pairs), p - 1), dtype=np.int64),
         np.empty(len(pairs), dtype=bool),
         np.empty(len(pairs), dtype=bool),
     )
-    if not _independent(ctx, *pairs.T).all():
-        raise ConstructionError("{1, alpha, beta} must be linearly independent over F_p")
     rows = max(1, _BLOCK_ENTRIES // p**3)
     for r0 in range(0, len(pairs), rows):
         a, b = pairs[r0 : r0 + rows].T
         eta, phased = _pair_rows(ctx, a, b)
         T = _dft(phased.reshape(-1, p - 1), p, 2, +1)  # row pair*p^2 + w: T(w)
-        abs_sq = _abs_sq(T, p).reshape(len(a), p * p, p - 1)
         block = slice(r0, r0 + len(a))
-        out.abs_sq_S[block] = abs_sq[:, 0]
+        out.abs_sq_S[block] = _abs_sq(T[:: p * p], p)
         out.mixed[block] = (eta != eta[:1]).any(axis=0)
-        out.dual_bent[block] = (abs_sq == target).all(axis=(1, 2))
+        out.dual_bent[block] = match_rows(T, p, 2)[1].reshape(len(a), p * p).all(axis=1)
     return out
 
 

@@ -16,7 +16,9 @@ from pbent.bent import (
     is_bent,
     weak_regular_dual_relation,
 )
-from pbent.constructions import NdCorSpec, cm_bent, monomial_bent, ndcor_function
+from pbent.constructions import (
+    NdCorSpec, cm_bent, coordinate_product, monomial_bent, ndcor_function, sporadic,
+)
 from pbent.cyclo import CycInt, gauss_sum, legendre, root_power
 from pbent.field import is_odd_prime, make_field
 from pbent.pfunc import Domain, PFunction, from_expr, random_function, zero_function
@@ -284,6 +286,53 @@ def test_classify_json_shape():
     blob0 = classify(zero_function(Domain.vec(3, 2))).to_json()
     assert blob0["bent"] is False
     assert blob0["witnesses"] == [{"kind": "not_bent_at", "index": 0}]
+
+
+def _ndcor(p, m, modulus, a, b):
+    ctx = make_field(p, m, modulus)
+    return ndcor_function(NdCorSpec(ctx, ctx.element(a), ctx.element(b)))
+
+
+def _nonsquare_trace(p, m, modulus):
+    """Tr(a x^2) for the first non-square a of F_{p^m}."""
+    ctx = make_field(p, m, modulus)
+    return monomial_bent(ctx, next(a for a in range(1, ctx.q) if ctx.eta_idx(a) == -1), 0)
+
+
+@pytest.mark.parametrize(
+    "build, regularity, dual_bent",
+    [
+        (lambda: coordinate_product(3), REGULAR, True),
+        (lambda: from_expr(F27, "Tr(x^2)"), WEAKLY_REGULAR, True),
+        (lambda: _nonsquare_trace(3, 4, None), REGULAR, True),
+        (lambda: sporadic("g2", make_field(3, 4), 0), NON_WEAKLY_REGULAR, False),
+        (lambda: _ndcor(3, 3, None, 3, 9), NON_WEAKLY_REGULAR, False),
+        (lambda: _ndcor(3, 5, (1, 0, 0, 0, 2, 1), 3, 137), NON_WEAKLY_REGULAR, True),
+        (lambda: _ndcor(3, 6, (1, 0, 0, 0, 1, 1, 1), 4, 423), REGULAR, True),
+        (lambda: _nonsquare_trace(5, 2, (2, 0, 1)), REGULAR, True),
+        (lambda: from_expr(F125, "Tr(x^2)"), REGULAR, True),
+        (lambda: _nonsquare_trace(5, 3, None), WEAKLY_REGULAR, True),
+        (lambda: _ndcor(5, 3, None, 5, 25), NON_WEAKLY_REGULAR, False),
+        (lambda: _ndcor(5, 4, (2, 0, 0, 0, 1), 5, 25), NON_WEAKLY_REGULAR, False),
+        (lambda: coordinate_product(7), REGULAR, True),
+        (lambda: _nonsquare_trace(7, 2, (1, 0, 1)), WEAKLY_REGULAR, True),
+        (lambda: _nonsquare_trace(7, 3, (1, 0, 1, 1)), WEAKLY_REGULAR, True),
+        (lambda: _ndcor(7, 3, (1, 0, 1, 1), 7, 49), NON_WEAKLY_REGULAR, False),
+    ],
+    ids=[
+        "p3-n2-y1y2", "p3-n3-trace", "p3-n4-nonsquare", "p3-n4-g2", "p3-n5-ndcor",
+        "p3-n7-ndcor-dual-bent", "p3-n8-ndcor-regular", "p5-n2-nonsquare", "p5-n3-trace",
+        "p5-n3-nonsquare", "p5-n5-ndcor", "p5-n6-ndcor", "p7-n2-y1y2", "p7-n2-nonsquare",
+        "p7-n3-nonsquare", "p7-n5-ndcor",
+    ],
+)
+def test_bent_histogram_equals_the_abs_sq_histogram(build, regularity, dual_bent):
+    """classify writes a bent spectrum's histogram as {p^n: N} from the
+    verdict; it must equal the one formed from every |W(b)|^2."""
+    f = build()
+    rep = classify(f)
+    assert (rep.is_bent, rep.regularity, rep.dual_is_bent) == (True, regularity, dual_bent)
+    assert rep.to_json()["spectrum_histogram"] == walsh_fast(f).histogram_json()
 
 
 def test_dual_relation_requires_weak_regularity(rng):

@@ -39,7 +39,7 @@ from pbent.constructions import (
     sporadic,
 )
 from pbent.field import make_field
-from pbent.pfunc import Domain, PFunction, dump_tt, from_expr, load_tt, save_tt, zero_function
+from pbent.pfunc import Domain, PFunction, dump_tt, from_expr, load_tt, save_tt
 from pbent.walsh import walsh_fast
 
 F27 = make_field(3, 3)
@@ -171,17 +171,22 @@ def test_dual_forms_no_abs_sq_and_matches_once(capsys, monkeypatch, expr, code):
     assert (len(abs_sq), len(matched)) == (0, 1)
 
 
-def test_classify_forms_abs_sq_once_for_the_histogram(capsys, monkeypatch):
+def test_classify_forms_abs_sq_only_for_a_non_bent_histogram(capsys, monkeypatch):
+    """A bent spectrum's histogram is {p^n: N} from the verdict; only a
+    non-bent one forms |W|^2, once."""
     abs_sq, matched = _count_layers(monkeypatch)
     code, out, _ = run(capsys, "classify", "--p", "3", "--m", "3", "--expr", "Tr(x^2)")
-    assert code == 0 and json.loads(out)["dual_bent"] is True
-    W = walsh_fast(from_expr(F27, "Tr(x^2)"))
-    assert len(abs_sq) == 1 and np.array_equal(abs_sq[0], W.values)
+    assert code == 0 and json.loads(out)["spectrum_histogram"] == {"27": 27}
     # f's spectrum, then its dual's, each matched once
+    W = walsh_fast(from_expr(F27, "Tr(x^2)"))
     assert len(matched) == 2 and np.array_equal(matched[0].values, W.values)
-    del abs_sq[:], matched[:]
-    rep = classify(zero_function(Domain.vec(3, 2)))
-    assert (rep.is_bent, len(abs_sq), len(matched)) == (False, 0, 1)
+    assert abs_sq == []
+    del matched[:]
+    code, out, _ = run(capsys, "classify", "--p", "3", "--m", "3", "--expr", "Tr(x^3)")
+    assert code == 0 and json.loads(out)["bent"] is False
+    W = walsh_fast(from_expr(F27, "Tr(x^3)"))
+    assert len(abs_sq) == 1 and np.array_equal(abs_sq[0], W.values)
+    assert len(matched) == 1 and np.array_equal(matched[0].values, W.values)
 
 
 def test_construction_duals_match_each_spectrum_once(monkeypatch):
@@ -824,7 +829,7 @@ def test_search_error_mid_scan_leaves_no_worker(capsys, tmp_path, monkeypatch):
     """A task that fails in a worker ends the scan with exit 2, and the pool
     is shut down before main returns.  The forked workers inherit the patch,
     which fails only outside this process, so the scan must have forked."""
-    real = cli.evaluate_pairs
+    real = cli._pair_verdicts
     main_pid = os.getpid()
 
     def failing(ctx, pairs):
@@ -832,7 +837,7 @@ def test_search_error_mid_scan_leaves_no_worker(capsys, tmp_path, monkeypatch):
             raise ConstructionError("injected failure")
         return real(ctx, pairs)
 
-    monkeypatch.setattr(cli, "evaluate_pairs", failing)
+    monkeypatch.setattr(cli, "_pair_verdicts", failing)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     code, _, err = run(
         capsys, "search", "--p", "3", "--m", "5", "--modulus", "1,0,0,0,2,1",
@@ -897,6 +902,11 @@ PINNED_SEARCHES = [
         ("--p", "3", "--m", "4", "--limit", "1000", "--width", "1"),
         "a3c3a56f1c6fcd55ab6462ae927176026f68f47304678bbc45b55a080eccedc6",
         id="f81-limit1000",
+    ),
+    pytest.param(
+        ("--p", "7", "--m", "3", "--modulus", "1,0,1,1", "--limit", "20000", "--width", "1"),
+        "d52a71fc2c5fbece321b43c486d5838eaa0409c79ae8ed7d3399dcc3ce2ff093",
+        id="f343-limit20000",
     ),
     pytest.param(
         ("--p", "5", "--m", "3", "--limit", "1234", "--width", "2"),

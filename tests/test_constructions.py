@@ -16,6 +16,7 @@ from pbent.bent import (
 from pbent.constructions import (
     ConstructionError,
     _independent,
+    _pair_rows,
     _rank_mod_p,
     NdCorSpec,
     SdsSpec,
@@ -55,7 +56,7 @@ from pbent.pfunc import (
     random_function,
     zero_function,
 )
-from pbent.walsh import walsh_fast
+from pbent.walsh import _abs_sq, _dft, walsh_fast
 
 F9 = make_field(3, 2, (1, 0, 1))
 F27 = make_field(3, 3)
@@ -650,16 +651,63 @@ def test_evaluate_pairs_constant_eta_pairs_are_regular_on_f729(rng):
 
 def test_pair_slice_cuts_the_pair_list_anywhere(rng):
     """Any start..stop of the scan, inside one alpha's betas or across
-    several, is the same slice of independent_pairs."""
+    several, is the same slice of independent_pairs; like a slice, a stop
+    past the end keeps the pairs that exist, and a start at or past it
+    gives an empty [0, 2] array."""
     ctx = make_field(3, 4)
     pairs = list(independent_pairs(ctx))
-    assert len(pairs) == (81 - 3) * (81 - 9)
-    cuts = [(0, 0), (0, 1), (71, 73), (0, len(pairs)), (len(pairs) - 5, len(pairs))]
-    cuts += [tuple(sorted(c)) for c in rng.integers(0, len(pairs) + 1, size=(20, 2)).tolist()]
+    total = len(pairs)
+    assert total == (81 - 3) * (81 - 9)
+    cuts = [(0, 0), (0, 1), (71, 73), (0, total), (total - 5, total)]
+    cuts += [tuple(sorted(c)) for c in rng.integers(0, total + 1, size=(20, 2)).tolist()]
+    cuts += [(0, total + 5), (total - 3, total + 70), (total - 1, 10**6), (total, total + 1),
+             (total + 3, total + 9), (10**6, 2 * 10**6)]
     for start, stop in cuts:
         got = pair_slice(ctx, start, stop)
-        assert got.shape == (stop - start, 2)
+        assert got.shape == (len(pairs[start:stop]), 2) and got.dtype == np.int64
         assert list(map(tuple, got.tolist())) == pairs[start:stop], (start, stop)
+
+
+def _abs_sq_rule(ctx, pairs):
+    """The dual verdict by |T(w)|^2 = p^2 for every w, with |T|^2 formed by
+    walsh._abs_sq: the rule the candidate match replaced, kept as an oracle.
+    Returns the |T(0)|^2 rows and the verdicts."""
+    p = ctx.p
+    _, phased = _pair_rows(ctx, *pairs.T)
+    T = _dft(phased.reshape(-1, p - 1), p, 2, +1)
+    abs_sq = _abs_sq(T, p).reshape(len(pairs), p * p, p - 1)
+    target = np.zeros(p - 1, dtype=np.int64)
+    target[0] = p * p
+    return abs_sq[:, 0], (abs_sq == target).all(axis=(1, 2))
+
+
+@pytest.mark.parametrize(
+    "ctx,k,dual_bent_count",
+    [
+        (F81, None, 0),
+        (make_field(3, 5, (1, 0, 0, 0, 2, 1)), None, 1080),
+        (make_field(7, 3, (1, 0, 1, 1)), 4000, None),
+        (make_field(11, 3, (1, 0, 4, 1)), 600, None),
+        (make_field(13, 3, (1, 0, 4, 1)), 300, None),
+    ],
+    ids=["F81", "F243", "F343", "F1331", "F2197"],
+)
+def test_dual_bent_verdict_equals_the_abs_sq_rule(ctx, k, dual_bent_count, rng):
+    """evaluate_pairs' candidate match against the |T(w)|^2 rule on every
+    pair of F_81 and F_243 and on k seeded pairs of the larger fields; the
+    dual-bent counts are those of the full scans' summaries."""
+    total = (ctx.q - ctx.p) * (ctx.q - ctx.p**2)
+    if k is None:
+        pairs = pair_slice(ctx, 0, total)
+    else:
+        starts = np.unique(rng.integers(0, total, size=k)).tolist()
+        pairs = np.concatenate([pair_slice(ctx, s, s + 1) for s in starts])
+    verdicts = evaluate_pairs(ctx, pairs)
+    abs_sq_S, dual_bent = _abs_sq_rule(ctx, pairs)
+    assert np.array_equal(verdicts.abs_sq_S, abs_sq_S)
+    assert np.array_equal(verdicts.dual_bent, dual_bent)
+    if dual_bent_count is not None:
+        assert (len(pairs), int(dual_bent.sum())) == (total, dual_bent_count)
 
 
 def test_evaluate_pairs_rejects_dependent_pairs_and_oversized_fields():
