@@ -1,14 +1,17 @@
 """Finite fields F_{p^m} of odd characteristic on a polynomial basis.
 
 A FieldCtx freezes one concrete field: the modulus, a primitive element, and
-the lookup tables that make bulk evaluation cheap (digit matrix, discrete
-exp/log, traces, the trace bilinear form).  Every table comes from powers of
-one matrix, the modulus's companion matrix M (multiplication by the root w
-on digit columns): element a acts as sum_i a_i M^i, and Tr(w^k) is the
-matrix trace of M^k.  Elements travel as integer indices; index =
+the lookup tables that make bulk evaluation cheap (discrete exp/log, traces,
+the trace bilinear form).  Elements travel as integer indices; index =
 sum(coeffs[i] * p^i) with the constant digit least significant, so index
 order is also the truth-table point order used everywhere else in the
-package.
+package.  Multiplication by an element a is the matrix sum_i a_i M^i, with M
+the modulus's companion matrix (multiplication by the root w on digit
+columns), and Tr(w^k) is the matrix trace of M^k.  Every F_p-linear map on
+elements -- multiplication by a fixed element, the trace, a Gram matrix --
+runs in index space: `LinearMaps` tabulates the images of each half of the
+digits and adds two halves' images digit-wise without ever forming the
+p^m x m digit table.
 """
 from __future__ import annotations
 
@@ -49,6 +52,78 @@ def digit_table(p: int, n: int) -> np.ndarray:
     for j in range(n):
         digits[:, j].reshape(-1, p, p**j)[...] = np.arange(p)[:, None]
     return digits
+
+
+def outer_sum(parts) -> np.ndarray:
+    """Mixed-radix outer sum: sum_j parts[j][d_j] at the index whose digit j
+    is d_j in radix len(parts[j]), digit 0 lowest."""
+    acc = np.zeros(1, dtype=np.int64)
+    for part in parts:
+        acc = np.add.outer(part, acc).reshape(-1)
+    return acc
+
+
+class LinearMaps:
+    """F_p-linear maps x -> index(C * digits(x)) on m-digit indices, for m x m matrices C.
+
+    The digits split into a low half of ceil(m/2) digits and a high half.
+    Each half's image is tabulated over that half's p^(m/2) digit vectors,
+    written in radix 2p - 1, where the sum of two digit vectors carries
+    nothing.  So the image of x is one integer sum of two gathers, and a
+    table over one half of the radix-(2p - 1) digits reduces the sum back
+    to a base-p index, half by half.  No table has more than (2p)^ceil(m/2)
+    entries.  On one digit (m = 1) there are no halves to split: the map is
+    x -> c * x mod p, computed without a table.
+    """
+
+    def __init__(self, p: int, m: int) -> None:
+        self.p = p
+        self.m = m
+        if m == 1:
+            return
+        lo = (m + 1) // 2
+        radix = 2 * p - 1
+        if radix**m > np.iinfo(np.int64).max:
+            raise FieldError(f"radix-{radix} images of {m} digits overflow int64")
+        self._lo = lo
+        self._split = p**lo
+        self._lo_digits = digit_table(p, lo)
+        self._hi_digits = digit_table(p, m - lo)
+        self._radix_pw = radix ** np.arange(m, dtype=np.int64)
+        self._spread = radix**lo
+        self._reduce = outer_sum([np.arange(radix, dtype=np.int64) % p * p**i for i in range(lo)])
+        self._reduce_hi = self._reduce * self._split
+
+    def _halves(self, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Radix-(2p - 1) images of every low-half and every high-half digit vector."""
+        lo, hi = C[:, : self._lo], C[:, self._lo :]
+        return (
+            self._lo_digits @ lo.T % self.p @ self._radix_pw,
+            self._hi_digits @ hi.T % self.p @ self._radix_pw,
+        )
+
+    def _reduced(self, z: np.ndarray) -> np.ndarray:
+        hi, lo = np.divmod(z, self._spread)
+        out = self._reduce[lo]
+        out += self._reduce_hi[hi]
+        return out
+
+    def __call__(self, C: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Images of the indices x."""
+        if self.m == 1:
+            return x * int(C[0, 0]) % self.p
+        lo_img, hi_img = self._halves(C)
+        hi, lo = np.divmod(x, self._split)
+        z = lo_img[lo]
+        z += hi_img[hi]
+        return self._reduced(z)
+
+    def table(self, C: np.ndarray) -> np.ndarray:
+        """Images of every index 0..p^m - 1."""
+        if self.m == 1:
+            return self(C, np.arange(self.p, dtype=np.int64))
+        lo_img, hi_img = self._halves(C)
+        return self._reduced(np.add.outer(hi_img, lo_img).reshape(-1))
 
 
 def is_odd_prime(n: int) -> bool:
@@ -149,8 +224,6 @@ class FieldCtx:
         self.modulus = mod
         self._pw = tuple(p**i for i in range(m))
 
-        self.digits = digit_table(p, m)  # row i: coefficient vector of element i
-
         # companion matrix of the modulus: multiplication by w on digit columns
         comp = np.zeros((m, m), dtype=np.int64)
         comp[1:, :-1] = np.eye(m - 1, dtype=np.int64)
@@ -173,7 +246,7 @@ class FieldCtx:
 
         self._build_exp_log()
         # Tr is F_p-linear, so Tr(a) = sum_i a_i Tr(w^i)
-        self.trace_table = self.digits @ traces[:m] % p
+        self.trace_table = outer_sum([np.arange(p, dtype=np.int64) * t for t in traces[:m]]) % p
         # Gram matrix of the trace form Tr(w^i w^j), used by the fast transform
         self.gram = traces[np.add.outer(np.arange(m), np.arange(m))]
 
@@ -182,9 +255,18 @@ class FieldCtx:
     def compose(self, digit_vec) -> int:
         return int(sum(int(d) * w for d, w in zip(digit_vec, self._pw)))
 
+    def digits_of(self, idx: int) -> list[int]:
+        """Coefficient vector of one element, constant digit first."""
+        return [int(idx) // w % self.p for w in self._pw]
+
+    @cached_property
+    def digits(self) -> np.ndarray:
+        """Row i: coefficient vector of element i; a q x m table, built on first use."""
+        return digit_table(self.p, self.m)
+
     def _mult_matrix(self, idx: int) -> np.ndarray:
         # matrix of multiplication by element idx on digit column vectors
-        return np.tensordot(self.digits[idx], self._basis_mats, axes=1) % self.p
+        return np.tensordot(self.digits_of(idx), self._basis_mats, axes=1) % self.p
 
     def _mat_pow(self, a: np.ndarray, e: int) -> np.ndarray:
         result = np.eye(self.m, dtype=np.int64)
@@ -210,20 +292,21 @@ class FieldCtx:
         raise FieldError("no primitive element found (internal error)")
 
     def _build_exp_log(self) -> None:
-        p, m, q = self.p, self.m, self.q
-        rows = np.zeros((q - 1, m), dtype=np.int64)
-        rows[0, 0] = 1
+        p, q = self.p, self.q
+        maps = LinearMaps(p, self.m)
+        self.exp = np.empty(q - 1, dtype=np.int64)
+        self.exp[0] = 1
         g = self._mult_matrix(self.primitive_index)
         filled = 1
-        # double the known prefix of powers each round: g^(t+k) = g^k * g^t,
-        # squaring g's matrix alongside so that it stays that of g^filled
+        # double the known prefix of powers each round: g^(filled+t) is the
+        # image of g^t under multiplication by g^filled, a linear map applied
+        # in index space; g's matrix is squared alongside so that it stays
+        # that of g^filled
         while filled < q - 1:
             take = min(filled, q - 1 - filled)
-            rows[filled : filled + take] = (rows[:take] @ g.T) % p
+            self.exp[filled : filled + take] = maps(g, self.exp[:take])
             filled += take
             g = g @ g % p
-        pw = np.array(self._pw, dtype=np.int64)
-        self.exp = rows @ pw
         self.log = np.full(q, -1, dtype=np.int64)
         self.log[self.exp] = np.arange(q - 1, dtype=np.int64)
         if (self.log[1:] < 0).any():
@@ -232,13 +315,13 @@ class FieldCtx:
     # ---- index-space operations ------------------------------------------
 
     def add_idx(self, a: int, b: int) -> int:
-        return self.compose((self.digits[a] + self.digits[b]) % self.p)
+        return self.compose((x + y) % self.p for x, y in zip(self.digits_of(a), self.digits_of(b)))
 
     def neg_idx(self, a: int) -> int:
-        return self.compose((-self.digits[a]) % self.p)
+        return self.compose(-x % self.p for x in self.digits_of(a))
 
     def sub_idx(self, a: int, b: int) -> int:
-        return self.compose((self.digits[a] - self.digits[b]) % self.p)
+        return self.compose((x - y) % self.p for x, y in zip(self.digits_of(a), self.digits_of(b)))
 
     def mul_idx(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -266,6 +349,13 @@ class FieldCtx:
         if a == 0:
             raise FieldError("the quadratic character is undefined at 0")
         return int(self.eta_table[a])
+
+    @cached_property
+    def trace_exp(self) -> np.ndarray:
+        """Tr(g^k) by k for 0 <= k < q - 1, read-only and built on first use."""
+        table = self.trace_table[self.exp]
+        table.flags.writeable = False
+        return table
 
     @cached_property
     def eta_table(self) -> np.ndarray:
@@ -338,7 +428,7 @@ class FieldCtx:
     def primitive_indices(self) -> list[int]:
         """Indices of every generator of the multiplicative group."""
         n = self.q - 1
-        return [int(self.exp[t]) for t in range(n) if np.gcd(t, n) == 1]
+        return self.exp[np.gcd(np.arange(n), n) == 1].tolist()
 
     def elements(self):
         for i in range(self.q):
@@ -370,7 +460,7 @@ class FieldElement:
 
     @property
     def coeffs(self) -> tuple[int, ...]:
-        return tuple(int(d) for d in self.ctx.digits[self.index])
+        return tuple(self.ctx.digits_of(self.index))
 
     def _check(self, other) -> "FieldElement":
         if isinstance(other, int):

@@ -12,7 +12,16 @@ import re
 
 import numpy as np
 
-from .field import FieldCtx, FieldElement, FieldError, digit_table, exceeds_size_limit, is_odd_prime
+from .field import (
+    FieldCtx,
+    FieldElement,
+    FieldError,
+    LinearMaps,
+    digit_table,
+    exceeds_size_limit,
+    is_odd_prime,
+    outer_sum,
+)
 
 
 class DomainError(ValueError):
@@ -133,8 +142,10 @@ class Domain:
         return self._cache["digits"]  # type: ignore[return-value]
 
     def negation_perm(self) -> np.ndarray:
+        """x -> -x: digit j of the image is -d_j mod p."""
         if "negperm" not in self._cache:
-            self._cache["negperm"] = ((-self.digits_matrix()) % self.p) @ self._digit_pw
+            neg = -np.arange(self.p, dtype=np.int64) % self.p
+            self._cache["negperm"] = outer_sum([neg * w for w in self._digit_pw])
         return self._cache["negperm"]  # type: ignore[return-value]
 
     # ---- the bilinear pairing ----------------------------------------------
@@ -177,17 +188,16 @@ class Domain:
         read-only.
 
         C is block diagonal, one block per component, so each component's
-        permutation is built on its own digits and the components are
-        combined by their mixed-radix offsets in one outer sum each.
+        permutation is `_block_perm` of its own block, and the components are
+        combined by their mixed-radix offsets in one outer sum.
         """
         if "wperm" not in self._cache:
             C = self.gram()
-            perm = np.zeros(1, dtype=np.int64)
-            pos = 0
+            blocks, pos = [], 0
             for c, off in zip(self.components, self._comp_offsets):
-                block = _block_perm(C[pos : pos + c.dim, pos : pos + c.dim], self.p)
-                perm = np.add.outer(block * off, perm).reshape(-1)
+                blocks.append(_block_perm(C[pos : pos + c.dim, pos : pos + c.dim], self.p) * off)
                 pos += c.dim
+            perm = outer_sum(blocks)
             hit = np.zeros(self.size, dtype=bool)
             hit[perm] = True
             if not hit.all():
@@ -200,18 +210,11 @@ class Domain:
 def _block_perm(C: np.ndarray, p: int) -> np.ndarray:
     """b -> index(C * digits(b)) on p^d points for a d x d Gram block C.
 
-    Digit r of the image is sum_i C[r, i] * b_i mod p, grown over the input
-    digits as one mixed-radix outer sum (digit i is the outer axis of the
-    first p^(i+1) indices), so the build costs O(p^d * d), not O(p^d * d^2).
+    `LinearMaps` tabulates the images of the low and the high half of the
+    digits and adds them digit-wise over every (high, low) pair, so the build
+    is a few passes over p^d indices whatever d is.
     """
-    d = np.arange(p, dtype=np.int64)
-    perm = np.zeros(p ** len(C), dtype=np.int64)
-    for r in range(len(C)):
-        acc = np.zeros(1, dtype=np.int64)
-        for i in range(len(C)):
-            acc = np.add.outer(C[r, i] * d, acc).reshape(-1)
-        perm += (acc % p) * p**r
-    return perm
+    return LinearMaps(p, len(C)).table(C)
 
 
 class PFunction:
@@ -464,18 +467,23 @@ def from_expr(ctx: FieldCtx, src: str) -> PFunction:
     """Build a PFunction on the field domain from a trace-polynomial expression."""
     parser = _Parser(ctx, src)
     terms = parser.parse()
-    dom = Domain.field(ctx)
-    idx = np.arange(ctx.q, dtype=np.int64)
     table = np.zeros(ctx.q, dtype=np.int64)
     for term in terms:
         if term[0] == "const":
-            table = (table + term[1]) % ctx.p
-        else:
-            _, scale, (coef, expo) = term
-            xe = ctx.pow_indices(idx, expo)
-            prod = ctx.mul_indices(np.full(ctx.q, coef.index, dtype=np.int64), xe)
-            table = (table + scale * ctx.trace_table[prod]) % ctx.p
-    return PFunction(dom, table)
+            table += term[1]
+            continue
+        _, scale, (coef, expo) = term
+        if coef.index == 0:
+            continue  # Tr(0) = 0 everywhere
+        if expo == 0:
+            table += scale * ctx.trace_idx(coef.index)  # x^0 = 1, at x = 0 too
+            continue
+        # at x = g^t != 0, Tr(c x^e) = Tr(g^(log c + e t)); at x = 0 it is Tr(0) = 0
+        k = ctx.log[1:] * (expo % (ctx.q - 1))
+        k += ctx.log[coef.index]
+        k %= ctx.q - 1
+        table[1:] += scale * ctx.trace_exp[k]
+    return PFunction(Domain.field(ctx), table % ctx.p)
 
 
 # ---- truth-table files -------------------------------------------------------

@@ -145,6 +145,24 @@ def test_dual_runs_one_transform(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_dual_on_f5_8_forms_no_digit_table(capsys, monkeypatch, tmp_path):
+    """`dual --expr` builds the field, the expression and the pairing
+    permutation in index space: the q x m digit table stays unbuilt."""
+    fields = []
+
+    def recorded(*args):
+        fields.append(make_field(*args))
+        return fields[-1]
+
+    monkeypatch.setattr(cli, "make_field", recorded)
+    expr = "Tr((3w^7 + w^3 + 2) x^2) + Tr((w^5 + 4w + 1) x)"
+    out = tmp_path / "dual.tt"
+    code, _, err = run(capsys, "dual", "--p", "5", "--m", "8", "--modulus", "1,0,0,0,0,1,1,0,1",
+                       "--expr", expr, "--out", str(out))
+    assert (code, err) == (0, "")
+    assert len(fields) == 1 and "digits" not in fields[0].__dict__
+
+
 def _count_layers(monkeypatch) -> tuple[list, list]:
     """Record the coefficient rows of every |W|^2 formed and the spectrum of
     every bent-candidate match."""

@@ -5,6 +5,7 @@ modulo (p, modulus), with no lookup tables, so that every table-backed
 operation in the library is checked against something that cannot share its
 bugs.
 """
+import tracemalloc
 from math import gcd
 
 import numpy as np
@@ -14,6 +15,8 @@ from pbent.field import (
     BUILTIN_MODULI,
     FieldCtx,
     FieldError,
+    LinearMaps,
+    digit_table,
     eta,
     make_field,
     poly_is_irreducible,
@@ -429,3 +432,129 @@ def test_primitive_indices_enumeration():
     for idx in prim:
         d = tuple(int(v) for v in k.digits[idx])
         assert poly_pow_mod(d, 4, k.modulus, 3) != one
+
+
+# ---- index-space tables against the digit-row builders ---------------------------------
+#
+# The builders below are the ones FieldCtx used before its tables moved to index
+# space: exp by doubling products of (q - 1) x m digit rows with g's matrix, the
+# trace table as the q x m digit table times Tr(w^j), and each pairing permutation
+# digit by digit as a mixed-radix outer sum.  They share no code with
+# `LinearMaps`, so they are the oracles for it.
+
+
+def first_modulus(p, m):
+    """The first monic irreducible of degree m over F_p, counting its lower
+    digits (lowest first) as a base-p number."""
+    for code in range(p**m):
+        mod = tuple((code // p**i) % p for i in range(m)) + (1,)
+        if poly_is_irreducible(mod, p):
+            return mod
+    raise AssertionError(f"no irreducible of degree {m} over F_{p}")
+
+
+def row_product_tables(p, m, modulus, primitive):
+    """exp, log and the trace table built from digit rows."""
+    q = p**m
+    comp = np.zeros((m, m), dtype=np.int64)
+    comp[1:, :-1] = np.eye(m - 1, dtype=np.int64)
+    comp[:, -1] = [(-c) % p for c in modulus[:m]]
+    powers = [np.eye(m, dtype=np.int64)]
+    for _ in range(m - 1):
+        powers.append(powers[-1] @ comp % p)
+    traces = np.array([np.trace(a) for a in powers]) % p
+    digits = digit_table(p, m)
+    g = np.tensordot(digits[primitive], np.stack(powers), axes=1) % p
+    rows = np.zeros((q - 1, m), dtype=np.int64)
+    rows[0, 0] = 1
+    filled = 1
+    while filled < q - 1:
+        take = min(filled, q - 1 - filled)
+        rows[filled : filled + take] = (rows[:take] @ g.T) % p
+        filled += take
+        g = g @ g % p
+    exp = rows @ (p ** np.arange(m, dtype=np.int64))
+    log = np.full(q, -1, dtype=np.int64)
+    log[exp] = np.arange(q - 1)
+    return exp, log, digits @ traces % p
+
+
+def per_row_block_perm(C, p):
+    """b -> index(C * digits(b)), one outer sum over the input digits per output digit."""
+    d = np.arange(p, dtype=np.int64)
+    perm = np.zeros(p ** len(C), dtype=np.int64)
+    for r in range(len(C)):
+        acc = np.zeros(1, dtype=np.int64)
+        for i in range(len(C)):
+            acc = np.add.outer(C[r, i] * d, acc).reshape(-1)
+        perm += (acc % p) * p**r
+    return perm
+
+
+# every field with q <= 3^8 for p in {3, 5, 7, 11, 13}, three large ones, and
+# one- and two-digit fields of large characteristic
+ORACLE_FIELDS = [
+    (p, m, None) for p in (3, 5, 7, 11, 13) for m in range(1, 9) if p**m <= 3**8
+] + [
+    (5, 8, (1, 0, 0, 0, 0, 1, 1, 0, 1)),
+    (3, 12, (1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1)),
+    (7, 7, (1, 0, 0, 0, 0, 0, 6, 1)),
+    (1009, 1, None),
+    (2003, 1, None),
+    (1009, 2, None),
+]
+
+
+@pytest.mark.parametrize("p,m,mod", ORACLE_FIELDS, ids=lambda v: str(v) if v else "-")
+def test_index_space_tables_match_digit_row_builders(p, m, mod):
+    mod = mod or first_modulus(p, m)
+    assert poly_is_irreducible(mod, p)
+    ctx = make_field(p, m, mod)
+    exp, log, trace_table = row_product_tables(p, m, mod, ctx.primitive_index)
+    assert np.array_equal(ctx.exp, exp)
+    assert np.array_equal(ctx.log, log)
+    assert np.array_equal(ctx.trace_table, trace_table)
+    assert np.array_equal(ctx.trace_exp, trace_table[exp])
+    assert np.array_equal(Domain.field(ctx).walsh_perm(), per_row_block_perm(ctx.gram, p))
+    for i in range(0, ctx.q, max(1, ctx.q // 97)):
+        assert ctx.digits_of(i) == [i // p**j % p for j in range(m)]
+    assert "digits" not in ctx.__dict__  # nothing above needs the q x m table
+    assert np.array_equal(ctx.digits, digit_table(p, m))
+
+
+@pytest.mark.parametrize(
+    "p,m", [(3, 1), (3, 2), (3, 3), (3, 5), (5, 4), (7, 3), (11, 2), (1009, 1), (101, 3)]
+)
+def test_linear_maps_match_digit_products(p, m, rng):
+    maps = LinearMaps(p, m)
+    digits = digit_table(p, m)
+    pw = p ** np.arange(m, dtype=np.int64)
+    x = rng.integers(0, p**m, size=500)
+    zero = np.zeros((m, m), dtype=np.int64)
+    for C in [rng.integers(0, p, size=(m, m)) for _ in range(3)] + [zero]:
+        expected = digits @ C.T % p @ pw
+        assert np.array_equal(maps.table(C), expected)
+        assert np.array_equal(maps(C, x), expected[x])
+
+
+def test_linear_maps_refuse_images_past_int64():
+    # 5^27 < 2^63 - 1 < 5^28: the radix-5 images of 28 ternary digits overflow
+    with pytest.raises(FieldError, match="overflow int64"):
+        LinearMaps(3, 28)
+
+
+def test_make_field_memory_is_bounded():
+    """The tables are a few arrays of q int64; no q x m digit table is formed."""
+    for p, m, mod, bound in [
+        (5, 8, (1, 0, 0, 0, 0, 1, 1, 0, 1), 20 * 2**20),
+        (1009, 2, first_modulus(1009, 2), 64 * 1009**2),
+        (101, 3, first_modulus(101, 3), 64 * 101**3),
+    ]:
+        tracemalloc.start()
+        try:
+            ctx = make_field(p, m, mod)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (p, m, peak)
+        assert "digits" not in ctx.__dict__

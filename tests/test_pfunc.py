@@ -289,6 +289,54 @@ def test_multi_term_sum():
     assert list(f.table) == [(x + y + 2) % 3 for x, y in zip(a.table, b.table)]
 
 
+def _scalar_expr(ctx, terms):
+    """Truth table of sum scale * Tr(c x^e) + const, one element at a time."""
+    table = []
+    for x in range(ctx.q):
+        total = 0
+        for scale, c, e in terms:
+            if c is None:
+                total += scale
+            else:
+                total += scale * ctx.trace_idx(ctx.mul_idx(c, ctx.pow_idx(x, e)))
+        table.append(total % ctx.p)
+    return table
+
+
+@pytest.mark.parametrize(
+    "ctx", [F27, make_field(3, 4), make_field(5, 3)], ids=["f27", "f81", "f125"]
+)
+def test_expression_matches_scalar_evaluation(ctx, rng):
+    q, p = ctx.q, ctx.p
+    edge = [
+        ("Tr(0 x^2)", [(1, 0, 2)]),
+        ("Tr(x^0)", [(1, 1, 0)]),
+        ("Tr(g^3 x^0)", [(1, ctx.pow_idx(ctx.primitive_index, 3), 0)]),
+        (f"Tr(x^{q - 1})", [(1, 1, q - 1)]),
+        (f"2*Tr(w x^{q})", [(2, ctx.w.index, q)]),
+        (f"Tr(x^{3 * (q - 1)})", [(1, 1, 3 * (q - 1))]),
+        ("1", [(1, None, 0)]),
+        (f"{p + 2}", [(2, None, 0)]),
+        ("Tr(x) + Tr(0 x) + 0", [(1, 1, 1), (1, 0, 1), (0, None, 0)]),
+    ]
+    for src, terms in edge:
+        assert list(from_expr(ctx, src).table) == _scalar_expr(ctx, terms), src
+    for _ in range(12):
+        parts, terms = [], []
+        for _ in range(int(rng.integers(1, 5))):
+            if rng.random() < 0.2:
+                k = int(rng.integers(0, 2 * p))
+                parts.append(str(k))
+                terms.append((k % p, None, 0))
+                continue
+            scale, k, e = (int(v) for v in rng.integers(0, (p, q, 3 * q)))
+            coef = "0" if k == 0 else f"g^{k}"
+            parts.append(f"{scale}*Tr({coef} x^{e})")
+            terms.append((scale, 0 if k == 0 else ctx.pow_idx(ctx.primitive_index, k), e))
+        src = " + ".join(parts)
+        assert list(from_expr(ctx, src).table) == _scalar_expr(ctx, terms), src
+
+
 def test_expression_errors_carry_positions():
     with pytest.raises(ExprError, match="position 3"):
         from_expr(F27, "Tr(y)")  # unknown letter
