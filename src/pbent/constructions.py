@@ -17,7 +17,7 @@ from .bent import (
     NON_WEAKLY_REGULAR, DualExtractionError, Verdict, classify, extract_dual, is_bent, match_rows,
 )
 from .cyclo import CycInt
-from .field import FieldCtx, FieldElement, FieldError
+from .field import FieldCtx, FieldElement, FieldError, _rank_mod_p
 from .pfunc import Domain, PFunction, VecPart
 from .walsh import _abs_sq, _dft, _root_rows, mul_rows, rotate_rows, walsh_fast
 
@@ -63,10 +63,7 @@ def cm_bent(ctx: FieldCtx, alpha, k: int) -> PFunction:
 
 
 def _trace_monomial(ctx: FieldCtx, alpha: FieldElement, expo: int) -> PFunction:
-    idx = np.arange(ctx.q, dtype=np.int64)
-    xe = ctx.pow_indices(idx, expo)
-    prod = ctx.mul_indices(np.full(ctx.q, alpha.index, dtype=np.int64), xe)
-    return PFunction(Domain.field(ctx), ctx.trace_table[prod])
+    return PFunction(Domain.field(ctx), ctx.trace_term(alpha.index, expo))
 
 
 # ---- sums ----------------------------------------------------------------------
@@ -208,27 +205,6 @@ def cor1_family(
     return Cor1Result(F, plus > 0 and minus > 0, (plus, minus))
 
 
-def _rank_mod_p(rows, p: int) -> int:
-    mat = [list(r) for r in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for c in range(cols):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][c] % p), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = pow(mat[rank][c], p - 2, p)
-        mat[rank] = [(v * inv) % p for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][c] % p:
-                f = mat[r][c]
-                mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
-
-
 # ---- the planted non-dual-bent family -------------------------------------------
 
 @dataclass
@@ -301,15 +277,13 @@ def ndcor_condition_sum(spec: NdCorSpec) -> CycInt:
 def ndcor_function(spec: NdCorSpec) -> PFunction:
     """F(x, y1, y2) = Tr(x^2) + (y1 + Tr(alpha x^2)) * (y2 + Tr(beta x^2)).
 
-    x^2 is computed once; f and the two coordinate maps are the traces of
-    1, alpha and beta times it, the tables monomial_bent(ctx, c, 0) gives.
+    f and the two coordinate maps are Tr(c x^2) for c = 1, alpha and beta,
+    the tables monomial_bent(ctx, c, 0) gives.
     """
     ctx = spec.ctx
     dom = Domain.field(ctx)
-    sq = ctx.pow_indices(np.arange(ctx.q, dtype=np.int64), 2)
     f, h1, h2 = (
-        PFunction(dom, ctx.trace_table[ctx.mul_indices(c.index, sq)])
-        for c in (ctx.one, spec.alpha, spec.beta)
+        PFunction(dom, ctx.trace_term(c.index, 2)) for c in (ctx.one, spec.alpha, spec.beta)
     )
     return semi_direct_sum(SdsSpec(f=f, g=coordinate_product(ctx.p), h=[h1, h2]))
 

@@ -7,11 +7,13 @@ sum(coeffs[i] * p^i) with the constant digit least significant, so index
 order is also the truth-table point order used everywhere else in the
 package.  Multiplication by an element a is the matrix sum_i a_i M^i, with M
 the modulus's companion matrix (multiplication by the root w on digit
-columns), and Tr(w^k) is the matrix trace of M^k.  Every F_p-linear map on
-elements -- multiplication by a fixed element, the trace, a Gram matrix --
-runs in index space: `LinearMaps` tabulates the images of each half of the
-digits and adds two halves' images digit-wise without ever forming the
-p^m x m digit table.
+columns), and Tr(w^k) is the matrix trace of M^k.  M also decides whether the
+modulus is irreducible, by Rabin's test on its Frobenius powers M^(p^k).
+Every F_p-linear map on elements -- multiplication by a fixed element, the
+trace, a Gram matrix -- runs in index space: `LinearMaps` tabulates the
+images of each half of the digits and adds two halves' images digit-wise
+without ever forming the p^m x m digit table.  Every Tr(c * x^e) table is
+one gather into the table of Tr(g^k), at k = log c + e * log x.
 """
 from __future__ import annotations
 
@@ -151,50 +153,65 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-# ---- polynomial helpers over F_p (dense digit lists, lowest degree first) ----
-
-def _poly_trim(a: list[int]) -> list[int]:
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_rem(num: list[int], den: list[int], p: int) -> list[int]:
-    num = [c % p for c in num]
-    dn = len(den) - 1
-    lead_inv = pow(den[-1], p - 2, p)
-    for k in range(len(num) - 1, dn - 1, -1):
-        c = num[k] % p
-        if c == 0:
+def _rank_mod_p(rows, p: int) -> int:
+    """Rank over F_p of a list of integer rows, by Gauss-Jordan elimination."""
+    mat = [list(r) for r in rows]
+    rank = 0
+    cols = len(mat[0]) if mat else 0
+    for c in range(cols):
+        piv = next((r for r in range(rank, len(mat)) if mat[r][c] % p), None)
+        if piv is None:
             continue
-        q = (c * lead_inv) % p
-        for j in range(dn + 1):
-            num[k - dn + j] = (num[k - dn + j] - q * den[j]) % p
-    return _poly_trim(num[:dn] or [0])
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = pow(mat[rank][c], p - 2, p)
+        mat[rank] = [(v * inv) % p for v in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][c] % p:
+                f = mat[r][c]
+                mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+        if rank == len(mat):
+            break
+    return rank
+
+
+def _companion(mod, p: int) -> np.ndarray:
+    """Companion matrix of a monic modulus: multiplication by its root w on digit columns."""
+    m = len(mod) - 1
+    comp = np.zeros((m, m), dtype=np.int64)
+    comp[1:, :-1] = np.eye(m - 1, dtype=np.int64)
+    comp[:, -1] = [(-c) % p for c in mod[:m]]
+    return comp
+
+
+def _mat_pow(a: np.ndarray, e: int, p: int) -> np.ndarray:
+    result = np.eye(len(a), dtype=np.int64)
+    while e:
+        if e & 1:
+            result = result @ a % p
+        a = a @ a % p
+        e >>= 1
+    return result
 
 
 def poly_is_irreducible(modulus, p: int) -> bool:
-    """Brute-force irreducibility over F_p: root test plus trial division.
+    """Rabin's test on the companion matrix M of the modulus, of degree m.
 
-    Trial divisors run over every monic polynomial of degree up to deg/2,
-    which is exhaustive at the sizes this package supports.
+    The modulus is irreducible over F_p exactly when M^(p^m) = M and, for
+    every prime r dividing m, M^(p^(m/r)) - M has full rank: M^k - M is
+    singular exactly when x^k - x shares a factor with the modulus.
     """
     mod = [c % p for c in modulus]
     m = len(mod) - 1
-    if m < 1 or mod[-1] % p != 1:
+    if m < 1 or mod[-1] != 1:
         raise FieldError("modulus must be monic of degree >= 1")
-    if m == 1:
-        return True
-    for r in range(p):
-        if sum(c * pow(r, i, p) for i, c in enumerate(mod)) % p == 0:
-            return False
-    for d in range(2, m // 2 + 1):
-        for code in range(p**d):
-            div = [(code // p**i) % p for i in range(d)] + [1]
-            if any(_poly_rem(mod, div, p)):
-                continue
-            return False
-    return True
+    comp = _companion(mod, p)
+    if not np.array_equal(_mat_pow(comp, p**m, p), comp):
+        return False
+    return all(
+        _rank_mod_p(((_mat_pow(comp, p ** (m // r), p) - comp) % p).tolist(), p) == m
+        for r in prime_factors(m)
+    )
 
 
 class FieldCtx:
@@ -224,10 +241,7 @@ class FieldCtx:
         self.modulus = mod
         self._pw = tuple(p**i for i in range(m))
 
-        # companion matrix of the modulus: multiplication by w on digit columns
-        comp = np.zeros((m, m), dtype=np.int64)
-        comp[1:, :-1] = np.eye(m - 1, dtype=np.int64)
-        comp[:, -1] = [(-c) % p for c in mod[:m]]
+        comp = _companion(mod, p)
         powers = [np.eye(m, dtype=np.int64)]
         for _ in range(2 * m - 2):
             powers.append(powers[-1] @ comp % p)
@@ -268,25 +282,17 @@ class FieldCtx:
         # matrix of multiplication by element idx on digit column vectors
         return np.tensordot(self.digits_of(idx), self._basis_mats, axes=1) % self.p
 
-    def _mat_pow(self, a: np.ndarray, e: int) -> np.ndarray:
-        result = np.eye(self.m, dtype=np.int64)
-        while e:
-            if e & 1:
-                result = result @ a % self.p
-            a = a @ a % self.p
-            e >>= 1
-        return result
-
     def _has_full_order(self, idx: int) -> bool:
         a = self._mult_matrix(idx)
         one = np.eye(self.m, dtype=np.int64)
         return not any(
-            np.array_equal(self._mat_pow(a, (self.q - 1) // ell), one)
+            np.array_equal(_mat_pow(a, (self.q - 1) // ell, self.p), one)
             for ell in prime_factors(self.q - 1)
         )
 
     def _find_primitive(self) -> int:
-        for idx in range(2, self.q):
+        # for m >= 2, indices below p are F_p, whose orders divide p - 1 < q - 1
+        for idx in range(self.p if self.m > 1 else 2, self.q):
             if self._has_full_order(idx):
                 return idx
         raise FieldError("no primitive element found (internal error)")
@@ -389,6 +395,21 @@ class FieldCtx:
         # a^e = g^(log(a) * e); e is reduced first so the product fits int64
         out[nz] = self.exp[self.log[a[nz]] * (e % (self.q - 1)) % (self.q - 1)]
         return out
+
+    def trace_term(self, c: int, e: int) -> np.ndarray:
+        """Tr(c * x^e) at every index x, as one gather from `trace_exp`:
+        Tr(g^(log c + e t)) at x = g^t != 0, and Tr(0) = 0 at x = 0 for e > 0."""
+        if e < 0:
+            raise FieldError("trace terms take nonnegative exponents")
+        if c == 0 or e == 0:  # Tr(0) = 0 everywhere; x^0 = 1 at x = 0 too
+            return np.full(self.q, self.trace_table[c], dtype=np.int64)
+        # log[0] = -1 still gives x = 0 an index in range; its entry is reset below
+        k = self.log * (e % (self.q - 1))
+        k += self.log[c]
+        k %= self.q - 1
+        table = self.trace_exp[k]
+        table[0] = 0
+        return table
 
     # ---- elements -----------------------------------------------------------
 

@@ -278,11 +278,11 @@ def random_function(domain: Domain, rng: np.random.Generator) -> PFunction:
 # ---- expression DSL ---------------------------------------------------------
 #
 # expr     := term ('+' term)*
-# term     := digit '*' trcall | trcall | digit
+# term     := uint '*' trcall | trcall | uint
 # trcall   := 'Tr' '(' [coef] xpart ')'
 # xpart    := 'x' ['^' uint]
 # coef     := cterm (('+'|'-') cterm)*
-# cterm    := ['-'] (uint [factor] | factor)
+# cterm    := ['-'] (uint ['*'] [factor] | factor)
 # factor   := ('g' | 'w') ['^' uint] | '(' coef ')'
 #
 # 'g' is the context's primitive element, 'w' the modulus root.  Whitespace is
@@ -473,16 +473,7 @@ def from_expr(ctx: FieldCtx, src: str) -> PFunction:
             table += term[1]
             continue
         _, scale, (coef, expo) = term
-        if coef.index == 0:
-            continue  # Tr(0) = 0 everywhere
-        if expo == 0:
-            table += scale * ctx.trace_idx(coef.index)  # x^0 = 1, at x = 0 too
-            continue
-        # at x = g^t != 0, Tr(c x^e) = Tr(g^(log c + e t)); at x = 0 it is Tr(0) = 0
-        k = ctx.log[1:] * (expo % (ctx.q - 1))
-        k += ctx.log[coef.index]
-        k %= ctx.q - 1
-        table[1:] += scale * ctx.trace_exp[k]
+        table += scale * ctx.trace_term(coef.index, expo)
     return PFunction(Domain.field(ctx), table % ctx.p)
 
 

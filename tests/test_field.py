@@ -125,6 +125,21 @@ def oracle_irreducible(modulus, p):
     return deg >= 1
 
 
+def monic_moduli(p, m):
+    """Every monic polynomial of degree m over F_p, lower digits counted in base p."""
+    for code in range(p**m):
+        yield tuple((code // p**i) % p for i in range(m)) + (1,)
+
+
+def poly_mul(a, b, p):
+    """Plain product of digit tuples over F_p, with no reduction."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] = (prod[i + j] + ai * bj) % p
+    return tuple(prod)
+
+
 # ---- construction and validation ----------------------------------------------------
 
 
@@ -151,6 +166,50 @@ def test_irreducibility_rejects_products():
     # x^2 + 1 has no roots over F_3, hence irreducible at degree 2
     assert poly_is_irreducible((1, 0, 1), 3)
     make_field(3, 2, (1, 0, 1))
+
+
+# (p, largest m): every monic modulus in these ranges is checked, 13,826 in all
+IRREDUCIBILITY_RANGES = [(3, 7), (5, 5), (7, 4), (11, 3), (13, 3)]
+
+
+def test_irreducibility_matches_trial_division():
+    for p, top in IRREDUCIBILITY_RANGES:
+        for m in range(1, top + 1):
+            for mod in monic_moduli(p, m):
+                assert poly_is_irreducible(mod, p) == oracle_irreducible(mod, p), (p, mod)
+
+
+# irreducible ternary factors, lowest digit first; the exhaustive test above covers them
+QUADRATIC = (1, 0, 1)  # x^2 + 1
+CUBICS = ((1, 2, 0, 1), (2, 2, 0, 1))  # x^3 + 2x + 1, x^3 + 2x + 2
+QUARTIC = (1, 0, 1, 1, 1)  # x^4 + x^3 + x^2 + 1
+SEXTIC = (1, 0, 0, 0, 1, 1, 1)  # x^6 + x^5 + x^4 + 1
+
+# reducible ternary moduli without a root, named by their factors
+TERNARY_PRODUCTS = {
+    "quadratic*quartic*sextic": poly_mul(poly_mul(QUADRATIC, QUARTIC, 3), SEXTIC, 3),
+    "two-cubics": poly_mul(*CUBICS, 3),
+    "quadratic-squared": poly_mul(QUADRATIC, QUADRATIC, 3),
+    "quadratic*cubic": poly_mul(QUADRATIC, CUBICS[0], 3),
+}
+
+
+@pytest.mark.parametrize("mod", TERNARY_PRODUCTS.values(), ids=TERNARY_PRODUCTS.keys())
+def test_irreducibility_refuses_products_without_roots(mod):
+    assert all(sum(c * r**i for i, c in enumerate(mod)) % 3 for r in range(3))
+    assert not oracle_irreducible(mod, 3)
+    assert not poly_is_irreducible(mod, 3)
+
+
+def test_frobenius_fixed_product_is_refused_by_rank():
+    """x^(3^12) = x modulo this product, so only the rank step refuses it."""
+    mod = TERNARY_PRODUCTS["quadratic*quartic*sextic"]
+    assert mod == (1, 0, 2, 1, 0, 2, 1, 0, 2, 1, 1, 2, 1)
+    w = oracle_root(mod, 3)
+    assert poly_pow_mod(w, 3**12, mod, 3) == w
+    assert not poly_is_irreducible(mod, 3)
+    with pytest.raises(FieldError, match=r"modulus \[1, 0, 2, .*\] is reducible over F_3"):
+        make_field(3, 12, mod)
 
 
 def test_constructor_validation():
@@ -288,6 +347,28 @@ def test_w_is_the_residue_of_x(ctx):
     assert ctx.w.coeffs == oracle_root(ctx.modulus, ctx.p)
 
 
+@pytest.mark.parametrize(
+    "ctx",
+    [
+        make_field(3, 3),
+        make_field(5, 3),
+        make_field(3, 6, TEST_MODULI[(3, 6)]),
+        make_field(1009, 1),
+        make_field(101, 2, (99, 0, 1)),
+    ],
+    ids=lambda c: f"F_{c.p}^{c.m}",
+)
+def test_trace_term_matches_scalar_evaluation(ctx, rng):
+    p, q = ctx.p, ctx.q
+    exponents = [0, 1, 2, p + 1, p**2 + 1, (3**3 + 1) // 2, q - 1, q, 3 * (q - 1) + 2]
+    for c in (0, 1, int(rng.integers(2, q))):
+        for e in exponents:
+            expected = [ctx.trace_idx(ctx.mul_idx(c, ctx.pow_idx(x, e))) for x in range(q)]
+            assert ctx.trace_term(c, e).tolist() == expected, (c, e)
+    with pytest.raises(FieldError):
+        ctx.trace_term(1, -1)
+
+
 @pytest.mark.parametrize("ctx", all_fields(), ids=lambda c: f"F_{c.p}^{c.m}")
 def test_trace_is_linear_and_balanced(ctx, rng):
     p = ctx.p
@@ -333,7 +414,9 @@ def test_eta_is_multiplicative(ctx, rng):
     assert ctx.eta_idx(ctx.primitive_index) == -1
 
 
-@pytest.mark.parametrize("ctx", all_fields(), ids=lambda c: f"F_{c.p}^{c.m}")
+@pytest.mark.parametrize(
+    "ctx", all_fields() + [make_field(101, 2, (99, 0, 1))], ids=lambda c: f"F_{c.p}^{c.m}"
+)
 def test_primitive_element_has_full_order(ctx):
     """The primitive index is the smallest index of full order."""
     def full(idx):
@@ -446,8 +529,7 @@ def test_primitive_indices_enumeration():
 def first_modulus(p, m):
     """The first monic irreducible of degree m over F_p, counting its lower
     digits (lowest first) as a base-p number."""
-    for code in range(p**m):
-        mod = tuple((code // p**i) % p for i in range(m)) + (1,)
+    for mod in monic_moduli(p, m):
         if poly_is_irreducible(mod, p):
             return mod
     raise AssertionError(f"no irreducible of degree {m} over F_{p}")

@@ -289,6 +289,20 @@ def test_multi_term_sum():
     assert list(f.table) == [(x + y + 2) % 3 for x, y in zip(a.table, b.table)]
 
 
+def readme_expression_examples():
+    """The expressions on the README's 'Examples:' line under its expression grammar."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    line = next(ln for ln in readme.read_text().splitlines() if ln.startswith("Examples: `Tr("))
+    return re.findall(r"`([^`]+)`", line)
+
+
+@pytest.mark.parametrize("src", readme_expression_examples())
+def test_readme_expression_examples_parse(src):
+    f = from_expr(F27, src)
+    assert f.domain == Domain.field(F27)
+    assert f.table.min() >= 0 and f.table.max() < F27.p
+
+
 def _scalar_expr(ctx, terms):
     """Truth table of sum scale * Tr(c x^e) + const, one element at a time."""
     table = []
