@@ -35,6 +35,7 @@ from .constructions import (
     monomial_bent,
     ndcor_condition_sum,
     ndcor_function,
+    pair_count,
     pair_lines,
     pair_slice,
     semi_direct_sum,
@@ -284,8 +285,7 @@ def cmd_search(ns: argparse.Namespace) -> int:
     ctx = _field_from(ns)
     if ctx.m < 3:
         raise CLIError("the pair search needs m >= 3 for {1, alpha, beta} to fit")
-    # every alpha outside F_p has the q - p^2 betas outside span{1, alpha}
-    total = (ctx.q - ctx.p) * (ctx.q - ctx.p**2)
+    total = pair_count(ctx)
     if ns.limit is not None:
         total = min(total, ns.limit)
     if total:  # F's own domain; a field too large for it is refused up front

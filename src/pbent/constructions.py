@@ -231,26 +231,27 @@ class NdCorSpec:
 def _independent(ctx: FieldCtx, a, b) -> np.ndarray:
     """Whether {1, alpha, beta} is linearly independent over F_p, elementwise
     over index arrays: alpha is not in F_p (index >= p), and beta is not in
-    F_p + F_p*alpha, i.e. beta's non-constant digits are no multiple c*alpha's."""
+    F_p + F_p*alpha, i.e. beta - beta % p is no c*alpha - (c*alpha) % p."""
     p = ctx.p
     a = np.asarray(a, dtype=np.int64)
-    c = np.arange(p, dtype=np.int64)[:, None]
-    multiples = (c * ctx.digits[a, None, 1:]) % p  # [..., c, digit]
-    in_span = (multiples == ctx.digits[b, None, 1:]).all(axis=-1).any(axis=-1)
+    multiples = ctx.mul_indices(np.arange(p).reshape((p,) + (1,) * a.ndim), a)  # [c, ...]
+    in_span = (multiples - multiples % p == b - b % p).any(axis=0)
     return (a >= p) & ~in_span
 
 
 def _lambda_eta(ctx: FieldCtx, base, coeffs) -> np.ndarray:
-    """eta(base + sum_j lambda_j * a_j) for every lambda in F_p^n, built on
-    digit vectors: base and each a_j in coeffs are element indices (scalars
-    or arrays over pairs); row lambda = lambda_1 + p*lambda_2 + ... of the
-    result holds one column per pair."""
-    p = ctx.p
-    lam = np.arange(p ** len(coeffs), dtype=np.int64)[:, None, None]
-    acc = ctx.digits[np.asarray(base)]
-    for j, a in enumerate(coeffs):
-        acc = acc + ((lam // p**j) % p) * ctx.digits[np.asarray(a)]
-    return ctx.eta_table[(acc % p) @ (p ** np.arange(ctx.m, dtype=np.int64))]
+    """eta(base + sum_j lambda_j * a_j) for every lambda in F_p^n, for element
+    indices base and a_j in coeffs (scalars or arrays over pairs), independent
+    over F_p; row lambda = lambda_1 + p*lambda_2 + ... holds one column per pair.
+    Terms are added in logs, log(x + y) = log x + zech[log y - log x]; q - 1 is
+    even, so eta = (-1)^log is the parity of the unreduced log."""
+    p, n = ctx.p, ctx.q - 1
+    pairs = np.broadcast_shapes(np.shape(base), *map(np.shape, coeffs)) or (1,)
+    acc = np.full((1,) + pairs, ctx.log[base])  # [lambda, pair]
+    for a in coeffs:
+        y = ctx.log[1:p, None, None] + ctx.log[a]  # [lambda_j - 1, 1, pair]: lambda_j != 0
+        acc = np.concatenate([acc[None], acc + ctx.zech[(y - acc) % n]]).reshape(-1, *pairs)
+    return 1 - 2 * (acc & 1)
 
 
 def _pair_rows(ctx: FieldCtx, alphas, betas) -> tuple[np.ndarray, np.ndarray]:
@@ -434,17 +435,22 @@ def sporadic_primitive_scan(
 
 # ---- search over (alpha, beta) pairs ----------------------------------------------
 
+def pair_count(ctx: FieldCtx) -> int:
+    """Length of the scan's pair list: q - p alphas, q - p^2 betas each."""
+    return (ctx.q - ctx.p) * (ctx.q - ctx.p**2)
+
+
 def pair_slice(ctx: FieldCtx, start: int, stop: int) -> np.ndarray:
     """Pairs start..stop of the scan's pair list as an [n, 2] index array.
 
     The list holds every (alpha, beta) with {1, alpha, beta} independent, in
     lexicographic index order: each alpha outside F_p (index >= p) has the
     q - p^2 betas outside span{1, alpha}, so pair k has alpha = p + k // (q - p^2).
-    Like a slice, stop is clamped to the list's (q - p)(q - p^2) pairs.
+    Like a slice, stop is clamped to the list's pair_count(ctx) pairs.
     """
     p, q = ctx.p, ctx.q
     per_alpha = q - p * p
-    stop = min(stop, (q - p) * per_alpha)
+    stop = min(stop, pair_count(ctx))
     first = start // per_alpha
     alphas = np.arange(p + first, p - (-stop // per_alpha), dtype=np.int64)[:, None]
     rows, betas = np.nonzero(_independent(ctx, alphas, np.arange(q, dtype=np.int64)))
@@ -456,7 +462,7 @@ def independent_pairs(ctx: FieldCtx):
     """All (alpha, beta) index pairs with {1, alpha, beta} independent, in
     lexicographic index order, listed one alpha at a time."""
     per_alpha = ctx.q - ctx.p**2
-    for k in range(0, (ctx.q - ctx.p) * per_alpha, per_alpha):
+    for k in range(0, pair_count(ctx), per_alpha):
         yield from map(tuple, pair_slice(ctx, k, k + per_alpha).tolist())
 
 

@@ -11,9 +11,10 @@ columns), and Tr(w^k) is the matrix trace of M^k.  M also decides whether the
 modulus is irreducible, by Rabin's test on its Frobenius powers M^(p^k).
 Every F_p-linear map on elements -- multiplication by a fixed element, the
 trace, a Gram matrix -- runs in index space: `LinearMaps` tabulates the
-images of each half of the digits and adds two halves' images digit-wise
-without ever forming the p^m x m digit table.  Every Tr(c * x^e) table is
-one gather into the table of Tr(g^k), at k = log c + e * log x.
+images of each half of the digits and adds two halves' images digit-wise,
+with no p^m x m digit table.  Every Tr(c * x^e) table is one gather into
+the table of Tr(g^k), at k = log c + e * log x, and sums of elements are
+gathers through Zech logarithms, `zech`: log(x + y) = log x + zech[log y - log x].
 """
 from __future__ import annotations
 
@@ -273,11 +274,6 @@ class FieldCtx:
         """Coefficient vector of one element, constant digit first."""
         return [int(idx) // w % self.p for w in self._pw]
 
-    @cached_property
-    def digits(self) -> np.ndarray:
-        """Row i: coefficient vector of element i; a q x m table, built on first use."""
-        return digit_table(self.p, self.m)
-
     def _mult_matrix(self, idx: int) -> np.ndarray:
         # matrix of multiplication by element idx on digit column vectors
         return np.tensordot(self.digits_of(idx), self._basis_mats, axes=1) % self.p
@@ -360,6 +356,15 @@ class FieldCtx:
     def trace_exp(self) -> np.ndarray:
         """Tr(g^k) by k for 0 <= k < q - 1, read-only and built on first use."""
         table = self.trace_table[self.exp]
+        table.flags.writeable = False
+        return table
+
+    @cached_property
+    def zech(self) -> np.ndarray:
+        """Zech logarithms log(1 + g^k) by k, -1 at k = (q - 1)/2 where g^k = -1;
+        read-only and built on first use.  Adding 1 changes the constant digit only."""
+        x = self.exp
+        table = self.log[x - x % self.p + (x + 1) % self.p]
         table.flags.writeable = False
         return table
 
@@ -450,10 +455,6 @@ class FieldCtx:
         """Indices of every generator of the multiplicative group."""
         n = self.q - 1
         return self.exp[np.gcd(np.arange(n), n) == 1].tolist()
-
-    def elements(self):
-        for i in range(self.q):
-            yield FieldElement(self, i)
 
     # ---- identity ------------------------------------------------------------
 

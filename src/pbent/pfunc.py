@@ -188,14 +188,15 @@ class Domain:
         read-only.
 
         C is block diagonal, one block per component, so each component's
-        permutation is `_block_perm` of its own block, and the components are
-        combined by their mixed-radix offsets in one outer sum.
+        permutation is the `LinearMaps` table of its own block, and the
+        components are combined by their mixed-radix offsets in one outer sum.
         """
         if "wperm" not in self._cache:
             C = self.gram()
             blocks, pos = [], 0
             for c, off in zip(self.components, self._comp_offsets):
-                blocks.append(_block_perm(C[pos : pos + c.dim, pos : pos + c.dim], self.p) * off)
+                block = C[pos : pos + c.dim, pos : pos + c.dim]
+                blocks.append(LinearMaps(self.p, c.dim).table(block) * off)
                 pos += c.dim
             perm = outer_sum(blocks)
             hit = np.zeros(self.size, dtype=bool)
@@ -205,16 +206,6 @@ class Domain:
             perm.flags.writeable = False
             self._cache["wperm"] = perm
         return self._cache["wperm"]  # type: ignore[return-value]
-
-
-def _block_perm(C: np.ndarray, p: int) -> np.ndarray:
-    """b -> index(C * digits(b)) on p^d points for a d x d Gram block C.
-
-    `LinearMaps` tabulates the images of the low and the high half of the
-    digits and adds them digit-wise over every (high, low) pair, so the build
-    is a few passes over p^d indices whatever d is.
-    """
-    return LinearMaps(p, len(C)).table(C)
 
 
 class PFunction:

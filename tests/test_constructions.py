@@ -16,6 +16,7 @@ from pbent.bent import (
 from pbent.constructions import (
     ConstructionError,
     _independent,
+    _lambda_eta,
     _pair_rows,
     _rank_mod_p,
     NdCorSpec,
@@ -34,6 +35,7 @@ from pbent.constructions import (
     monomial_bent,
     ndcor_condition_sum,
     ndcor_function,
+    pair_count,
     pair_lines,
     pair_slice,
     semi_direct_sum,
@@ -45,7 +47,7 @@ from pbent.constructions import (
     sporadic_primitive_scan,
 )
 from pbent.cyclo import CycInt, gauss_sum, root_power
-from pbent.field import make_field
+from pbent.field import digit_table, make_field
 from pbent.pfunc import (
     Domain,
     DomainError,
@@ -324,6 +326,66 @@ def test_cor1_character_counts_match_scalar_sweep(ctx, n, kind, k, rng):
         assert res.both_characters == (plus > 0 and minus > 0)
 
 
+def digit_sum_lambda_eta(ctx, base, coeffs):
+    """eta(base + sum_j lambda_j * a_j) by digit-vector sums over the q x m
+    digit table: the oracle for _lambda_eta's Zech-logarithm gathers."""
+    p = ctx.p
+    digits = digit_table(p, ctx.m)
+    lam = np.arange(p ** len(coeffs), dtype=np.int64)[:, None, None]
+    acc = digits[np.asarray(base)]
+    for j, a in enumerate(coeffs):
+        acc = acc + ((lam // p**j) % p) * digits[np.asarray(a)]
+    return ctx.eta_table[(acc % p) @ (p ** np.arange(ctx.m, dtype=np.int64))]
+
+
+def _random_independent(ctx, n, rng):
+    """n + 1 element indices independent over F_p, drawn as the cor1 sweep test draws them."""
+    while True:
+        alphas = [int(i) for i in rng.integers(1, ctx.q, size=n + 1)]
+        if _rank_mod_p([ctx.digits_of(a) for a in alphas], ctx.p) == n + 1:
+            return alphas
+
+
+@pytest.mark.parametrize(
+    "ctx,k",
+    [
+        (F27, None),
+        (F81, None),
+        (make_field(7, 3, (1, 0, 1, 1)), 3000),
+        (make_field(3, 7, (1, 0, 0, 0, 0, 1, 2, 1)), 3000),
+    ],
+    ids=["F27", "F81", "F343", "F2187"],
+)
+def test_lambda_eta_matches_digit_sums_on_pairs(ctx, k, rng):
+    """The search's eta(1 + b1*alpha + b2*beta) on every pair of F_27 and F_81
+    and on k seeded pairs of F_343 and F_2187, with alpha alone and with
+    alpha as the base as further shapes."""
+    if k is None:
+        pairs = pair_slice(ctx, 0, pair_count(ctx))
+    else:
+        starts = np.unique(rng.integers(0, pair_count(ctx), size=k)).tolist()
+        pairs = np.concatenate([pair_slice(ctx, s, s + 1) for s in starts])
+    a, b = pairs.T
+    for base, coeffs in [(1, [a, b]), (1, [a]), (a, [b]), (a, [1, b])]:
+        got = _lambda_eta(ctx, base, coeffs)
+        assert got.shape == (ctx.p ** len(coeffs), len(pairs))
+        assert np.array_equal(got, digit_sum_lambda_eta(ctx, base, coeffs))
+
+
+@pytest.mark.parametrize(
+    "ctx,n",
+    [(F27, 1), (F27, 2), (F81, 1), (F81, 2), (F81, 3)],
+    ids=["F27-n1", "F27-n2", "F81-n1", "F81-n2", "F81-n3"],
+)
+def test_lambda_eta_matches_digit_sums_on_cor1_shapes(ctx, n, rng):
+    """cor1_family's sweep shapes: a scalar base and n scalar coefficients."""
+    for _ in range(20):
+        base, *coeffs = _random_independent(ctx, n, rng)
+        got = _lambda_eta(ctx, base, coeffs)
+        assert got.shape == (ctx.p**n, 1)
+        assert np.array_equal(got, digit_sum_lambda_eta(ctx, base, coeffs))
+
+
 # ---- the planted two-coordinate family -------------------------------------------------
 
 
@@ -531,7 +593,7 @@ def test_primitive_scan_finds_working_generator():
 def test_independent_pairs_match_rank_definition(ctx):
     """The vectorized test against row reduction, over every (alpha, beta)."""
     one = ctx.one.coeffs
-    digits = [tuple(int(v) for v in row) for row in ctx.digits]
+    digits = [tuple(int(v) for v in row) for row in digit_table(ctx.p, ctx.m)]
     expected = [
         (a, b)
         for a in range(ctx.q)
@@ -544,7 +606,7 @@ def test_independent_pairs_match_rank_definition(ctx):
 def test_independent_pairs_count_and_rank():
     pairs = list(independent_pairs(F27))
     # q = 27: (27 - 3) choices with {1, a} free, (27 - 9) with {1, a, b} free
-    assert len(pairs) == (27 - 3) * (27 - 9) == 432
+    assert len(pairs) == (27 - 3) * (27 - 9) == pair_count(F27) == 432
     assert pairs == sorted(pairs)  # lexicographic in (a, b)
     for a, b in pairs[:10] + pairs[-5:]:
         NdCorSpec(F27, a, b)  # must not raise
@@ -696,7 +758,7 @@ def test_dual_bent_verdict_equals_the_abs_sq_rule(ctx, k, dual_bent_count, rng):
     """evaluate_pairs' candidate match against the |T(w)|^2 rule on every
     pair of F_81 and F_243 and on k seeded pairs of the larger fields; the
     dual-bent counts are those of the full scans' summaries."""
-    total = (ctx.q - ctx.p) * (ctx.q - ctx.p**2)
+    total = pair_count(ctx)
     if k is None:
         pairs = pair_slice(ctx, 0, total)
     else:

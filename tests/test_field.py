@@ -260,9 +260,10 @@ def all_fields():
 @pytest.mark.parametrize("ctx", all_fields(), ids=lambda c: f"F_{c.p}^{c.m}")
 def test_multiplication_matches_polynomial_oracle(ctx, rng):
     pairs = rng.integers(0, ctx.q, size=(300, 2))
+    digits = digit_table(ctx.p, ctx.m)
     for a, b in pairs:
-        da = tuple(int(v) for v in ctx.digits[a])
-        db = tuple(int(v) for v in ctx.digits[b])
+        da = tuple(int(v) for v in digits[a])
+        db = tuple(int(v) for v in digits[b])
         expected = ctx.compose(poly_mul_mod(da, db, ctx.modulus, ctx.p))
         assert ctx.mul_idx(int(a), int(b)) == expected
 
@@ -307,8 +308,9 @@ def test_pow_indices_matches_square_and_multiply(ctx):
 def test_digits_are_base_p_expansions(ctx):
     idx = np.arange(ctx.q, dtype=np.int64)
     pw = ctx.p ** np.arange(ctx.m, dtype=np.int64)
-    assert ctx.digits.dtype == np.int64
-    assert np.array_equal(ctx.digits, idx[:, None] // pw % ctx.p)
+    digits = digit_table(ctx.p, ctx.m)
+    assert digits.dtype == np.int64
+    assert np.array_equal(digits, idx[:, None] // pw % ctx.p)
 
 
 @pytest.mark.parametrize("ctx", all_fields(), ids=lambda c: f"F_{c.p}^{c.m}")
@@ -324,8 +326,9 @@ def test_inverses_and_powers(ctx):
 
 @pytest.mark.parametrize("ctx", all_fields(), ids=lambda c: f"F_{c.p}^{c.m}")
 def test_trace_matches_frobenius_oracle(ctx, rng):
+    digits = digit_table(ctx.p, ctx.m)
     for a in rng.integers(0, ctx.q, size=40):
-        da = tuple(int(v) for v in ctx.digits[a])
+        da = tuple(int(v) for v in digits[a])
         assert ctx.trace_idx(int(a)) == oracle_trace(da, ctx.modulus, ctx.p)
 
 
@@ -385,8 +388,9 @@ def test_trace_is_linear_and_balanced(ctx, rng):
 @pytest.mark.parametrize("ctx", all_fields(), ids=lambda c: f"F_{c.p}^{c.m}")
 def test_eta_matches_brute_force_squares(ctx):
     squares = set()
+    digits = digit_table(ctx.p, ctx.m)
     for i in range(1, ctx.q):
-        d = tuple(int(v) for v in ctx.digits[i])
+        d = tuple(int(v) for v in digits[i])
         squares.add(ctx.compose(poly_mul_mod(d, d, ctx.modulus, ctx.p)))
     assert len(squares) == (ctx.q - 1) // 2
     for i in range(1, ctx.q):
@@ -406,6 +410,24 @@ def test_eta_table_is_eulers_criterion(ctx):
         assert not c.eta_table.flags.writeable
 
 
+@pytest.mark.parametrize(
+    "ctx",
+    all_fields() + [make_field(101, 2, (99, 0, 1)), make_field(1009, 1)],
+    ids=lambda c: f"F_{c.p}^{c.m}",
+)
+def test_zech_is_log_of_one_plus_power(ctx):
+    """zech[k] = log(1 + g^k) by element arithmetic, and -1 exactly where
+    g^k = -1, at k = (q - 1)/2."""
+    half = (ctx.q - 1) // 2
+    expected = []
+    for k in range(ctx.q - 1):
+        s = ctx.one + ctx.g**k
+        expected.append(-1 if s == ctx.zero else int(ctx.log[s.index]))
+    assert ctx.zech.tolist() == expected
+    assert np.flatnonzero(ctx.zech == -1).tolist() == [half]
+    assert not ctx.zech.flags.writeable
+
+
 @pytest.mark.parametrize("ctx", all_fields(), ids=lambda c: f"F_{c.p}^{c.m}")
 def test_eta_is_multiplicative(ctx, rng):
     for _ in range(50):
@@ -419,8 +441,10 @@ def test_eta_is_multiplicative(ctx, rng):
 )
 def test_primitive_element_has_full_order(ctx):
     """The primitive index is the smallest index of full order."""
+    digits = digit_table(ctx.p, ctx.m)
+
     def full(idx):
-        return oracle_has_full_order(tuple(int(v) for v in ctx.digits[idx]), ctx.modulus, ctx.p)
+        return oracle_has_full_order(tuple(int(v) for v in digits[idx]), ctx.modulus, ctx.p)
 
     assert full(ctx.primitive_index)
     assert not any(full(idx) for idx in range(ctx.primitive_index))
@@ -436,7 +460,7 @@ def _exp_fields():
     "ctx", _exp_fields(), ids=lambda c: f"F_{c.p}^{c.m}:g{c.primitive_index}"
 )
 def test_exp_table_is_powers_of_the_generator(ctx):
-    g = tuple(int(v) for v in ctx.digits[ctx.primitive_index])
+    g = tuple(int(v) for v in digit_table(ctx.p, ctx.m)[ctx.primitive_index])
     power = tuple(1 if i == 0 else 0 for i in range(ctx.m))
     for k in range(ctx.q - 1):
         assert int(ctx.exp[k]) == ctx.compose(power)
@@ -492,7 +516,8 @@ def test_pairing_perm_matches_trace_form(p, m, mod):
     traces = ctx.trace_table[ctx.mul_indices(idx[:, None], idx[None, :])]  # [b, x]
     dom = Domain.field(ctx)
     perm = dom.walsh_perm()
-    assert np.array_equal((ctx.digits[perm] @ ctx.digits.T) % p, traces)
+    digits = digit_table(p, m)
+    assert np.array_equal((digits[perm] @ digits.T) % p, traces)
     assert perm is dom.walsh_perm()
     with pytest.raises(ValueError):
         perm[0] = perm[1]  # cached, so read-only
@@ -512,8 +537,9 @@ def test_primitive_indices_enumeration():
     # euler phi(8) = 4 generators in F_9*
     assert len(prim) == 4
     one = (1, 0)
+    digits = digit_table(k.p, k.m)
     for idx in prim:
-        d = tuple(int(v) for v in k.digits[idx])
+        d = tuple(int(v) for v in digits[idx])
         assert poly_pow_mod(d, 4, k.modulus, 3) != one
 
 
@@ -600,8 +626,6 @@ def test_index_space_tables_match_digit_row_builders(p, m, mod):
     assert np.array_equal(Domain.field(ctx).walsh_perm(), per_row_block_perm(ctx.gram, p))
     for i in range(0, ctx.q, max(1, ctx.q // 97)):
         assert ctx.digits_of(i) == [i // p**j % p for j in range(m)]
-    assert "digits" not in ctx.__dict__  # nothing above needs the q x m table
-    assert np.array_equal(ctx.digits, digit_table(p, m))
 
 
 @pytest.mark.parametrize(
@@ -639,4 +663,3 @@ def test_make_field_memory_is_bounded():
         finally:
             tracemalloc.stop()
         assert peak <= bound, (p, m, peak)
-        assert "digits" not in ctx.__dict__
