@@ -8,11 +8,11 @@ Run:  python3 demos/06_search_scan.py
 """
 import json
 
-from pbent.constructions import evaluate_pair, independent_pairs
+from pbent.constructions import evaluate_pair, pair_count, pair_slice
 from pbent.field import make_field
 
 ctx = make_field(3, 3)
-pairs = list(independent_pairs(ctx))
+pairs = pair_slice(ctx, 0, pair_count(ctx)).tolist()
 print(f"GF(27): {len(pairs)} pairs (alpha, beta) with {{1, alpha, beta}} independent")
 
 witnesses = []

@@ -170,12 +170,12 @@ class ClassReport:
         return out
 
 
-def classify(f: PFunction, spectrum: WalshSpectrum | None = None) -> ClassReport:
+def classify(f: PFunction) -> ClassReport:
     """Full classification: bent or not, regularity class, dual, dual bentness.
 
     Witnesses record the smallest index b proving each negative verdict.
     """
-    W = spectrum if spectrum is not None else walsh_fast(f)
+    W = walsh_fast(f)
     dom = f.domain
     try:
         dual, units = extract_dual(W)

@@ -26,6 +26,7 @@ from .constructions import (
     ConstructionError,
     NdCorSpec,
     SdsSpec,
+    _TASK_PAIRS,
     _pair_verdicts,
     agw_combine,
     cm_bent,
@@ -227,14 +228,14 @@ def _split_list(text: str) -> list[str]:
 
 
 def _default_outer(p: int, n: int) -> PFunction:
-    """A standard bent function on F_p^n for n in {1, 2}."""
-    if n == 1:
-        dom = Domain.vec(p, 1)
-        idx = np.arange(p, dtype=np.int64)
-        return PFunction(dom, (idx * idx) % p)
+    """A standard bent function on F_p^n for n in {1, 2}.  With n < 1 the
+    coefficient list is too short, which cor1_family reports before it reads g."""
+    if n > 2:
+        raise CLIError("for more than two coordinate maps, supply --g explicitly")
     if n == 2:
         return coordinate_product(p)
-    raise CLIError("for more than two coordinate maps, supply --g explicitly")
+    idx = np.arange(p, dtype=np.int64)
+    return PFunction(Domain.vec(p, 1), (idx * idx) % p)
 
 
 # ---- search ----------------------------------------------------------------------
@@ -242,10 +243,6 @@ def _default_outer(p: int, n: int) -> PFunction:
 
 _worker_field = lru_cache(maxsize=4)(FieldCtx)  # each worker builds a field once
 
-# Pairs per task: one _pair_verdicts call and one write.  A serial F_81 scan
-# peaks at 0.61 MB under tracemalloc and 31.8 MiB RSS with these tasks,
-# against 0.82 MB and 32.3 MiB at 2^10 pairs.
-_TASK_PAIRS = 1 << 9
 # Pairs whose serial evaluation costs about as much as starting and joining
 # one worker, so a scan gets one worker per this many pairs (README, "search").
 _PAIRS_PER_WORKER = 1 << 14

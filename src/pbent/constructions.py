@@ -414,9 +414,7 @@ def sporadic_claim(name: str, ctx: FieldCtx, variant: int | None = None):
     return rep.has_non_bent_dual(), rep
 
 
-def sporadic_primitive_scan(
-    name: str, p: int, m: int, modulus, variant: int | None = None
-) -> tuple[int | None, object]:
+def sporadic_primitive_scan(name: str, p: int, m: int, modulus) -> tuple[int | None, object]:
     """Try every primitive element as xi until the advertised behavior holds.
 
     Returns (primitive index, report) for the first success, or (None, last
@@ -426,7 +424,7 @@ def sporadic_primitive_scan(
     last = None
     for gidx in base.primitive_indices():
         ctx = FieldCtx(p, m, modulus, primitive=gidx)
-        holds, rep = sporadic_claim(name, ctx, variant)
+        holds, rep = sporadic_claim(name, ctx)
         last = rep
         if holds:
             return gidx, rep
@@ -456,14 +454,6 @@ def pair_slice(ctx: FieldCtx, start: int, stop: int) -> np.ndarray:
     rows, betas = np.nonzero(_independent(ctx, alphas, np.arange(q, dtype=np.int64)))
     lo = start - first * per_alpha
     return np.column_stack((alphas[rows, 0], betas))[lo : lo + stop - start]
-
-
-def independent_pairs(ctx: FieldCtx):
-    """All (alpha, beta) index pairs with {1, alpha, beta} independent, in
-    lexicographic index order, listed one alpha at a time."""
-    per_alpha = ctx.q - ctx.p**2
-    for k in range(0, pair_count(ctx), per_alpha):
-        yield from map(tuple, pair_slice(ctx, k, k + per_alpha).tolist())
 
 
 def _pair_record(
@@ -504,11 +494,13 @@ def _square_trace_regularity(ctx: FieldCtx) -> str:
     return classify(monomial_bent(ctx, ctx.one, 0)).regularity
 
 
-# Pairs per block of evaluate_pairs: a pair's rows hold p^2 (p - 1) < p^3
-# coefficients.  Blocks of 2^16 entries raised a serial 1,200-pair F_125
-# scan's peak RSS from 32.0 to 34.6 MiB (tracemalloc 0.9 to 2.7 MB), at the
-# same speed; at p = 7 they are faster (F_343: 1.1-1.3 s against 2.0-2.7 s).
-_BLOCK_ENTRIES = 1 << 13
+# Pairs per search task: one _pair_verdicts call and one write.  A serial F_81
+# scan peaks at 0.61 MB under tracemalloc and 31.8 MiB RSS with these tasks,
+# against 0.82 MB and 32.3 MiB at 2^10 pairs.
+_TASK_PAIRS = 1 << 9
+# Coefficient entries per block of evaluate_pairs, where a pair's rows hold
+# p^2 (p - 1) of them: the entries of one p = 3 task, so that task is one block.
+_BLOCK_BUDGET = _TASK_PAIRS * 3**2 * 2
 
 
 class PairVerdicts(NamedTuple):
@@ -554,7 +546,7 @@ def evaluate_pairs(ctx: FieldCtx, pairs) -> PairVerdicts:
     Each block's rows eta(Lambda_b) * e^(-b1*b2) go through the Walsh core:
     two radix-p stages of sign +1 give T(w) at row pair*p^2 + w, and |.|^2
     squares the T(0) rows; both assert their exactness bounds.  Pairs run in
-    blocks of at most _BLOCK_ENTRIES / p^3, so memory stays bounded.
+    blocks of at most _BLOCK_BUDGET entries, so memory stays bounded.
     """
     # F's own domain; a field too large for it is refused as classify would
     Domain.field(ctx).extend(VecPart(ctx.p, 2))
@@ -573,7 +565,7 @@ def _pair_verdicts(ctx: FieldCtx, pairs: np.ndarray) -> PairVerdicts:
         np.empty(len(pairs), dtype=bool),
         np.empty(len(pairs), dtype=bool),
     )
-    rows = max(1, _BLOCK_ENTRIES // p**3)
+    rows = max(1, _BLOCK_BUDGET // (p * p * (p - 1)))
     for r0 in range(0, len(pairs), rows):
         a, b = pairs[r0 : r0 + rows].T
         eta, phased = _pair_rows(ctx, a, b)

@@ -350,7 +350,8 @@ class FieldCtx:
     def eta_idx(self, a: int) -> int:
         if a == 0:
             raise FieldError("the quadratic character is undefined at 0")
-        return int(self.eta_table[a])
+        # a primitive element is a non-square, so eta(g^k) = (-1)^k
+        return 1 - 2 * (int(self.log[a]) & 1)
 
     @cached_property
     def trace_exp(self) -> np.ndarray:
@@ -365,16 +366,6 @@ class FieldCtx:
         read-only and built on first use.  Adding 1 changes the constant digit only."""
         x = self.exp
         table = self.log[x - x % self.p + (x + 1) % self.p]
-        table.flags.writeable = False
-        return table
-
-    @cached_property
-    def eta_table(self) -> np.ndarray:
-        """eta by index (+1 on squares, -1 on non-squares, 0 at index 0),
-        read-only and built on first use."""
-        # a primitive element is a non-square, so eta(g^k) = (-1)^k
-        table = 1 - 2 * (self.log & 1)
-        table[0] = 0
         table.flags.writeable = False
         return table
 
@@ -554,7 +545,7 @@ class FieldElement:
         return f"FieldElement({self.poly_str()}, index={self.index})"
 
 
-def make_field(p: int, m: int, modulus=None, primitive: int | None = None) -> FieldCtx:
+def make_field(p: int, m: int, modulus=None) -> FieldCtx:
     """Build a field context, falling back to the built-in modulus table.
 
     Only the bundled fields have table entries; for anything else (including
@@ -570,7 +561,7 @@ def make_field(p: int, m: int, modulus=None, primitive: int | None = None) -> Fi
             raise FieldError(
                 f"no built-in modulus for p={p}, m={m}; pass one explicitly"
             )
-    return FieldCtx(p, m, modulus, primitive)
+    return FieldCtx(p, m, modulus)
 
 
 def trace(x: FieldElement) -> int:

@@ -9,6 +9,7 @@ PFunction is just its truth table in that point order.
 from __future__ import annotations
 
 import re
+from typing import NoReturn
 
 import numpy as np
 
@@ -283,189 +284,134 @@ class ExprError(ValueError):
     pass
 
 
-_TOKEN_RE = re.compile(r"(\d+)|(Tr)|([gwx])|([+\-*^()])|(\S)")
-
-
-def _tokenize(src: str):
-    tokens = []
-    for mo in _TOKEN_RE.finditer(src):
-        if mo.group(5):
-            raise ExprError(f"parse error at position {mo.start()}: unexpected {mo.group(5)!r}")
-        if mo.group(1):
-            tokens.append(("num", int(mo.group(1)), mo.start()))
-        elif mo.group(2):
-            tokens.append(("tr", "Tr", mo.start()))
-        elif mo.group(3):
-            tokens.append(("name", mo.group(3), mo.start()))
-        else:
-            tokens.append(("op", mo.group(4), mo.start()))
-    return tokens
+_TOKEN_RE = re.compile(r"(\d+)|(Tr|[gwx+\-*^()])|\S")
 
 
 class _Parser:
-    """Recursive descent over the token list; evaluation is deferred to terms."""
+    """Recursive descent with a method per grammar rule, where trcall reads
+    xpart itself, and the shared parts uint ['*'] and ['^' uint].  Each term
+    is added into the table as it is parsed.
+
+    A token is (kind, value, position): kind is 'uint' for a digit run, the
+    symbol itself otherwise, None for a stray character and 'end' for the
+    end of input, which sits at position len(src).
+    """
 
     def __init__(self, ctx: FieldCtx, src: str) -> None:
         self.ctx = ctx
-        self.src = src
-        self.tokens = _tokenize(src)
+        self.tokens = [
+            ("uint", int(mo[1]), mo.start()) if mo[1] else (mo[2], mo[0], mo.start())
+            for mo in _TOKEN_RE.finditer(src)
+        ]
+        self.tokens.append(("end", "", len(src)))
+        # the first stray character fails before any parsing
+        for self.pos, (kind, value, _) in enumerate(self.tokens):
+            if kind is None:
+                self._fail(f"unexpected {value!r}")
         self.pos = 0
 
-    def _peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def _fail(self, msg: str) -> NoReturn:
+        raise ExprError(f"parse error at position {self.tokens[self.pos][2]}: {msg}")
 
-    def _next(self):
-        tok = self._peek()
-        if tok is None:
-            raise ExprError(f"parse error at position {len(self.src)}: unexpected end of input")
+    def _at(self, *kinds) -> bool:
+        return self.tokens[self.pos][0] in kinds
+
+    def _accept(self, *kinds):
+        """The next token if its kind is one of `kinds`, consumed; else None."""
+        if not self._at(*kinds):
+            return None
         self.pos += 1
+        return self.tokens[self.pos - 1]
+
+    def _expect(self, kind: str, msg: str):
+        tok = self._accept(kind)
+        if tok is None:
+            self._fail("unexpected end of input" if self._at("end") else msg)
         return tok
 
-    def _expect_op(self, op: str):
-        tok = self._next()
-        if tok[0] != "op" or tok[1] != op:
-            raise ExprError(f"parse error at position {tok[2]}: expected {op!r}")
-
-    def parse(self) -> list:
-        terms = [self._term()]
-        while True:
-            tok = self._peek()
-            if tok is None:
-                break
-            if tok[0] == "op" and tok[1] == "+":
-                self.pos += 1
-                terms.append(self._term())
-            else:
-                raise ExprError(f"parse error at position {tok[2]}: expected '+' between terms")
-        return terms
+    def expr(self) -> np.ndarray:
+        table = np.zeros(self.ctx.q, dtype=np.int64)
+        table += self._term()
+        while not self._at("end"):
+            self._expect("+", "expected '+' between terms")
+            table += self._term()
+        return table % self.ctx.p
 
     def _term(self):
-        tok = self._peek()
+        """The term's values: a constant, or a scaled trace table."""
+        if self._at("end"):
+            self._fail("missing term")
+        scale, star = self._scalar()
+        if scale is not None and not star:
+            return scale
+        if scale is None and not self._at("Tr"):
+            self._fail("expected a term")
+        coef, expo = self._trcall()
+        return (1 if scale is None else scale) * self.ctx.trace_term(coef.index, expo)
+
+    def _scalar(self) -> tuple[int | None, bool]:
+        """uint ['*']: the literal mod p, or None, and whether a '*' followed."""
+        tok = self._accept("uint")
         if tok is None:
-            raise ExprError(f"parse error at position {len(self.src)}: missing term")
-        if tok[0] == "num":
-            self.pos += 1
-            nxt = self._peek()
-            if nxt is not None and nxt[0] == "op" and nxt[1] == "*":
-                self.pos += 1
-                scale, tr = tok[1], self._trcall()
-                return ("tr", scale % self.ctx.p, tr)
-            return ("const", tok[1] % self.ctx.p)
-        if tok[0] == "tr":
-            return ("tr", 1, self._trcall())
-        raise ExprError(f"parse error at position {tok[2]}: expected a term")
+            return None, False
+        return tok[1] % self.ctx.p, self._accept("*") is not None
 
-    def _trcall(self):
-        tok = self._next()
-        if tok[0] != "tr":
-            raise ExprError(f"parse error at position {tok[2]}: expected 'Tr'")
-        self._expect_op("(")
-        nxt = self._peek()
-        if nxt is not None and nxt[0] == "name" and nxt[1] == "x":
-            coef = self.ctx.one
-        else:
-            coef = self._coef(stop_at_x=True)
-        tok = self._next()
-        if tok[0] != "name" or tok[1] != "x":
-            raise ExprError(f"parse error at position {tok[2]}: expected 'x'")
-        expo = 1
-        nxt = self._peek()
-        if nxt is not None and nxt[0] == "op" and nxt[1] == "^":
-            self.pos += 1
-            etok = self._next()
-            if etok[0] != "num":
-                raise ExprError(f"parse error at position {etok[2]}: expected an exponent")
-            expo = etok[1]
-        self._expect_op(")")
-        return (coef, expo)
+    def _trcall(self) -> tuple[FieldElement, int]:
+        self._expect("Tr", "expected 'Tr'")
+        self._expect("(", "expected '('")
+        coef = self.ctx.one if self._at("x") else self._coef()
+        if self._accept("x") is None:
+            self._fail("expected 'x' after the coefficient")
+        expo = self._exponent()
+        self._expect(")", "expected ')'")
+        return coef, expo
 
-    def _coef(self, stop_at_x: bool = False) -> FieldElement:
+    def _exponent(self) -> int:
+        """['^' uint], 1 when absent."""
+        if self._accept("^") is None:
+            return 1
+        return self._expect("uint", "expected an exponent")[1]
+
+    def _coef(self) -> FieldElement:
         total = self._cterm()
-        while True:
-            tok = self._peek()
-            if tok is None or tok[0] != "op" or tok[1] not in "+-":
-                break
-            sign = 1 if tok[1] == "+" else -1
-            self.pos += 1
-            nxt = self._cterm()
-            total = total + nxt if sign == 1 else total - nxt
-        if stop_at_x:
-            tok = self._peek()
-            if tok is None or tok[0] != "name" or tok[1] != "x":
-                where = tok[2] if tok else len(self.src)
-                raise ExprError(f"parse error at position {where}: expected 'x' after the coefficient")
+        while (op := self._accept("+", "-")) is not None:
+            total = total + self._cterm() if op[0] == "+" else total - self._cterm()
         return total
 
     def _cterm(self) -> FieldElement:
-        sign = 1
-        tok = self._peek()
-        if tok is not None and tok[0] == "op" and tok[1] == "-":
-            sign = -1
-            self.pos += 1
-            tok = self._peek()
-        scale = None
-        if tok is not None and tok[0] == "num":
-            scale = tok[1]
-            self.pos += 1
-            tok = self._peek()
-            if tok is not None and tok[0] == "op" and tok[1] == "*":
-                self.pos += 1
-                tok = self._peek()
-        value: FieldElement | None = None
-        if tok is not None and (
-            (tok[0] == "name" and tok[1] in "gw") or (tok[0] == "op" and tok[1] == "(")
-        ):
+        negate = self._accept("-") is not None
+        scale, _ = self._scalar()
+        if self._at("g", "w", "("):
             value = self._factor()
-        if scale is None and value is None:
-            where = tok[2] if tok else len(self.src)
-            raise ExprError(f"parse error at position {where}: expected a coefficient")
-        if value is None:
+        elif scale is None:
+            self._fail("expected a coefficient")
+        else:
             value = self.ctx.one
         if scale is not None:
-            value = (scale % self.ctx.p) * value
-        return -value if sign == -1 else value
+            value = scale * value
+        return -value if negate else value
 
     def _factor(self) -> FieldElement:
-        tok = self._next()
-        if tok[0] == "op" and tok[1] == "(":
+        if self._accept("("):
             inner = self._coef()
-            self._expect_op(")")
+            self._expect(")", "expected ')'")
             return inner
-        if tok[0] != "name" or tok[1] not in "gw":
-            raise ExprError(f"parse error at position {tok[2]}: expected 'g' or 'w'")
-        base = self.ctx.g if tok[1] == "g" else self.ctx.w
-        nxt = self._peek()
-        if nxt is not None and nxt[0] == "op" and nxt[1] == "^":
-            self.pos += 1
-            etok = self._next()
-            if etok[0] != "num":
-                raise ExprError(f"parse error at position {etok[2]}: expected an exponent")
-            return base ** etok[1]
-        return base
+        base = self.ctx.g if self._accept("g", "w")[0] == "g" else self.ctx.w
+        return base ** self._exponent()
 
 
 def parse_coefficient(ctx: FieldCtx, src: str) -> FieldElement:
     """Parse a standalone coefficient expression like 'g^7', 'w^2+1' or '2'."""
     parser = _Parser(ctx, src)
     value = parser._coef()
-    tok = parser._peek()
-    if tok is not None:
-        raise ExprError(f"parse error at position {tok[2]}: trailing input")
+    if not parser._at("end"):
+        parser._fail("trailing input")
     return value
 
 
 def from_expr(ctx: FieldCtx, src: str) -> PFunction:
     """Build a PFunction on the field domain from a trace-polynomial expression."""
-    parser = _Parser(ctx, src)
-    terms = parser.parse()
-    table = np.zeros(ctx.q, dtype=np.int64)
-    for term in terms:
-        if term[0] == "const":
-            table += term[1]
-            continue
-        _, scale, (coef, expo) = term
-        table += scale * ctx.trace_term(coef.index, expo)
-    return PFunction(Domain.field(ctx), table % ctx.p)
+    return PFunction(Domain.field(ctx), _Parser(ctx, src).expr())
 
 
 # ---- truth-table files -------------------------------------------------------

@@ -30,7 +30,6 @@ from pbent.constructions import (
     cm_bent,
     coordinate_product,
     direct_sum,
-    independent_pairs,
     monomial_bent,
     ndcor_condition_sum,
     ndcor_function,

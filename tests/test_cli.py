@@ -641,6 +641,18 @@ def test_construct_cor1_constant_note(capsys, tmp_path):
     assert "one character class" in err
 
 
+def test_construct_cor1_single_coefficient_is_refused(capsys, tmp_path):
+    """One coefficient is refused with the same message whether or not --g
+    supplies the outer function."""
+    g_path = tmp_path / "g.tt"
+    save_tt(PFunction(Domain.vec(3, 1), [0, 1, 1]), g_path)
+    base = ("construct", "cor1", "--p", "3", "--m", "3", "--alphas", "1")
+    for argv in (base, base + ("--g", str(g_path))):
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out.tt"))
+        assert code == 2 and out == ""
+        assert err == "error: need at least two coefficients\n", argv
+
+
 def test_construct_ndcor(capsys, tmp_path):
     got = construct_to_function(
         capsys, tmp_path, "construct", "ndcor",

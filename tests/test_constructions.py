@@ -31,7 +31,6 @@ from pbent.constructions import (
     evaluate_pair,
     evaluate_pairs,
     g2_coefficients,
-    independent_pairs,
     monomial_bent,
     ndcor_condition_sum,
     ndcor_function,
@@ -328,14 +327,16 @@ def test_cor1_character_counts_match_scalar_sweep(ctx, n, kind, k, rng):
 
 def digit_sum_lambda_eta(ctx, base, coeffs):
     """eta(base + sum_j lambda_j * a_j) by digit-vector sums over the q x m
-    digit table: the oracle for _lambda_eta's Zech-logarithm gathers."""
+    digit table, with eta by Euler's criterion: the oracle for _lambda_eta's
+    Zech-logarithm gathers and its log-parity eta."""
     p = ctx.p
     digits = digit_table(p, ctx.m)
     lam = np.arange(p ** len(coeffs), dtype=np.int64)[:, None, None]
     acc = digits[np.asarray(base)]
     for j, a in enumerate(coeffs):
         acc = acc + ((lam // p**j) % p) * digits[np.asarray(a)]
-    return ctx.eta_table[(acc % p) @ (p ** np.arange(ctx.m, dtype=np.int64))]
+    power = ctx.pow_indices((acc % p) @ (p ** np.arange(ctx.m, dtype=np.int64)), (ctx.q - 1) // 2)
+    return np.where(power == 1, 1, -1)
 
 
 def _random_independent(ctx, n, rng):
@@ -589,6 +590,11 @@ def test_primitive_scan_finds_working_generator():
 # ---- pair enumeration and the search record ------------------------------------------------
 
 
+def _all_pairs(ctx):
+    """The scan's whole pair list as (alpha, beta) tuples."""
+    return list(map(tuple, pair_slice(ctx, 0, pair_count(ctx)).tolist()))
+
+
 @pytest.mark.parametrize("ctx", [F27, F81, F125], ids=["F27", "F81", "F125"])
 def test_independent_pairs_match_rank_definition(ctx):
     """The vectorized test against row reduction, over every (alpha, beta)."""
@@ -600,11 +606,11 @@ def test_independent_pairs_match_rank_definition(ctx):
         for b in range(ctx.q)
         if _rank_mod_p([one, digits[a], digits[b]], ctx.p) == 3
     ]
-    assert list(independent_pairs(ctx)) == expected
+    assert _all_pairs(ctx) == expected
 
 
 def test_independent_pairs_count_and_rank():
-    pairs = list(independent_pairs(F27))
+    pairs = _all_pairs(F27)
     # q = 27: (27 - 3) choices with {1, a} free, (27 - 9) with {1, a, b} free
     assert len(pairs) == (27 - 3) * (27 - 9) == pair_count(F27) == 432
     assert pairs == sorted(pairs)  # lexicographic in (a, b)
@@ -655,7 +661,7 @@ def _check_against_oracle(ctx, pairs):
 
 
 def test_evaluate_pairs_equals_full_classification_on_all_f27_pairs():
-    records = _check_against_oracle(F27, list(independent_pairs(F27)))
+    records = _check_against_oracle(F27, _all_pairs(F27))
     assert len(records) == 432
 
 
@@ -686,7 +692,7 @@ def test_evaluate_pairs_finds_bent_duals_on_f243(rng):
     """F_243 has pairs whose dual is bent; the closed form must agree with
     full classification on those and on a plain sample."""
     ctx = make_field(3, 5, (1, 0, 0, 0, 2, 1))
-    pairs = list(independent_pairs(ctx))
+    pairs = _all_pairs(ctx)
     assert len(pairs) == (243 - 3) * (243 - 9)
     pool = np.array(_sample(pairs, rng, 3000))
     bent_dual = pool[evaluate_pairs(ctx, pool).dual_bent].tolist()
@@ -702,7 +708,7 @@ def test_evaluate_pairs_constant_eta_pairs_are_regular_on_f729(rng):
     regular, as Tr(x^2) is on F_729, and its dual is bent."""
     ctx = make_field(3, 6, (1, 0, 0, 0, 1, 1, 1))
     assert classify(monomial_bent(ctx, ctx.one, 0)).regularity == REGULAR
-    pairs = list(independent_pairs(ctx))
+    pairs = _all_pairs(ctx)
     pool = np.array(_sample(pairs, rng, 6000))
     constant = pool[~evaluate_pairs(ctx, pool).mixed].tolist()
     assert len(constant) >= 4
@@ -713,11 +719,11 @@ def test_evaluate_pairs_constant_eta_pairs_are_regular_on_f729(rng):
 
 def test_pair_slice_cuts_the_pair_list_anywhere(rng):
     """Any start..stop of the scan, inside one alpha's betas or across
-    several, is the same slice of independent_pairs; like a slice, a stop
+    several, is the same slice of the whole list; like a slice, a stop
     past the end keeps the pairs that exist, and a start at or past it
     gives an empty [0, 2] array."""
     ctx = make_field(3, 4)
-    pairs = list(independent_pairs(ctx))
+    pairs = _all_pairs(ctx)
     total = len(pairs)
     assert total == (81 - 3) * (81 - 9)
     cuts = [(0, 0), (0, 1), (71, 73), (0, total), (total - 5, total)]
@@ -782,8 +788,8 @@ def test_evaluate_pairs_rejects_dependent_pairs_and_oversized_fields():
 
 def test_condition_sum_matches_its_definition(rng):
     """S as the sum of the canonical eta rows against scalar field arithmetic."""
-    cases = [(F27, pair) for pair in independent_pairs(F27)]
-    cases += [(F125, pair) for pair in _sample(list(independent_pairs(F125)), rng, 40)]
+    cases = [(F27, pair) for pair in _all_pairs(F27)]
+    cases += [(F125, pair) for pair in _sample(_all_pairs(F125), rng, 40)]
     for ctx, (a, b) in cases:
         alpha, beta, p = ctx.element(a), ctx.element(b), ctx.p
         S = CycInt.zero(p)

@@ -351,19 +351,28 @@ def test_expression_matches_scalar_evaluation(ctx, rng):
         assert list(from_expr(ctx, src).table) == _scalar_expr(ctx, terms), src
 
 
+# One input for each message the parser can give, with its exact text and position.
+EXPR_ERRORS = [
+    (from_expr, "Tr(C)", 3, "unexpected 'C'"),
+    (from_expr, "Tr(x", 4, "unexpected end of input"),
+    (from_expr, "Tr x", 3, "expected '('"),
+    (from_expr, "Tr(x^2 x", 7, "expected ')'"),
+    (from_expr, "Tr(x) Tr(x)", 6, "expected '+' between terms"),
+    (from_expr, "Tr(x) +", 7, "missing term"),
+    (from_expr, "x", 0, "expected a term"),
+    (from_expr, "3*x", 2, "expected 'Tr'"),
+    (from_expr, "Tr(g", 4, "expected 'x' after the coefficient"),  # also at end of input
+    (from_expr, "Tr(x^w)", 5, "expected an exponent"),
+    (from_expr, "Tr(+x)", 3, "expected a coefficient"),
+    (parse_coefficient, "w 1", 2, "trailing input"),
+]
+
+
 def test_expression_errors_carry_positions():
-    with pytest.raises(ExprError, match="position 3"):
-        from_expr(F27, "Tr(y)")  # unknown letter
-    with pytest.raises(ExprError, match="unexpected end"):
-        from_expr(F27, "Tr(x")
-    with pytest.raises(ExprError, match="expected '\\+' between terms"):
-        from_expr(F27, "Tr(x^2))")
-    with pytest.raises(ExprError, match="trailing input"):
-        parse_coefficient(F27, "w 1")
-    with pytest.raises(ExprError, match="expected an exponent"):
-        from_expr(F27, "Tr(x^w)")
-    with pytest.raises(ExprError):
-        from_expr(F27, "")
+    for parse, src, pos, msg in EXPR_ERRORS:
+        with pytest.raises(ExprError) as info:
+            parse(F27, src)
+        assert str(info.value) == f"parse error at position {pos}: {msg}", src
 
 
 # ---- truth-table files ------------------------------------------------------------------
