@@ -3,10 +3,11 @@
 For a pair (alpha, beta) in GF(p^m) with {1, alpha, beta} linearly
 independent over F_p, the (m+2)-variable function
 
-    F(x, y1, y2) = Tr((alpha*y1 + beta*y2 + 1) * x^2) + y1*y2
+    F(x, y1, y2) = Tr(x^2) + (y1 + Tr(alpha*x^2)) * (y2 + Tr(beta*x^2))
 
-is bent whenever all three coefficients stay nonzero, and its dual fails to
-be bent exactly when a certain element S of Z[e] satisfies |S|^2 != p^2.
+is bent, and its dual is not bent whenever a certain element S of Z[e]
+satisfies |S|^2 != p^2.  That condition is sufficient, not necessary: the
+note at the end shows a pair with |S|^2 = p^2 whose dual is not bent either.
 This script computes S exactly for the bundled reference pairs and then
 cross-checks it against an independent spectral identity.
 
@@ -15,6 +16,7 @@ Run:  python3 demos/04_non_dual_bent.py
 from pbent.bent import bent_normalizer, classify
 from pbent.constructions import NdCorSpec, ndcor_condition_sum, ndcor_function
 from pbent.field import make_field
+from pbent.pfunc import parse_coefficient
 from pbent.walsh import walsh_fast
 
 PAIRS = [
@@ -25,17 +27,9 @@ PAIRS = [
 ]
 
 
-def parse(ctx, text):
-    """Tiny helper: read 'w', 'w^2', 'w^2+1', '2w+1' style names."""
-    w = ctx.w
-    return {
-        "w": w, "w^2": w**2, "w^2+1": w**2 + 1, "2w+1": 2 * w + 1,
-    }[text]
-
-
 for p, m, at, bt in PAIRS:
     ctx = make_field(p, m)
-    alpha, beta = parse(ctx, at), parse(ctx, bt)
+    alpha, beta = parse_coefficient(ctx, at), parse_coefficient(ctx, bt)
     spec = NdCorSpec(ctx, alpha, beta)
 
     S = ndcor_condition_sum(spec)

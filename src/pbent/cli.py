@@ -26,6 +26,7 @@ from .constructions import (
     ConstructionError,
     NdCorSpec,
     SdsSpec,
+    _SPORADIC,
     _TASK_PAIRS,
     _pair_verdicts,
     agw_combine,
@@ -42,10 +43,9 @@ from .constructions import (
     semi_direct_sum,
     sporadic,
     sporadic_claim,
-    sporadic_primitive_scan,
 )
 from .cyclo import CycInt, root_power
-from .field import FieldCtx, FieldError, make_field
+from .field import BUILTIN_MODULI, FieldCtx, FieldError, make_field
 from .pfunc import (
     Domain,
     DomainError,
@@ -211,13 +211,13 @@ def _build_agw(ns: argparse.Namespace) -> PFunction:
 
 
 def _build_sporadic(ns: argparse.Namespace) -> PFunction:
-    if ns.name in ("g1", "g3"):
-        if ns.modulus is None:
-            raise CLIError(f"{ns.name} lives on F_3^6; give --m 6 --modulus DIGITS")
-        ctx = make_field(3, 6, ns.modulus)
-    else:
-        ctx = make_field(3, 4, ns.modulus)
-    return sporadic(ns.name, ctx, ns.variant)
+    """The named example on the field of the flags: p defaults to 3, m to the
+    example's degree; sporadic refuses a field that does not fit."""
+    degree = _SPORADIC[ns.name][0]
+    p, m = ns.p or 3, ns.m or degree  # _validate refuses 0 for both
+    if ns.modulus is None and (p, m) == (3, degree) and (p, m) not in BUILTIN_MODULI:
+        raise CLIError(f"{ns.name} lives on F_3^{m}; give --m {m} --modulus DIGITS")
+    return sporadic(ns.name, make_field(p, m, ns.modulus), ns.variant)
 
 
 def _split_list(text: str) -> list[str]:
@@ -414,19 +414,7 @@ def cmd_verify_paper(ns: argparse.Namespace) -> int:
     else:
         ctx36 = make_field(3, 6, ns.modulus_36)
         for name in ("g1", "g3"):
-            holds, rep = sporadic_claim(name, ctx36)
-            if holds:
-                rows.append(_claim_row(name, rep))
-            else:
-                gidx, _ = sporadic_primitive_scan(name, 3, 6, ns.modulus_36)
-                rows.append(
-                    _Row(
-                        f"{name} (primitive scan)",
-                        gidx is not None,
-                        f"first working generator index: {gidx}",
-                        "some generator satisfies the claim",
-                    )
-                )
+            rows.append(_claim_row(name, sporadic_claim(name, ctx36)[1]))
 
     width = max(len(r.label) for r in rows)
     lines = []

@@ -18,7 +18,7 @@ from .bent import (
 )
 from .cyclo import CycInt
 from .field import FieldCtx, FieldElement, FieldError, _rank_mod_p
-from .pfunc import Domain, PFunction, VecPart
+from .pfunc import Domain, PFunction, VecPart, from_expr
 from .walsh import _abs_sq, _dft, _root_rows, mul_rows, rotate_rows, walsh_fast
 
 
@@ -278,15 +278,13 @@ def ndcor_condition_sum(spec: NdCorSpec) -> CycInt:
 def ndcor_function(spec: NdCorSpec) -> PFunction:
     """F(x, y1, y2) = Tr(x^2) + (y1 + Tr(alpha x^2)) * (y2 + Tr(beta x^2)).
 
-    f and the two coordinate maps are Tr(c x^2) for c = 1, alpha and beta,
-    the tables monomial_bent(ctx, c, 0) gives.
+    This is cor1_family's monomial case with k = 0, coefficients
+    (1, alpha, beta) and g = y1*y2 (Cesmelioglu, McGuire and Meidl, JCTA
+    119, 2012).
     """
     ctx = spec.ctx
-    dom = Domain.field(ctx)
-    f, h1, h2 = (
-        PFunction(dom, ctx.trace_term(c.index, 2)) for c in (ctx.one, spec.alpha, spec.beta)
-    )
-    return semi_direct_sum(SdsSpec(f=f, g=coordinate_product(ctx.p), h=[h1, h2]))
+    alphas = [ctx.one, spec.alpha, spec.beta]
+    return cor1_family(ctx, "monomial", 0, alphas, coordinate_product(ctx.p)).function
 
 
 def coordinate_product(p: int) -> PFunction:
@@ -359,52 +357,37 @@ def agw_walsh_identity(f_list: list[PFunction]) -> bool:
 
 # ---- bundled ternary examples ------------------------------------------------------
 
+# Each example's degree m over F_3 and its expressions, one per variant, in
+# from_expr's grammar, where g is the context's primitive element xi.
+_SPORADIC: dict[str, tuple[int, tuple[str, ...]]] = {
+    "g1": (6, ("Tr(g^7 x^98)",)),
+    "g2": (4, tuple(f"Tr({a0} x^22) + Tr(x^4)" for a0 in ("g^10", "-g^10", "g^30", "-g^30"))),
+    "g3": (6, ("Tr(g^7 x^14) + Tr(g^35 x^70)",)),
+}
+
+
 def sporadic(name: str, ctx: FieldCtx, variant: int | None = None) -> PFunction:
     """The bundled ternary examples g1, g2, g3.
 
     g1 = Tr(xi^7 x^98) and g3 = Tr(xi^7 x^14 + xi^35 x^70) on F_{3^6}
     (modulus supplied by the caller), g2 = Tr(a0 x^22 + x^4) on F_{3^4} with
     a0 one of +-xi^10, +-xi^30 chosen by variant 0..3.  xi is the context's
-    primitive element.
+    primitive element; g1 and g3 take no variant.
     """
     if ctx.p != 3:
         raise ConstructionError("the bundled examples live in characteristic 3")
-    xi = ctx.g
-    if name == "g1":
-        if ctx.m != 6:
-            raise ConstructionError("g1 needs F_{3^6}")
-        return _trace_monomial(ctx, xi**7, 98)
-    if name == "g2":
-        if ctx.m != 4:
-            raise ConstructionError("g2 needs F_{3^4}")
-        if variant is None or not 0 <= variant <= 3:
-            raise ConstructionError("g2 needs a variant in 0..3")
-        a0 = g2_coefficients(ctx)[variant]
-        return g2_function(ctx, a0)
-    if name == "g3":
-        if ctx.m != 6:
-            raise ConstructionError("g3 needs F_{3^6}")
-        t1 = _trace_monomial(ctx, xi**7, 14)
-        t2 = _trace_monomial(ctx, xi**35, 70)
-        return t1 + t2
-    raise ConstructionError(f"unknown example {name!r}")
-
-
-def g2_coefficients(ctx: FieldCtx) -> list[FieldElement]:
-    """The four leading coefficients of g2, in the fixed order used by variants."""
-    xi = ctx.g
-    a, b = xi**10, xi**30
-    return [a, -a, b, -b]
-
-
-def g2_function(ctx: FieldCtx, a0: FieldElement) -> PFunction:
-    """Tr(a0 x^22 + x^4) on F_{3^4}, for any leading coefficient a0."""
-    if ctx.p != 3 or ctx.m != 4:
-        raise ConstructionError("this shape needs F_{3^4}")
-    t2 = _trace_monomial(ctx, ctx.one, 4)
-    if a0.index == 0:
-        return t2
-    return _trace_monomial(ctx, a0, 22) + t2
+    if name not in _SPORADIC:
+        raise ConstructionError(f"unknown example {name!r}")
+    m, exprs = _SPORADIC[name]
+    if ctx.m != m:
+        raise ConstructionError(f"{name} needs F_{{3^{m}}}")
+    if len(exprs) == 1:
+        if variant is not None:
+            raise ConstructionError(f"{name} has no variants")
+        variant = 0
+    elif variant is None or not 0 <= variant < len(exprs):
+        raise ConstructionError(f"{name} needs a variant in 0..{len(exprs) - 1}")
+    return from_expr(ctx, exprs[variant])
 
 
 def sporadic_claim(name: str, ctx: FieldCtx, variant: int | None = None):
@@ -412,23 +395,6 @@ def sporadic_claim(name: str, ctx: FieldCtx, variant: int | None = None):
     behavior: bent, not weakly regular, dual not bent."""
     rep = classify(sporadic(name, ctx, variant))
     return rep.has_non_bent_dual(), rep
-
-
-def sporadic_primitive_scan(name: str, p: int, m: int, modulus) -> tuple[int | None, object]:
-    """Try every primitive element as xi until the advertised behavior holds.
-
-    Returns (primitive index, report) for the first success, or (None, last
-    report) if no generator works.
-    """
-    base = FieldCtx(p, m, modulus)
-    last = None
-    for gidx in base.primitive_indices():
-        ctx = FieldCtx(p, m, modulus, primitive=gidx)
-        holds, rep = sporadic_claim(name, ctx)
-        last = rep
-        if holds:
-            return gidx, rep
-    return None, last
 
 
 # ---- search over (alpha, beta) pairs ----------------------------------------------

@@ -36,7 +36,6 @@ from pbent.constructions import (
     semi_direct_sum,
     sds_is_bent_condition,
     sporadic_claim,
-    sporadic_primitive_scan,
 )
 from pbent.cyclo import CycInt, root_power
 from pbent.field import make_field
@@ -220,11 +219,7 @@ def test_acceptance_6_sextic_bundled_examples():
     ctx = make_field(3, 6, MOD36)
     outcomes = {}
     for name in ("g1", "g3"):
-        holds, rep = sporadic_claim(name, ctx)
-        if not holds:
-            gidx, rep = sporadic_primitive_scan(name, 3, 6, MOD36)
-            holds = gidx is not None
-        outcomes[name] = holds
+        outcomes[name] = sporadic_claim(name, ctx)[0]
     elapsed = time.monotonic() - t0
     ok = all(outcomes.values()) and elapsed < 60.0
     report("6", ok, f"claims hold: {outcomes}; {elapsed:.2f}s")

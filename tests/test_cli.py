@@ -697,6 +697,27 @@ def test_construct_sporadic_g1_with_modulus(capsys, tmp_path):
     assert got == sporadic("g1", ctx)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--name", "g2", "--p", "5", "--m", "3", "--variant", "1"),
+        ("--name", "g1", "--p", "7", "--m", "6", "--modulus", "2,1,0,0,0,0,1", "--variant", "3"),
+        ("--name", "g1", "--p", "3", "--m", "6", "--modulus", MOD36, "--variant", "0"),
+        ("--name", "g3", "--m", "4"),
+        ("--name", "g2", "--p", "3", "--m", "3", "--variant", "0"),
+    ],
+    ids=["g2-F125", "g1-p7", "g1-variant", "g3-F81", "g2-F27"],
+)
+def test_construct_sporadic_refuses_other_fields_and_variants(capsys, tmp_path, argv):
+    """The field flags are read, not dropped: a field or variant the example
+    does not have is one error line and exit 2, with no output file."""
+    out_path = tmp_path / "out.tt"
+    code, out, err = run(capsys, "construct", "sporadic", *argv, "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out_path.exists()
+
+
 # ---- search ---------------------------------------------------------------------------
 
 

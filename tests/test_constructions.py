@@ -30,7 +30,6 @@ from pbent.constructions import (
     direct_sum,
     evaluate_pair,
     evaluate_pairs,
-    g2_coefficients,
     monomial_bent,
     ndcor_condition_sum,
     ndcor_function,
@@ -43,10 +42,9 @@ from pbent.constructions import (
     sds_walsh_factorization,
     sporadic,
     sporadic_claim,
-    sporadic_primitive_scan,
 )
 from pbent.cyclo import CycInt, gauss_sum, root_power
-from pbent.field import digit_table, make_field
+from pbent.field import FieldCtx, digit_table, make_field, poly_is_irreducible, trace
 from pbent.pfunc import (
     Domain,
     DomainError,
@@ -413,6 +411,30 @@ def test_ndcor_function_shape():
             assert F(x + 27 * y) == expected
 
 
+def _ndcor_pointwise(ctx, a_idx, b_idx):
+    """Tr(x^2) + (y1 + Tr(alpha x^2)) * (y2 + Tr(beta x^2)) from field
+    arithmetic, at point x + q*(y1 + p*y2)."""
+    p, alpha, beta = ctx.p, ctx.element(a_idx), ctx.element(b_idx)
+    squares = [ctx.element(i) ** 2 for i in range(ctx.q)]
+    f, ha, hb = (np.array([trace(c * sq) for sq in squares]) for c in (ctx.one, alpha, beta))
+    y1, y2 = np.arange(p)[None, :, None], np.arange(p)[:, None, None]
+    return ((f + (y1 + ha) * (y2 + hb)) % p).reshape(-1)
+
+
+@pytest.mark.parametrize("ctx,n", [(F27, None), (F81, 30), (F125, 20)], ids=["F27", "F81", "F125"])
+def test_ndcor_function_is_the_planted_cor1_case(ctx, n):
+    """ndcor_function, built by cor1_family with coefficients (1, alpha, beta),
+    k = 0 and g = y1*y2, against its formula: every F_27 pair and seeded
+    F_81 and F_125 pairs."""
+    pairs = pair_slice(ctx, 0, pair_count(ctx))
+    if n is not None:
+        pairs = pairs[np.random.default_rng(ctx.q).choice(len(pairs), n, replace=False)]
+    for a, b in pairs.tolist():
+        F = ndcor_function(NdCorSpec(ctx, ctx.element(a), ctx.element(b)))
+        assert F.domain == Domain.field(ctx).extend(VecPart(ctx.p, 2))
+        assert np.array_equal(F.table, _ndcor_pointwise(ctx, a, b)), (a, b)
+
+
 REFERENCE_PAIRS = [
     # (field, alpha expr, beta expr, S coefficients, |S|^2 rational or None)
     (F27, "w", "w^2+1", (1, 2), 3),
@@ -539,28 +561,41 @@ def test_agw_dual_bent_iff_all_duals_bent():
 # ---- bundled examples -----------------------------------------------------------------
 
 
-def test_g2_coefficients_have_order_eight():
-    coeffs = g2_coefficients(F81)
-    assert len(coeffs) == 4
-    a = coeffs[0]
-    assert a**8 == F81.one and a**4 != F81.one
-    assert coeffs[1] == -a
-    assert coeffs[3] == -coeffs[2]
-
-
 def test_sporadic_validation():
-    with pytest.raises(ConstructionError):
-        sporadic("g1", F81)  # g1 needs m = 6
-    with pytest.raises(ConstructionError):
-        sporadic("g2", F27)  # g2 needs m = 4
-    with pytest.raises(ConstructionError):
-        sporadic("g2", F81)  # missing variant
-    with pytest.raises(ConstructionError):
-        sporadic("g2", F81, variant=4)
-    with pytest.raises(ConstructionError):
-        sporadic("g9", F81, variant=0)
-    with pytest.raises(ConstructionError):
-        sporadic("g2", F125, variant=0)  # wrong characteristic
+    for name, ctx, variant, message in [
+        ("g1", F81, None, "g1 needs F_{3^6}"),
+        ("g2", F27, 0, "g2 needs F_{3^4}"),
+        ("g2", F81, None, "g2 needs a variant in 0..3"),
+        ("g2", F81, 4, "g2 needs a variant in 0..3"),
+        ("g3", make_field(3, 6, MOD_3_6), 0, "g3 has no variants"),
+        ("g9", F81, 0, "unknown example 'g9'"),
+        ("g2", F125, 0, "the bundled examples live in characteristic 3"),
+    ]:
+        with pytest.raises(ConstructionError) as err:
+            sporadic(name, ctx, variant)
+        assert str(err.value) == message
+
+
+def test_sporadic_tables_follow_their_formulas():
+    """Each example against its formula, evaluated point by point in field
+    arithmetic; g2's coefficients +-xi^10 and +-xi^30 have order 8."""
+    F729 = make_field(3, 6, MOD_3_6)
+    xi = F729.g
+    for name, formula in [
+        ("g1", lambda x: trace(xi**7 * x**98)),
+        ("g3", lambda x: trace(xi**7 * x**14) + trace(xi**35 * x**70)),
+    ]:
+        expected = [formula(F729.element(i)) % 3 for i in range(F729.q)]
+        assert sporadic(name, F729).table.tolist() == expected, name
+    for text in ("g^10", "g^30"):
+        a = parse_coefficient(F81, text)
+        assert a**8 == F81.one and a**4 != F81.one
+    xi = F81.g
+    for variant, a0 in enumerate([xi**10, -(xi**10), xi**30, -(xi**30)]):
+        expected = [
+            (trace(a0 * x**22) + trace(x**4)) % 3 for x in map(F81.element, range(F81.q))
+        ]
+        assert sporadic("g2", F81, variant).table.tolist() == expected, variant
 
 
 @pytest.mark.parametrize("variant", [0, 1, 2, 3])
@@ -579,12 +614,38 @@ def test_g1_g3_on_supplied_sextic_modulus(name):
     assert rep.is_bent and rep.dual_is_bent is False
 
 
-def test_primitive_scan_finds_working_generator():
-    gidx, rep = sporadic_primitive_scan("g1", 3, 6, MOD_3_6)
-    assert gidx is not None
-    assert rep.is_bent and rep.regularity == NON_WEAKLY_REGULAR
-    # the scan tries the context's default generator first, which works here
-    assert gidx == make_field(3, 6, MOD_3_6).primitive_index
+def _irreducible_moduli(m):
+    """Every monic irreducible polynomial of degree m over F_3, lowest digit first."""
+    digits = itertools.product(range(3), repeat=m)
+    return [d + (1,) for d in digits if poly_is_irreducible(d + (1,), 3)]
+
+
+def test_sporadic_claims_hold_on_every_modulus():
+    """The default generator of every irreducible sextic and quartic works:
+    g1 and g3 on all 116 sextics, g2's four variants on all 18 quartics."""
+    sextics, quartics = _irreducible_moduli(6), _irreducible_moduli(4)
+    assert (len(sextics), len(quartics)) == (116, 18)
+    for mod in sextics:
+        ctx = make_field(3, 6, mod)
+        assert all(sporadic_claim(name, ctx)[0] for name in ("g1", "g3")), mod
+    for mod in quartics:
+        ctx = make_field(3, 4, mod)
+        assert all(sporadic_claim("g2", ctx, v)[0] for v in range(4)), mod
+
+
+@pytest.mark.parametrize(
+    "modulus,names",
+    [(MOD_3_6, [("g1", None), ("g3", None)]), (F81.modulus, [("g2", v) for v in range(4)])],
+    ids=["F729", "F81"],
+)
+def test_sporadic_claims_hold_for_every_generator(modulus, names):
+    """The claims do not depend on which primitive element plays xi."""
+    m = len(modulus) - 1
+    gens = FieldCtx(3, m, modulus).primitive_indices()
+    assert len(gens) == {6: 288, 4: 32}[m]
+    for gidx in gens:
+        ctx = FieldCtx(3, m, modulus, primitive=gidx)
+        assert all(sporadic_claim(name, ctx, v)[0] for name, v in names), gidx
 
 
 # ---- pair enumeration and the search record ------------------------------------------------

@@ -1,5 +1,9 @@
-"""Smoke test: every demo script runs to completion against the source tree."""
+"""Smoke tests: every demo script runs to completion against the source tree,
+and README's python blocks still run and print what their comments say."""
+import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,3 +27,21 @@ def test_demo_runs_cleanly(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
+
+
+def test_readme_python_blocks_print_their_stated_values():
+    """The ```python blocks of README.md, run in order in one namespace: each
+    print gives the value its comment states (is_bent True, the regularity,
+    the unit -i, S = 1 + 2e with |S|^2 = 3, and a dual that is not bent)."""
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    expected = [
+        "True\nweakly_regular_not_regular\n-i\nTrue\n",
+        "1 + 2e 3\nFalse\n",
+    ]
+    assert len(blocks) == len(expected)
+    namespace = {}
+    for block, want in zip(blocks, expected):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            exec(block, namespace)
+        assert out.getvalue() == want
