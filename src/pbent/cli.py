@@ -17,7 +17,6 @@ from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isclose, sqrt
 
 import numpy as np
 
@@ -163,14 +162,10 @@ def cmd_construct(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _build_monomial(ns: argparse.Namespace) -> PFunction:
+def _build_quadratic(ns: argparse.Namespace) -> PFunction:
+    """monomial_bent or cm_bent, as the subcommand set ns.family."""
     ctx = _field_from(ns)
-    return monomial_bent(ctx, parse_coefficient(ctx, ns.alpha), ns.k)
-
-
-def _build_cm(ns: argparse.Namespace) -> PFunction:
-    ctx = _field_from(ns)
-    return cm_bent(ctx, parse_coefficient(ctx, ns.alpha), ns.k)
+    return ns.family(ctx, parse_coefficient(ctx, ns.alpha), ns.k)
 
 
 def _build_directsum(ns: argparse.Namespace) -> PFunction:
@@ -366,17 +361,15 @@ def cmd_verify_paper(ns: argparse.Namespace) -> int:
     _check_pair_value(rows, "pair(3,3) (2w+1, w^2):", k33, 2 * w3 + 1, w3 * w3, None, 3)
 
     S34 = _check_pair_value(rows, "pair(3,4) (w, w^2):", k34, w4, w4 * w4, None, 13)
-    target = complex(1.0, -2.0 * sqrt(3.0))
-    z = S34.to_complex()
-    float_ok = isclose(z.real, target.real, abs_tol=1e-9) and isclose(
-        z.imag, target.imag, abs_tol=1e-9
-    )
+    # the bundled 1 - 2*sqrt(3)*i, exactly: i*sqrt(3) = 1 + 2e in Z[e_3]
+    target = -1 - 4 * root_power(3, 1)
+    z, t = S34.to_complex(), target.to_complex()
     rows.append(
         _Row(
             "pair(3,4) (w, w^2): float(S)",
-            float_ok,
+            S34 == target,
             f"{z.real:+.6f}{z.imag:+.6f}i",
-            f"{target.real:+.6f}{target.imag:+.6f}i",
+            f"{t.real:+.6f}{t.imag:+.6f}i",
         )
     )
 
@@ -478,17 +471,15 @@ def build_parser() -> argparse.ArgumentParser:
     con.set_defaults(func=cmd_construct)
     consubs = con.add_subparsers(dest="sub", required=True)
 
-    sp = consubs.add_parser("monomial", help="Tr(alpha x^(p^k+1))")
-    add_field_flags(sp, need_input=False)
-    sp.add_argument("--alpha", type=str, required=True)
-    sp.add_argument("--k", type=int, default=0)
-    sp.set_defaults(build=_build_monomial)
-
-    sp = consubs.add_parser("cm", help="ternary Tr(alpha x^((3^k+1)/2))")
-    add_field_flags(sp, need_input=False)
-    sp.add_argument("--alpha", type=str, required=True)
-    sp.add_argument("--k", type=int, default=1)
-    sp.set_defaults(build=_build_cm)
+    for name, blurb, family, k in (
+        ("monomial", "Tr(alpha x^(p^k+1))", monomial_bent, 0),
+        ("cm", "ternary Tr(alpha x^((3^k+1)/2))", cm_bent, 1),
+    ):
+        sp = consubs.add_parser(name, help=blurb)
+        add_field_flags(sp, need_input=False)
+        sp.add_argument("--alpha", type=str, required=True)
+        sp.add_argument("--k", type=int, default=k)
+        sp.set_defaults(build=_build_quadratic, family=family)
 
     sp = consubs.add_parser("directsum", help="f(x) + g(y) from two truth tables")
     sp.add_argument("inputs", nargs=2, metavar="TT")
@@ -566,10 +557,7 @@ def main(argv=None) -> int:
     try:
         _validate(ns)
         return ns.func(ns)
-    except (CLIError, ConstructionError, DomainError, ExprError, FieldError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (CLIError, ConstructionError, DomainError, ExprError, FieldError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

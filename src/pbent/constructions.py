@@ -17,7 +17,7 @@ from .bent import (
     NON_WEAKLY_REGULAR, DualExtractionError, Verdict, classify, extract_dual, is_bent, match_rows,
 )
 from .cyclo import CycInt
-from .field import FieldCtx, FieldElement, FieldError, _rank_mod_p
+from .field import FieldCtx, FieldElement, _rank_mod_p
 from .pfunc import Domain, PFunction, VecPart, from_expr
 from .walsh import _abs_sq, _dft, _root_rows, mul_rows, rotate_rows, walsh_fast
 
@@ -36,11 +36,16 @@ def _as_element(ctx: FieldCtx, a) -> FieldElement:
 
 # ---- quadratic families -------------------------------------------------------
 
-def monomial_bent(ctx: FieldCtx, alpha, k: int) -> PFunction:
-    """Tr(alpha * x^(p^k + 1)); bent exactly when m / gcd(m, k) is odd."""
+def _nonzero_coefficient(ctx: FieldCtx, alpha) -> FieldElement:
     alpha = _as_element(ctx, alpha)
     if alpha.index == 0:
         raise ConstructionError("the coefficient must be nonzero")
+    return alpha
+
+
+def monomial_bent(ctx: FieldCtx, alpha, k: int) -> PFunction:
+    """Tr(alpha * x^(p^k + 1)); bent exactly when m / gcd(m, k) is odd."""
+    alpha = _nonzero_coefficient(ctx, alpha)
     if not 0 <= k <= ctx.m:
         raise ConstructionError(f"k must lie in 0..{ctx.m}, got {k}")
     if (ctx.m // gcd(ctx.m, k)) % 2 == 0:
@@ -54,9 +59,7 @@ def cm_bent(ctx: FieldCtx, alpha, k: int) -> PFunction:
     """Ternary Coulter-Matthews function Tr(alpha * x^((3^k + 1)/2)), gcd(2m, k) = 1."""
     if ctx.p != 3:
         raise ConstructionError("this family only exists in characteristic 3")
-    alpha = _as_element(ctx, alpha)
-    if alpha.index == 0:
-        raise ConstructionError("the coefficient must be nonzero")
+    alpha = _nonzero_coefficient(ctx, alpha)
     if k < 1 or gcd(2 * ctx.m, k) != 1:
         raise ConstructionError(f"need gcd(2m, k) = 1 with k >= 1, got k={k}")
     return _trace_monomial(ctx, alpha, (3**k + 1) // 2)
@@ -296,12 +299,9 @@ def coordinate_product(p: int) -> PFunction:
 
 # ---- selector-variable recursion -------------------------------------------------
 
-def agw_combine(f_list: list[PFunction]) -> PFunction:
-    """F(x, s, y) = f_y(x) + s*y on F_p^(n+2), selecting among p functions by y.
-
-    Every f_j must live on one common plain vector domain F_p^n; F is bent
-    exactly when all the f_j are.
-    """
+def _selector_grid(f_list: list[PFunction]) -> tuple[np.ndarray, np.ndarray, Domain]:
+    """The p tables, checked to share one plain vector domain F_p^n, as
+    [j, x]; s*y on F_p^(n+2)'s [y, s, x] grid; and F_p^(n+2)."""
     if not f_list:
         raise ConstructionError("need p functions")
     base = f_list[0].domain
@@ -312,31 +312,24 @@ def agw_combine(f_list: list[PFunction]) -> PFunction:
         raise ConstructionError("inputs must live on a plain vector domain")
     if any(fj.domain != base for fj in f_list):
         raise ConstructionError("all inputs must share one domain")
-    n = base.n_total
-    nf = base.size
-    dom = Domain.vec(p, n + 2)
-    idx = np.arange(dom.size, dtype=np.int64)
-    x = idx % nf
-    s = (idx // nf) % p
-    y = idx // (nf * p)
-    stacked = np.stack([fj.table for fj in f_list], axis=0)
-    table = (stacked[y, x] + s * y) % p
-    return PFunction(dom, table)
+    sy = np.outer(np.arange(p), np.arange(p))[:, :, None]
+    return np.stack([fj.table for fj in f_list]), sy, Domain.vec(p, base.n_total + 2)
+
+
+def agw_combine(f_list: list[PFunction]) -> PFunction:
+    """F(x, s, y) = f_y(x) + s*y on F_p^(n+2), selecting among p functions by y.
+
+    Every f_j must live on one common plain vector domain F_p^n; F is bent
+    exactly when all the f_j are.
+    """
+    tables, sy, dom = _selector_grid(f_list)
+    return PFunction(dom, ((tables[:, None] + sy) % dom.p).reshape(-1))
 
 
 def agw_dual(fstar_list: list[PFunction]) -> PFunction:
     """The dual's shape under this recursion: F*(x, s, y) = f*_s(x) - s*y."""
-    base = fstar_list[0].domain
-    p = base.p
-    nf = base.size
-    dom = Domain.vec(p, base.n_total + 2)
-    idx = np.arange(dom.size, dtype=np.int64)
-    x = idx % nf
-    s = (idx // nf) % p
-    y = idx // (nf * p)
-    stacked = np.stack([fj.table for fj in fstar_list], axis=0)
-    table = (stacked[s, x] - s * y) % p
-    return PFunction(dom, table)
+    tables, sy, dom = _selector_grid(fstar_list)
+    return PFunction(dom, ((tables[None] - sy) % dom.p).reshape(-1))
 
 
 def agw_walsh_identity(f_list: list[PFunction]) -> bool:

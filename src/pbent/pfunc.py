@@ -16,7 +16,6 @@ import numpy as np
 from .field import (
     FieldCtx,
     FieldElement,
-    FieldError,
     LinearMaps,
     digit_table,
     exceeds_size_limit,
@@ -30,13 +29,15 @@ class DomainError(ValueError):
 
 
 class FieldPart:
-    """Domain component backed by a full field; pairing is Tr(b*x)."""
+    """Domain component backed by a full field; pairing is Tr(b*x), whose
+    Gram block is the trace form's."""
 
     def __init__(self, ctx: FieldCtx) -> None:
         self.ctx = ctx
         self.p = ctx.p
         self.dim = ctx.m
         self.size = ctx.q
+        self.gram = ctx.gram
 
     def _key(self):
         return ("field", self.ctx._key())
@@ -54,7 +55,8 @@ class FieldPart:
 
 
 class VecPart:
-    """Domain component F_p^n with the dot-product pairing."""
+    """Domain component F_p^n with the dot-product pairing, whose Gram block
+    is the identity."""
 
     def __init__(self, p: int, n: int) -> None:
         if n < 1:
@@ -64,6 +66,7 @@ class VecPart:
         self.p = p
         self.dim = n
         self.size = p**n
+        self.gram = np.eye(n, dtype=np.int64)
 
     def _key(self):
         return ("vec", self.p, self.dim)
@@ -91,13 +94,6 @@ class Domain:
                 f"domain size {p}^{self.n_total} exceeds the limit 2^20"
             )
         self.size = p**self.n_total
-        self._digit_pw = np.array([p**i for i in range(self.n_total)], dtype=np.int64)
-        sizes = [c.size for c in comps]
-        self._comp_offsets = []
-        acc = 1
-        for s in sizes:
-            self._comp_offsets.append(acc)
-            acc *= s
         self._cache: dict[str, object] = {}
 
     # ---- constructors -----------------------------------------------------
@@ -146,7 +142,7 @@ class Domain:
         """x -> -x: digit j of the image is -d_j mod p."""
         if "negperm" not in self._cache:
             neg = -np.arange(self.p, dtype=np.int64) % self.p
-            self._cache["negperm"] = outer_sum([neg * w for w in self._digit_pw])
+            self._cache["negperm"] = outer_sum([neg * self.p**j for j in range(self.n_total)])
         return self._cache["negperm"]  # type: ignore[return-value]
 
     # ---- the bilinear pairing ----------------------------------------------
@@ -155,9 +151,9 @@ class Domain:
         """<b, x>: trace of the product on field components, dot product on vectors."""
         total = 0
         p = self.p
-        for c, off in zip(self.components, self._comp_offsets):
-            bi = (b // off) % c.size
-            xi = (x // off) % c.size
+        for c in self.components:
+            b, bi = divmod(b, c.size)
+            x, xi = divmod(x, c.size)
             if isinstance(c, FieldPart):
                 total += c.ctx.trace_idx(c.ctx.mul_idx(bi, xi))
             else:
@@ -174,12 +170,8 @@ class Domain:
             C = np.zeros((n, n), dtype=np.int64)
             pos = 0
             for c in self.components:
-                d = c.dim
-                if isinstance(c, FieldPart):
-                    C[pos : pos + d, pos : pos + d] = c.ctx.gram
-                else:
-                    C[pos : pos + d, pos : pos + d] = np.eye(d, dtype=np.int64)
-                pos += d
+                C[pos : pos + c.dim, pos : pos + c.dim] = c.gram
+                pos += c.dim
             self._cache["gram"] = C
         return self._cache["gram"]  # type: ignore[return-value]
 
@@ -189,17 +181,14 @@ class Domain:
         read-only.
 
         C is block diagonal, one block per component, so each component's
-        permutation is the `LinearMaps` table of its own block, and the
-        components are combined by their mixed-radix offsets in one outer sum.
+        permutation is the `LinearMaps` table of its own block, scaled in
+        mixed radix by the points of the components before it.
         """
         if "wperm" not in self._cache:
-            C = self.gram()
-            blocks, pos = [], 0
-            for c, off in zip(self.components, self._comp_offsets):
-                block = C[pos : pos + c.dim, pos : pos + c.dim]
-                blocks.append(LinearMaps(self.p, c.dim).table(block) * off)
-                pos += c.dim
-            perm = outer_sum(blocks)
+            perm = np.zeros(1, dtype=np.int64)
+            for c in self.components:
+                perm = np.add.outer(LinearMaps(self.p, c.dim).table(c.gram) * perm.size, perm)
+                perm = perm.reshape(-1)
             hit = np.zeros(self.size, dtype=bool)
             hit[perm] = True
             if not hit.all():

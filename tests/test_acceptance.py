@@ -13,7 +13,6 @@ import time
 from math import sqrt
 
 import numpy as np
-import pytest
 
 from pbent.bent import (
     NON_WEAKLY_REGULAR,

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -38,6 +39,7 @@ from pbent.constructions import (
     semi_direct_sum,
     sporadic,
 )
+from pbent.cyclo import root_power
 from pbent.field import make_field
 from pbent.pfunc import Domain, PFunction, dump_tt, from_expr, load_tt, save_tt
 from pbent.walsh import walsh_fast
@@ -1018,6 +1020,25 @@ def test_verify_paper_fail_rows_show_computed_values(capsys):
     assert "expected: 13" in fail_34
     fail_53 = next(l for l in out.splitlines() if l.startswith("FAIL  pair(5,3) (w, w^2): S"))
     assert "computed: 3 + 4e + 6e^2 + 2e^3" in fail_53
+
+
+def test_verify_paper_float_row_compares_ring_elements(capsys, monkeypatch):
+    """The float(S) row's reference 1 - 2*sqrt(3)*i is -1 - 4e in Z[e_3], and
+    the row passes exactly when S equals it; the conjugate, with the same
+    |S|^2 = 13, fails it."""
+    target = -1 - 4 * root_power(3, 1)
+    assert abs(target.to_complex() - complex(1, -2 * math.sqrt(3))) < 1e-12
+    assert target.abs_sq() == 13
+    condition_sum = cli.ndcor_condition_sum
+    for planted, status in ((target, "PASS"), (3 + 4 * root_power(3, 1), "FAIL")):
+        monkeypatch.setattr(
+            cli, "ndcor_condition_sum",
+            lambda spec, planted=planted: planted if spec.ctx.m == 4 else condition_sum(spec),
+        )
+        _, out, _ = run(capsys, "verify-paper")
+        lines = out.splitlines()
+        assert next(l for l in lines if "(w, w^2): |S|^2" in l).startswith("PASS  pair(3,4)")
+        assert next(l for l in lines if "float(S)" in l).startswith(status)
 
 
 def test_verify_paper_out_file(capsys, tmp_path):

@@ -10,7 +10,6 @@ from pbent.bent import (
     REGULAR,
     WEAKLY_REGULAR,
     classify,
-    extract_dual,
     is_bent,
 )
 from pbent.constructions import (
@@ -519,6 +518,44 @@ def test_agw_validation(rng):
         agw_combine([from_expr(F27, "Tr(x^2)")] * 3)  # field domain not allowed
     with pytest.raises(ConstructionError):
         agw_combine(fs[:2] + [random_function(Domain.vec(3, 3), rng)])
+
+
+def test_agw_dual_refuses_what_agw_combine_refuses(rng):
+    fs = [random_function(Domain.vec(3, 3), rng) for _ in range(3)]
+    for bad in (
+        [],
+        fs[:2],
+        [from_expr(F27, "Tr(x^2)")] + fs[:2],  # a field table first
+        fs[:2] + [random_function(Domain.vec(3, 2), rng)],
+    ):
+        with pytest.raises(ConstructionError) as combine_error:
+            agw_combine(bad)
+        with pytest.raises(ConstructionError) as dual_error:
+            agw_dual(bad)
+        assert str(dual_error.value) == str(combine_error.value)
+
+
+def agw_by_index(f_list: list[PFunction], dual: bool) -> np.ndarray:
+    """F(x, s, y) = f_y(x) + s*y, or F*(x, s, y) = f*_s(x) - s*y, with each
+    point index split into its x, s and y parts."""
+    base = f_list[0].domain
+    p, nf = base.p, base.size
+    idx = np.arange(p * p * nf, dtype=np.int64)
+    x = idx % nf
+    s = (idx // nf) % p
+    y = idx // (nf * p)
+    stacked = np.stack([fj.table for fj in f_list], axis=0)
+    return (stacked[s, x] - s * y) % p if dual else (stacked[y, x] + s * y) % p
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)])
+def test_agw_tables_follow_the_index_formulas(p, n):
+    rng = np.random.default_rng(100 * p + n)
+    f_list = [random_function(Domain.vec(p, n), rng) for _ in range(p)]
+    for build, dual in ((agw_combine, False), (agw_dual, True)):
+        F = build(f_list)
+        assert F.domain == Domain.vec(p, n + 2)
+        assert np.array_equal(F.table, agw_by_index(f_list, dual))
 
 
 def linear_shift(base: PFunction, a: int) -> PFunction:
