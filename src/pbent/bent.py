@@ -16,6 +16,11 @@ without forming |W|^2, and yields the dual c and the unit map u.  The
 complex unit in front of p^(n/2) is u when P_n is real and u*i when P_n is
 imaginary (odd n, p = 3 mod 4); "regular" requires that unit to be
 literally 1, hence u = +1 and a real P_n.
+
+A weakly regular f has a bent dual: with W_f(b) = u * P_n * e^(f*(b)) for a
+constant u, the inversion formula sum_b e^(<b,y>) W_f(b) = p^n e^(f(y)) and
+P_n * conj(P_n) = p^n give W_f*(-y) = u * conj(P_n) * e^(f(y)), so classify
+transforms f* only when the unit map varies.
 """
 from __future__ import annotations
 
@@ -173,7 +178,10 @@ class ClassReport:
 def classify(f: PFunction) -> ClassReport:
     """Full classification: bent or not, regularity class, dual, dual bentness.
 
-    Witnesses record the smallest index b proving each negative verdict.
+    A constant unit map makes the dual bent by the inversion formula (module
+    docstring; weak_regular_dual_relation checks it), so only a non-weakly
+    regular f has its dual transformed.  Witnesses record the smallest index
+    b proving each negative verdict.
     """
     W = walsh_fast(f)
     dom = f.domain
@@ -196,9 +204,10 @@ def classify(f: PFunction) -> ClassReport:
         report.constant_unit = u
         report.zeta = _zeta_str(u, imaginary)
         report.regularity = REGULAR if (u == 1 and not imaginary) else WEAKLY_REGULAR
-    else:
-        report.regularity = NON_WEAKLY_REGULAR
-        report.witnesses["unit_mismatch_at"] = int(np.argmax(units != units[0]))
+        report.dual_is_bent = True
+        return report
+    report.regularity = NON_WEAKLY_REGULAR
+    report.witnesses["unit_mismatch_at"] = int(np.argmax(units != units[0]))
 
     dual_verdict = is_bent(walsh_fast(dual))
     report.dual_is_bent = bool(dual_verdict)

@@ -437,8 +437,9 @@ def _pair_record(
 
 
 def evaluate_pair(ctx: FieldCtx, a_idx: int, b_idx: int) -> dict:
-    """Condition sum plus full classification (both Walsh transforms) for one
-    (alpha, beta) pair: the oracle for evaluate_pairs and pair_lines."""
+    """Condition sum plus full classification (one transform, and a second for
+    a non-weakly-regular F) for one (alpha, beta) pair: the oracle for
+    evaluate_pairs and pair_lines."""
     spec = NdCorSpec(ctx, ctx.element(a_idx), ctx.element(b_idx))
     rep = classify(ndcor_function(spec))
     return _pair_record(

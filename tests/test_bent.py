@@ -17,7 +17,8 @@ from pbent.bent import (
     weak_regular_dual_relation,
 )
 from pbent.constructions import (
-    NdCorSpec, cm_bent, coordinate_product, monomial_bent, ndcor_function, sporadic,
+    NdCorSpec, _independent, cm_bent, coordinate_product, monomial_bent, ndcor_function,
+    sporadic,
 )
 from pbent.cyclo import CycInt, gauss_sum, legendre, root_power
 from pbent.field import is_odd_prime, make_field
@@ -333,6 +334,46 @@ def test_bent_histogram_equals_the_abs_sq_histogram(build, regularity, dual_bent
     rep = classify(f)
     assert (rep.is_bent, rep.regularity, rep.dual_is_bent) == (True, regularity, dual_bent)
     assert rep.to_json()["spectrum_histogram"] == walsh_fast(f).histogram_json()
+
+
+def _every_function(dom: Domain):
+    N = dom.size
+    for table in np.arange(dom.p**N)[:, None] // dom.p ** np.arange(N) % dom.p:
+        yield PFunction(dom, table)
+
+
+def _dual_oracle_cases():
+    """Every function on F_3^2, F_5 and F_3, every Tr(a x^2) on F_27 (an
+    imaginary P_n) and F_125, every F_27 ndcor pair, and an F_243 ndcor
+    function whose dual is bent though it is not weakly regular."""
+    for dom in (Domain.vec(3, 2), Domain.vec(5, 1), Domain.vec(3, 1)):
+        yield from _every_function(dom)
+    for ctx in (F27, F125):
+        for a in range(1, ctx.q):
+            yield monomial_bent(ctx, a, 0)
+    for a in range(1, F27.q):
+        for b in range(1, F27.q):
+            if _independent(F27, np.array([a]), np.array([b]))[0]:
+                yield _ndcor(3, 3, None, a, b)
+    yield _ndcor(3, 5, (1, 0, 0, 0, 2, 1), 3, 137)
+
+
+def test_dual_bent_verdict_equals_the_duals_transform():
+    """classify decides a weakly regular f's dual bent by the inversion
+    formula, without its transform; the transform must agree, and so must
+    weak_regular_dual_relation, which does transform the dual."""
+    seen = dict.fromkeys((REGULAR, WEAKLY_REGULAR, NON_WEAKLY_REGULAR), 0)
+    for f in _dual_oracle_cases():
+        rep = classify(f)
+        if not rep.is_bent:
+            continue
+        seen[rep.regularity] += 1
+        assert rep.dual_is_bent == bool(is_bent(walsh_fast(rep.dual))), f.table
+        if rep.regularity != NON_WEAKLY_REGULAR:
+            assert weak_regular_dual_relation(f, rep).ok, f.table
+    # bent: 486 on F_3^2, 100 on F_5, 18 on F_3, 26 + 124 traces, 432 + 1 ndcor
+    assert sum(seen.values()) == 486 + 100 + 18 + 150 + 433
+    assert min(seen.values()) > 0
 
 
 def test_dual_relation_requires_weak_regularity(rng):

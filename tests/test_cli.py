@@ -191,16 +191,30 @@ def test_dual_forms_no_abs_sq_and_matches_once(capsys, monkeypatch, expr, code):
     assert (len(abs_sq), len(matched)) == (0, 1)
 
 
-def test_classify_forms_abs_sq_only_for_a_non_bent_histogram(capsys, monkeypatch):
+def test_classify_forms_abs_sq_only_for_a_non_bent_histogram(capsys, monkeypatch, tmp_path):
     """A bent spectrum's histogram is {p^n: N} from the verdict; only a
-    non-bent one forms |W|^2, once."""
+    non-bent one forms |W|^2, once.  Only a non-weakly regular f's dual is
+    transformed and matched: a constant unit map makes the dual bent."""
     abs_sq, matched = _count_layers(monkeypatch)
     code, out, _ = run(capsys, "classify", "--p", "3", "--m", "3", "--expr", "Tr(x^2)")
     assert code == 0 and json.loads(out)["spectrum_histogram"] == {"27": 27}
-    # f's spectrum, then its dual's, each matched once
+    assert json.loads(out)["dual_bent"] is True
     W = walsh_fast(from_expr(F27, "Tr(x^2)"))
-    assert len(matched) == 2 and np.array_equal(matched[0].values, W.values)
+    assert len(matched) == 1 and np.array_equal(matched[0].values, W.values)
     assert abs_sq == []
+    path = tmp_path / "ndcor.tt"
+    argv = ("--p", "3", "--m", "3", "--alpha", "w", "--beta", "w^2+1", "--out", str(path))
+    assert run(capsys, "construct", "ndcor", *argv)[0] == 0
+    del matched[:]
+    code, out, _ = run(capsys, "classify", "--tt", str(path))
+    assert code == 0 and json.loads(out)["regularity"] == NON_WEAKLY_REGULAR
+    assert json.loads(out)["dual_bent"] is False
+    # f's spectrum, then its dual's, each matched once
+    spectra = [spectrum.values for spectrum in matched]
+    f = load_tt(path)
+    assert len(spectra) == 2 and abs_sq == []
+    assert np.array_equal(spectra[0], walsh_fast(f).values)
+    assert np.array_equal(spectra[1], walsh_fast(classify(f).dual).values)
     del matched[:]
     code, out, _ = run(capsys, "classify", "--p", "3", "--m", "3", "--expr", "Tr(x^3)")
     assert code == 0 and json.loads(out)["bent"] is False
@@ -213,10 +227,10 @@ def test_construction_duals_match_each_spectrum_once(monkeypatch):
     abs_sq, matched = _count_layers(monkeypatch)
     dual, _ = constructions_module._dual_of(from_expr(F27, "Tr(x^2)"))
     assert np.array_equal(dual.table, classify(from_expr(F27, "Tr(x^2)")).dual.table)
-    assert len(matched) == 3 and abs_sq == []  # _dual_of once, classify twice
+    assert len(matched) == 2 and abs_sq == []  # _dual_of once, classify once
     with pytest.raises(ConstructionError, match=r"not bent \(witness b=0\)"):
         constructions_module._dual_of(from_expr(F27, "0"))
-    assert len(matched) == 4 and abs_sq == []
+    assert len(matched) == 3 and abs_sq == []
 
 
 def test_dual_of_x_squared_on_a_1009_point_table(capsys, tmp_path):
