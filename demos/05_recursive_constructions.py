@@ -12,7 +12,7 @@ from pbent.constructions import (
     sds_dual,
     sds_is_bent_condition,
     semi_direct_sum,
-    sporadic_claim,
+    sporadic,
 )
 from pbent.field import make_field
 from pbent.pfunc import Domain, PFunction, from_expr
@@ -72,6 +72,6 @@ print()
 ctx = make_field(3, 4)
 print("bundled quartic examples (four sign/coefficient variants):")
 for variant in range(4):
-    holds, rep = sporadic_claim("g2", ctx, variant)
+    rep = classify(sporadic("g2", ctx, variant))
     print(f"  variant {variant}: bent={rep.is_bent}, {rep.regularity}, "
-          f"dual bent={rep.dual_is_bent}, full claim holds={holds}")
+          f"dual bent={rep.dual_is_bent}, full claim holds={rep.has_non_bent_dual()}")

@@ -41,7 +41,6 @@ from .constructions import (
     pair_slice,
     semi_direct_sum,
     sporadic,
-    sporadic_claim,
 )
 from .cyclo import CycInt, root_power
 from .field import BUILTIN_MODULI, FieldCtx, FieldError, make_field
@@ -115,13 +114,12 @@ def _load_function(ns: argparse.Namespace) -> PFunction:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
+    """Write text to stdout, or to the file `out`, ending it with a newline if it lacks one."""
+    with ExitStack() as stack:
+        fh = sys.stdout if out is None else stack.enter_context(open(out, "w"))
+        fh.write(text)
         if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
+            fh.write("\n")
 
 
 def _json_text(obj) -> str:
@@ -330,24 +328,20 @@ def _claim_row(label: str, rep: ClassReport) -> _Row:
     )
 
 
-def _check_pair_value(
-    rows: list[_Row], label: str, ctx, alpha, beta,
-    expected: CycInt | None, expected_abs_sq: int | None,
-) -> CycInt:
-    """Append the rows for one reference pair, the condition sum value and the
-    classification; return the condition sum."""
+def _pair_rows(
+    rows: list[_Row], label: str, ctx, alpha, beta, expected_abs_sq: int | None
+) -> tuple[CycInt, ClassReport]:
+    """The condition sum S of one reference pair and the classification of its
+    F; appends the |S|^2 row when a reference |S|^2 is given."""
     spec = NdCorSpec(ctx, alpha, beta)
     S = ndcor_condition_sum(spec)
-    if expected is not None:
-        rows.append(_Row(f"{label} S", S == expected, str(S), str(expected)))
     if expected_abs_sq is not None:
         s2 = S.abs_sq()
         got = s2.as_int() if s2.is_rational else str(s2)
         rows.append(
             _Row(f"{label} |S|^2", got == expected_abs_sq, str(got), str(expected_abs_sq))
         )
-    rows.append(_claim_row(f"{label} class", classify(ndcor_function(spec))))
-    return S
+    return S, classify(ndcor_function(spec))
 
 
 def cmd_verify_paper(ns: argparse.Namespace) -> int:
@@ -357,10 +351,15 @@ def cmd_verify_paper(ns: argparse.Namespace) -> int:
     k53 = make_field(5, 3)
     w3, w4, w5 = k33.w, k34.w, k53.w
 
-    _check_pair_value(rows, "pair(3,3) (w, w^2+1):", k33, w3, w3 * w3 + 1, None, 3)
-    _check_pair_value(rows, "pair(3,3) (2w+1, w^2):", k33, 2 * w3 + 1, w3 * w3, None, 3)
+    for label, alpha, beta in (
+        ("pair(3,3) (w, w^2+1):", w3, w3 * w3 + 1),
+        ("pair(3,3) (2w+1, w^2):", 2 * w3 + 1, w3 * w3),
+    ):
+        _, rep = _pair_rows(rows, label, k33, alpha, beta, 3)
+        rows.append(_claim_row(f"{label} class", rep))
 
-    S34 = _check_pair_value(rows, "pair(3,4) (w, w^2):", k34, w4, w4 * w4, None, 13)
+    S34, rep = _pair_rows(rows, "pair(3,4) (w, w^2):", k34, w4, w4 * w4, 13)
+    rows.append(_claim_row("pair(3,4) (w, w^2): class", rep))
     # the bundled 1 - 2*sqrt(3)*i, exactly: i*sqrt(3) = 1 + 2e in Z[e_3]
     target = -1 - 4 * root_power(3, 1)
     z, t = S34.to_complex(), target.to_complex()
@@ -374,29 +373,25 @@ def cmd_verify_paper(ns: argparse.Namespace) -> int:
     )
 
     expected5 = 4 * root_power(5, 4) - 4 * root_power(5, 1) + CycInt.one(5)
-    S53 = _check_pair_value(rows, "pair(5,3) (w, w^2):", k53, w5, w5 * w5, expected5, None)
+    S53, rep = _pair_rows(rows, "pair(5,3) (w, w^2):", k53, w5, w5 * w5, None)
+    rows.append(_Row("pair(5,3) (w, w^2): S", S53 == expected5, str(S53), str(expected5)))
+    rows.append(_claim_row("pair(5,3) (w, w^2): class", rep))
     s2 = S53.abs_sq()
     ne_25 = not (s2.is_rational and s2.as_int() == 25)
     rows.append(_Row("pair(5,3) (w, w^2): |S| != 5", ne_25, str(s2), "anything but 25"))
 
-    spec44 = NdCorSpec(k33, w3, w3 * w3)
-    S44 = ndcor_condition_sum(spec44)
-    s2 = S44.abs_sq()
-    got = s2.as_int() if s2.is_rational else str(s2)
-    rows.append(_Row("pair(3,3) (w, w^2): |S|^2", got == 9, str(got), "9"))
-    rep44 = classify(ndcor_function(spec44))
+    _, rep = _pair_rows(rows, "pair(3,3) (w, w^2):", k33, w3, w3 * w3, 9)
     rows.append(
         _Row(
             "pair(3,3) (w, w^2): dual not bent despite |S| = p",
-            rep44.is_bent and rep44.dual_is_bent is False,
-            f"bent={rep44.is_bent}, dual_bent={rep44.dual_is_bent}",
+            rep.is_bent and rep.dual_is_bent is False,
+            f"bent={rep.is_bent}, dual_bent={rep.dual_is_bent}",
             "bent=True, dual_bent=False",
         )
     )
 
     for variant in range(4):
-        _, rep = sporadic_claim("g2", k34, variant)
-        rows.append(_claim_row(f"g2 variant {variant}", rep))
+        rows.append(_claim_row(f"g2 variant {variant}", classify(sporadic("g2", k34, variant))))
 
     if ns.modulus_36 is None:
         sys.stderr.write(
@@ -407,7 +402,7 @@ def cmd_verify_paper(ns: argparse.Namespace) -> int:
     else:
         ctx36 = make_field(3, 6, ns.modulus_36)
         for name in ("g1", "g3"):
-            rows.append(_claim_row(name, sporadic_claim(name, ctx36)[1]))
+            rows.append(_claim_row(name, classify(sporadic(name, ctx36))))
 
     width = max(len(r.label) for r in rows)
     lines = []

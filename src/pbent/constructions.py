@@ -383,13 +383,6 @@ def sporadic(name: str, ctx: FieldCtx, variant: int | None = None) -> PFunction:
     return from_expr(ctx, exprs[variant])
 
 
-def sporadic_claim(name: str, ctx: FieldCtx, variant: int | None = None):
-    """Classify one bundled example and say whether it matches the advertised
-    behavior: bent, not weakly regular, dual not bent."""
-    rep = classify(sporadic(name, ctx, variant))
-    return rep.has_non_bent_dual(), rep
-
-
 # ---- search over (alpha, beta) pairs ----------------------------------------------
 
 def pair_count(ctx: FieldCtx) -> int:

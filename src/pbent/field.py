@@ -563,12 +563,3 @@ def make_field(p: int, m: int, modulus=None) -> FieldCtx:
             )
     return FieldCtx(p, m, modulus)
 
-
-def trace(x: FieldElement) -> int:
-    """Absolute trace down to F_p, returned as an integer digit."""
-    return x.trace()
-
-
-def eta(x: FieldElement) -> int:
-    """Quadratic character of the field's multiplicative group (+1/-1)."""
-    return x.eta()

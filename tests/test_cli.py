@@ -994,46 +994,51 @@ def test_search_stable_output_matches_pinned_digest(capsys, tmp_path, args, dige
 # ---- verify-paper ------------------------------------------------------------------------
 
 
-EXPECTED_FAIL_LABELS = {
-    "pair(3,4) (w, w^2): |S|^2",
-    "pair(3,4) (w, w^2): float(S)",
-    "pair(5,3) (w, w^2): S",
-}
+_VERIFY_PAPER_ROWS = """\
+PASS  pair(3,3) (w, w^2+1): |S|^2                        computed: 3
+PASS  pair(3,3) (w, w^2+1): class                        computed: bent=True, non_weakly_regular, dual_bent=False
+PASS  pair(3,3) (2w+1, w^2): |S|^2                       computed: 3
+PASS  pair(3,3) (2w+1, w^2): class                       computed: bent=True, non_weakly_regular, dual_bent=False
+FAIL  pair(3,4) (w, w^2): |S|^2                          computed: 3  expected: 13
+PASS  pair(3,4) (w, w^2): class                          computed: bent=True, non_weakly_regular, dual_bent=False
+FAIL  pair(3,4) (w, w^2): float(S)                       computed: +0.000000+1.732051i  expected: +1.000000-3.464102i
+FAIL  pair(5,3) (w, w^2): S                              computed: 3 + 4e + 6e^2 + 2e^3  expected: -3 - 8e - 4e^2 - 4e^3
+PASS  pair(5,3) (w, w^2): class                          computed: bent=True, non_weakly_regular, dual_bent=False
+PASS  pair(5,3) (w, w^2): |S| != 5                       computed: 17 - 16e^2 - 16e^3
+PASS  pair(3,3) (w, w^2): |S|^2                          computed: 9
+PASS  pair(3,3) (w, w^2): dual not bent despite |S| = p  computed: bent=True, dual_bent=False
+PASS  g2 variant 0                                       computed: bent=True, non_weakly_regular, dual_bent=False
+PASS  g2 variant 1                                       computed: bent=True, non_weakly_regular, dual_bent=False
+PASS  g2 variant 2                                       computed: bent=True, non_weakly_regular, dual_bent=False
+PASS  g2 variant 3                                       computed: bent=True, non_weakly_regular, dual_bent=False
+"""
+_SEXTIC_ROWS = """\
+PASS  g1                                                 computed: bent=True, non_weakly_regular, dual_bent=False
+PASS  g3                                                 computed: bent=True, non_weakly_regular, dual_bent=False
+18 checks: 15 passed, 3 failed, 0 skipped
+"""
+_SKIPPED_ROWS = """\
+SKIP  g1                                                 computed: skipped  expected: needs --modulus-36
+SKIP  g3                                                 computed: skipped  expected: needs --modulus-36
+18 checks: 13 passed, 3 failed, 2 skipped
+"""
 
 
 def test_verify_paper_default_run(capsys):
-    code, out, err = run(capsys, "verify-paper")
-    assert code == 1  # three reference values disagree with computation
-    lines = out.splitlines()
-    fails = [l for l in lines if l.startswith("FAIL")]
-    skips = [l for l in lines if l.startswith("SKIP")]
-    passes = [l for l in lines if l.startswith("PASS")]
-    assert {l.split("  computed:")[0].removeprefix("FAIL").strip() for l in fails} == EXPECTED_FAIL_LABELS
-    assert len(skips) == 2  # g1, g3 need an explicit modulus
-    assert len(passes) == 13
-    assert "skipping the F_3^6 checks" in err
-    assert lines[-1].endswith("13 passed, 3 failed, 2 skipped")
+    """Every row, its order and its text, the warning and the exit code: the
+    three FAIL rows are reference values that exact arithmetic refutes, and
+    g1, g3 need an explicit modulus."""
+    assert run(capsys, "verify-paper") == (
+        1,
+        _VERIFY_PAPER_ROWS + _SKIPPED_ROWS,
+        "warning: no --modulus-36 given, skipping the F_3^6 checks (g1, g3)\n",
+    )
 
 
 def test_verify_paper_with_sextic_modulus(capsys):
-    code, out, _ = run(capsys, "verify-paper", "--modulus-36", MOD36)
-    assert code == 1
-    lines = out.splitlines()
-    fails = [l for l in lines if l.startswith("FAIL")]
-    assert len(fails) == 3
-    assert not [l for l in lines if l.startswith("SKIP")]
-    assert any(l.startswith("PASS  g1") for l in lines)
-    assert any(l.startswith("PASS  g3") for l in lines)
-    assert lines[-1].endswith("15 passed, 3 failed, 0 skipped")
-
-
-def test_verify_paper_fail_rows_show_computed_values(capsys):
-    _, out, _ = run(capsys, "verify-paper")
-    fail_34 = next(l for l in out.splitlines() if l.startswith("FAIL  pair(3,4) (w, w^2): |S|^2"))
-    assert "computed: 3" in fail_34
-    assert "expected: 13" in fail_34
-    fail_53 = next(l for l in out.splitlines() if l.startswith("FAIL  pair(5,3) (w, w^2): S"))
-    assert "computed: 3 + 4e + 6e^2 + 2e^3" in fail_53
+    assert run(capsys, "verify-paper", "--modulus-36", MOD36) == (
+        1, _VERIFY_PAPER_ROWS + _SEXTIC_ROWS, ""
+    )
 
 
 def test_verify_paper_float_row_compares_ring_elements(capsys, monkeypatch):
@@ -1055,9 +1060,19 @@ def test_verify_paper_float_row_compares_ring_elements(capsys, monkeypatch):
         assert next(l for l in lines if "float(S)" in l).startswith(status)
 
 
-def test_verify_paper_out_file(capsys, tmp_path):
-    path = tmp_path / "report.txt"
-    code, out, _ = run(capsys, "verify-paper", "--out", str(path))
-    assert code == 1
-    assert out == ""
-    assert "checks:" in path.read_text()
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--p", "3", "--m", "3", "--expr", "Tr(x^2)"),
+        ("spectrum", "--p", "3", "--m", "3", "--expr", "Tr(x^2)"),
+        ("dual", "--p", "3", "--m", "3", "--expr", "Tr(x^2)"),
+        ("construct", "ndcor", "--p", "3", "--m", "3", "--alpha", "w", "--beta", "w^2"),
+        ("verify-paper",),
+    ],
+    ids=lambda argv: argv[1] if argv[0] == "construct" else argv[0],
+)
+def test_out_file_gets_the_bytes_of_stdout(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *argv)
+    path = tmp_path / "out"
+    assert run(capsys, *argv, "--out", str(path)) == (code, "", err)
+    assert path.read_bytes() == out.encode()

@@ -40,10 +40,9 @@ from pbent.constructions import (
     sds_is_bent_condition,
     sds_walsh_factorization,
     sporadic,
-    sporadic_claim,
 )
 from pbent.cyclo import CycInt, gauss_sum, root_power
-from pbent.field import FieldCtx, digit_table, make_field, poly_is_irreducible, trace
+from pbent.field import FieldCtx, digit_table, make_field, poly_is_irreducible
 from pbent.pfunc import (
     Domain,
     DomainError,
@@ -415,7 +414,7 @@ def _ndcor_pointwise(ctx, a_idx, b_idx):
     arithmetic, at point x + q*(y1 + p*y2)."""
     p, alpha, beta = ctx.p, ctx.element(a_idx), ctx.element(b_idx)
     squares = [ctx.element(i) ** 2 for i in range(ctx.q)]
-    f, ha, hb = (np.array([trace(c * sq) for sq in squares]) for c in (ctx.one, alpha, beta))
+    f, ha, hb = (np.array([(c * sq).trace() for sq in squares]) for c in (ctx.one, alpha, beta))
     y1, y2 = np.arange(p)[None, :, None], np.arange(p)[:, None, None]
     return ((f + (y1 + ha) * (y2 + hb)) % p).reshape(-1)
 
@@ -619,8 +618,8 @@ def test_sporadic_tables_follow_their_formulas():
     F729 = make_field(3, 6, MOD_3_6)
     xi = F729.g
     for name, formula in [
-        ("g1", lambda x: trace(xi**7 * x**98)),
-        ("g3", lambda x: trace(xi**7 * x**14) + trace(xi**35 * x**70)),
+        ("g1", lambda x: (xi**7 * x**98).trace()),
+        ("g3", lambda x: (xi**7 * x**14).trace() + (xi**35 * x**70).trace()),
     ]:
         expected = [formula(F729.element(i)) % 3 for i in range(F729.q)]
         assert sporadic(name, F729).table.tolist() == expected, name
@@ -630,15 +629,15 @@ def test_sporadic_tables_follow_their_formulas():
     xi = F81.g
     for variant, a0 in enumerate([xi**10, -(xi**10), xi**30, -(xi**30)]):
         expected = [
-            (trace(a0 * x**22) + trace(x**4)) % 3 for x in map(F81.element, range(F81.q))
+            ((a0 * x**22).trace() + (x**4).trace()) % 3 for x in map(F81.element, range(F81.q))
         ]
         assert sporadic("g2", F81, variant).table.tolist() == expected, variant
 
 
 @pytest.mark.parametrize("variant", [0, 1, 2, 3])
 def test_g2_all_variants_match_claim(variant):
-    holds, rep = sporadic_claim("g2", F81, variant)
-    assert holds
+    rep = classify(sporadic("g2", F81, variant))
+    assert rep.has_non_bent_dual()
     assert rep.is_bent and rep.regularity == NON_WEAKLY_REGULAR
     assert rep.dual_is_bent is False
 
@@ -646,8 +645,8 @@ def test_g2_all_variants_match_claim(variant):
 @pytest.mark.parametrize("name", ["g1", "g3"])
 def test_g1_g3_on_supplied_sextic_modulus(name):
     ctx = make_field(3, 6, MOD_3_6)
-    holds, rep = sporadic_claim(name, ctx)
-    assert holds
+    rep = classify(sporadic(name, ctx))
+    assert rep.has_non_bent_dual()
     assert rep.is_bent and rep.dual_is_bent is False
 
 
@@ -664,10 +663,10 @@ def test_sporadic_claims_hold_on_every_modulus():
     assert (len(sextics), len(quartics)) == (116, 18)
     for mod in sextics:
         ctx = make_field(3, 6, mod)
-        assert all(sporadic_claim(name, ctx)[0] for name in ("g1", "g3")), mod
+        assert all(classify(sporadic(name, ctx)).has_non_bent_dual() for name in ("g1", "g3")), mod
     for mod in quartics:
         ctx = make_field(3, 4, mod)
-        assert all(sporadic_claim("g2", ctx, v)[0] for v in range(4)), mod
+        assert all(classify(sporadic("g2", ctx, v)).has_non_bent_dual() for v in range(4)), mod
 
 
 @pytest.mark.parametrize(
@@ -682,7 +681,7 @@ def test_sporadic_claims_hold_for_every_generator(modulus, names):
     assert len(gens) == {6: 288, 4: 32}[m]
     for gidx in gens:
         ctx = FieldCtx(3, m, modulus, primitive=gidx)
-        assert all(sporadic_claim(name, ctx, v)[0] for name, v in names), gidx
+        assert all(classify(sporadic(name, ctx, v)).has_non_bent_dual() for name, v in names), gidx
 
 
 # ---- pair enumeration and the search record ------------------------------------------------
