@@ -1035,6 +1035,15 @@ def test_verify_paper_default_run(capsys):
     )
 
 
+def test_verify_paper_fail_rows_show_computed_values(capsys):
+    _, out, _ = run(capsys, "verify-paper")
+    fail_34 = next(l for l in out.splitlines() if l.startswith("FAIL  pair(3,4) (w, w^2): |S|^2"))
+    assert "computed: 3" in fail_34
+    assert "expected: 13" in fail_34
+    fail_53 = next(l for l in out.splitlines() if l.startswith("FAIL  pair(5,3) (w, w^2): S"))
+    assert "computed: 3 + 4e + 6e^2 + 2e^3" in fail_53
+
+
 def test_verify_paper_with_sextic_modulus(capsys):
     assert run(capsys, "verify-paper", "--modulus-36", MOD36) == (
         1, _VERIFY_PAPER_ROWS + _SEXTIC_ROWS, ""
