@@ -123,7 +123,9 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
+    from .jsontext import json_text  # loaded only by the commands that write JSON reports
+
+    return json_text(obj)
 
 
 # ---- simple report commands ----------------------------------------------------

@@ -411,6 +411,22 @@ def from_expr(ctx: FieldCtx, src: str) -> PFunction:
 # followed by one space, or by a newline at the end of a row and of the table.
 # Both directions work on whole byte arrays.
 
+def digit_cells(m: np.ndarray) -> np.ndarray:
+    """The decimal digits of every nonnegative int in m as ASCII bytes, one
+    uint8 row each, right-aligned after NUL padding."""
+    width = len(str(int(m.max(initial=0))))
+    cells = np.zeros((len(m), width), dtype=np.uint8)
+    for i in range(width):  # the digit of 10^i, or NUL above the leading one
+        cells[:, -1 - i] = np.where((m >= 10**i) | (i == 0), m // 10**i % 10 + 48, 0)
+    return cells
+
+
+def ascii_text(cells: np.ndarray) -> str:
+    """The bytes of a uint8 array in order, NULs dropped, as a str."""
+    flat = cells.reshape(-1)
+    return flat[flat != 0].tobytes().decode("ascii")
+
+
 def dump_tt(f: PFunction) -> str:
     """Render a function in the truth-table file format."""
     dom = f.domain
@@ -425,16 +441,14 @@ def dump_tt(f: PFunction) -> str:
             else:
                 lines.append(f"# vec n={c.dim}")
     lines.append(f"{dom.p} {dom.n_total}")
-    # Row r of `tokens` is the decimal digits of r, right-padded with NULs.
-    width = len(str(dom.p - 1))
-    tokens = np.arange(dom.p).astype(f"S{width}").view(np.uint8).reshape(dom.p, width)
+    tokens = digit_cells(np.arange(dom.p))  # row r: the decimal digits of r
+    width = tokens.shape[1]
     cells = np.empty((dom.size, width + 1), dtype=np.uint8)
     cells[:, :width] = tokens[f.table]
     cells[:, width] = ord(" ")
     cells[31::32, width] = ord("\n")
     cells[-1, width] = ord("\n")
-    body = cells.ravel()
-    return "\n".join(lines) + "\n" + body[body != 0].tobytes().decode("ascii")
+    return "\n".join(lines) + "\n" + ascii_text(cells)
 
 
 def save_tt(f: PFunction, path) -> None:
@@ -448,21 +462,24 @@ _FIELD_HDR = re.compile(
 _VEC_HDR = re.compile(r"#\s*vec\s+n=(\d+)\s*$")
 
 
-def _table_digits(text: str, p: int) -> np.ndarray:
-    """The whitespace-separated integers of `text`, each as int() reads it.
+# Bytes of table text parsed at once.  A block's per-token int64 temporaries
+# (token edges, lengths, gathered digits: about 40 B a token) stay near 1 MiB
+# whatever the table's size.
+_TT_BLOCK = 1 << 16
+_SPACE = re.compile(rb"[\t-\r\x1c- ]")  # the ASCII whitespace of str.split()
+
+
+def _block_digits(data: bytes, start: int, stop: int, p: int, out: np.ndarray) -> int:
+    """Parse the tokens of data[start:stop] into out; return their count.
 
     A run of at most 18 ASCII digits is below 10^18 < 2^63, so it is read
     base 10 in int64 without wrapping, one array pass per digit position.
     Any other token (a sign, '_', a non-ASCII digit, a longer run or junk)
     goes through int() alone, which raises int()'s own ValueError.  Its value
     is stored as -1 when it lies outside 0..p-1, so the caller's range check
-    refuses it however large it is.  Non-ASCII text is first rejoined with
-    single spaces, so its tokens are those of str.split().
+    refuses it however large it is.
     """
-    if not text.isascii():
-        text = " ".join(text.split())
-    data = text.encode()
-    buf = np.frombuffer(data, dtype=np.uint8)
+    buf = np.frombuffer(data, dtype=np.uint8, count=stop - start, offset=start)
     space = (buf == 32) | ((buf >= 9) & (buf <= 13)) | ((buf >= 28) & (buf <= 31))
     edges = np.flatnonzero(np.diff(~space, prepend=False, append=False))
     starts, ends = edges[::2], edges[1::2]
@@ -470,17 +487,36 @@ def _table_digits(text: str, p: int) -> np.ndarray:
     via_int = lens > 18
     not_digit = np.flatnonzero(~space & ((buf < 48) | (buf > 57)))
     via_int[np.searchsorted(starts, not_digit, "right") - 1] = True
-    vals = np.zeros(starts.size, dtype=np.int64)
+    vals = out[: starts.size]
+    vals[:] = 0
     for k in range(int(lens[~via_int].max(initial=0))):
         live = ~via_int & (lens > k)
         vals[live] = vals[live] * 10 + buf[starts[live] + k] - 48
     for i in np.flatnonzero(via_int):
-        v = int(data[starts[i] : ends[i]].decode())
+        v = int(data[start + starts[i] : start + ends[i]].decode())
         vals[i] = v if 0 <= v < p else -1
-    return vals
+    return starts.size
 
 
-def load_tt(path) -> PFunction:
+def _table_digits(data: bytes, p: int) -> np.ndarray:
+    """The whitespace-separated integers of the ASCII or UTF-8 text `data`,
+    each as int() reads it, parsed in blocks of about _TT_BLOCK bytes that
+    end at whitespace, so that no token is cut."""
+    # a token and the whitespace after it take at least 2 bytes
+    out = np.empty((len(data) + 1) // 2, dtype=np.int64)
+    count = start = 0
+    while start < len(data):
+        cut = _SPACE.search(data, start + _TT_BLOCK)
+        stop = cut.start() if cut else len(data)
+        count += _block_digits(data, start, stop, p, out[count:])
+        start = stop
+    return out if count == out.size else out[:count].copy()
+
+
+def _read_tt(path) -> tuple[list[str], str, bytes]:
+    """The header lines, the first data line and the rest of a table file;
+    the rest comes as bytes, non-ASCII text rejoined with single spaces so
+    that its tokens are those of str.split()."""
     try:
         with open(path) as fh:
             text = fh.read()
@@ -493,6 +529,11 @@ def load_tt(path) -> PFunction:
     if not body:
         raise DomainError(f"{path}: no data lines")
     first, _, rest = body.partition("\n")
+    return headers, first, (rest if rest.isascii() else " ".join(rest.split())).encode()
+
+
+def load_tt(path) -> PFunction:
+    headers, first, rest = _read_tt(path)
     first = first.split()
     if len(first) != 2:
         raise DomainError(f"{path}: first data line must be 'p n_total'")

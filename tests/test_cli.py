@@ -41,7 +41,16 @@ from pbent.constructions import (
 )
 from pbent.cyclo import root_power
 from pbent.field import make_field
-from pbent.pfunc import Domain, PFunction, dump_tt, from_expr, load_tt, save_tt
+from pbent.pfunc import (
+    Domain,
+    PFunction,
+    VecPart,
+    dump_tt,
+    from_expr,
+    load_tt,
+    random_function,
+    save_tt,
+)
 from pbent.walsh import walsh_fast
 
 F27 = make_field(3, 3)
@@ -193,7 +202,8 @@ def test_dual_forms_no_abs_sq_and_matches_once(capsys, monkeypatch, expr, code):
 
 def test_classify_forms_abs_sq_only_for_a_non_bent_histogram(capsys, monkeypatch, tmp_path):
     """A bent spectrum's histogram is {p^n: N} from the verdict; only a
-    non-bent one forms |W|^2, once.  Only a non-weakly regular f's dual is
+    non-bent one forms |W|^2, in two passes (the histogram keys' column
+    ranges, then the keys).  Only a non-weakly regular f's dual is
     transformed and matched: a constant unit map makes the dual bent."""
     abs_sq, matched = _count_layers(monkeypatch)
     code, out, _ = run(capsys, "classify", "--p", "3", "--m", "3", "--expr", "Tr(x^2)")
@@ -219,7 +229,7 @@ def test_classify_forms_abs_sq_only_for_a_non_bent_histogram(capsys, monkeypatch
     code, out, _ = run(capsys, "classify", "--p", "3", "--m", "3", "--expr", "Tr(x^3)")
     assert code == 0 and json.loads(out)["bent"] is False
     W = walsh_fast(from_expr(F27, "Tr(x^3)"))
-    assert len(abs_sq) == 1 and np.array_equal(abs_sq[0], W.values)
+    assert len(abs_sq) == 2 and all(np.array_equal(rows, W.values) for rows in abs_sq)
     assert len(matched) == 1 and np.array_equal(matched[0].values, W.values)
 
 
@@ -1085,3 +1095,38 @@ def test_out_file_gets_the_bytes_of_stdout(capsys, tmp_path, argv):
     path = tmp_path / "out"
     assert run(capsys, *argv, "--out", str(path)) == (code, "", err)
     assert path.read_bytes() == out.encode()
+
+
+def _mm_table(rng) -> PFunction:
+    """Maiorana-McFarland x . pi(y) + g(y) on F_3^3 x F_3^3, x the low digits."""
+    digits = np.array(np.unravel_index(np.arange(27), (3, 3, 3), order="F")).T
+    pi, g = rng.permutation(27), rng.integers(0, 3, 27)
+    return PFunction(Domain.vec(3, 6), ((digits[pi] @ digits.T + g[:, None]) % 3).ravel())
+
+
+JSON_TABLES = {
+    "mm": _mm_table,
+    "random_v3_8": lambda rng: random_function(Domain.vec(3, 8), rng),
+    "mixed_f27v2": lambda rng: random_function(Domain.field(F27).extend(VecPart(3, 2)), rng),
+    "large_prime_v23_2": lambda rng: random_function(Domain.vec(23, 2), rng),
+}
+
+
+@pytest.mark.parametrize("table", JSON_TABLES.values(), ids=JSON_TABLES.keys())
+def test_json_output_is_json_dumps_of_to_json(capsys, tmp_path, rng, table):
+    """classify and spectrum print json.dumps(to_json(), sort_keys=True,
+    indent=2) byte for byte, with the histogram text spliced in from byte
+    arrays, and --out gets the same bytes."""
+    f = table(rng)
+    path, out_path = tmp_path / "f.tt", tmp_path / "out.json"
+    save_tt(f, path)
+    for command, data in (("classify", classify(f).to_json()),
+                          ("spectrum", walsh_fast(f).to_json())):
+        code, out, err = run(capsys, command, "--tt", str(path))
+        assert (code, err) == (0, "")
+        assert out == json.dumps(data, sort_keys=True, indent=2) + "\n"
+        assert run(capsys, command, "--tt", str(path), "--out", str(out_path)) == (0, "", "")
+        assert out_path.read_bytes() == out.encode()
+        hist = data["abs_sq_histogram" if command == "spectrum" else "spectrum_histogram"]
+        if len(hist) > 1:  # the text sorts keys as strings, not as coefficient rows
+            assert list(hist) != sorted(hist)

@@ -1,10 +1,13 @@
 """Exact cyclotomic-integer ring: canonical form, arithmetic, Gauss sums."""
 import cmath
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pbent.cyclo import CycInt, gauss_sum, legendre, root_power
+from pbent.cyclo import CycInt, format_coeffs, gauss_sum, legendre, root_power
+from pbent.jsontext import format_rows
+from pbent.pfunc import ascii_text
 
 PRIMES = [3, 5, 7]
 
@@ -65,6 +68,22 @@ def test_str_forms():
     assert str(CycInt.zero(p)) == "0"
     assert str(CycInt.one(p) + 2 * root_power(p, 1)) == "1 + 2e"
     assert str(-root_power(3, 1)) == "-e"
+
+
+@given(p=st.sampled_from([3, 5, 7, 23]), data=st.data())
+def test_format_rows_matches_format_coeffs(p, data):
+    """The gathered formatter writes each row as format_coeffs does: zeros,
+    units, signs and magnitudes up to 10^18, in every column."""
+    coeff = st.one_of(st.sampled_from([0, 0, 1, -1]), st.integers(-10**18, 10**18))
+    rows = data.draw(st.lists(st.lists(coeff, min_size=p - 1, max_size=p - 1), min_size=1,
+                              max_size=12))
+    cells = format_rows(np.array(rows, dtype=np.int64))
+    newline = np.full((len(rows), 1), ord("\n"), dtype=np.uint8)
+    assert ascii_text(np.hstack([cells, newline])) == "".join(
+        format_coeffs(row) + "\n" for row in rows
+    )
+    # left-aligned: once a row's text ends, only NULs follow
+    assert not ((cells[:, :-1] == 0) & (cells[:, 1:] != 0)).any()
 
 
 # ---- ring structure ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Domains, truth tables, the expression DSL, and the truth-table file format."""
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from conftest import point_add, point_neg, translate
 from hypothesis import example, given, settings, strategies as st
 from test_walsh import PAIRING_DOMAINS
 
+import pbent.pfunc as pfunc
 from pbent.field import FieldCtx, FieldError, exceeds_size_limit, is_odd_prime, make_field
 from pbent.pfunc import (
     Domain,
@@ -637,3 +639,46 @@ def test_load_tt_matches_token_reader(text):
         got, expected = _outcome(load_tt, path), _outcome(_load_tt_oracle, path)
     assert type(got) is type(expected)
     assert got == expected
+
+
+_BAD_LATE = "3 2\n0 1 2 0 1 2 0 1 x\n"
+
+
+@settings(max_examples=200)
+@given(text=tt_file_texts(), block=st.integers(1, 7))
+@example(text="3 1\n0 " + "0" * 18 + "1 2\n", block=4)  # a 19-digit token across an edge
+@example(text=_BAD_LATE, block=3)  # the bad token lies in a later block
+@example(text="# vec n=1\r\n3 1\r\n0\x1c1\u2003\r\n# x\n2", block=1)
+def test_load_tt_matches_token_reader_at_block_edges(text, block):
+    """With blocks of a few bytes every token, header line, CRLF, \\x1c and
+    non-ASCII space lands on a block edge; the values and errors stay."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pfunc, "_TT_BLOCK", block)
+        path = Path(tmp) / "f.tt"
+        path.write_bytes(text.encode("utf-8"))
+        got, expected = _outcome(load_tt, path), _outcome(_load_tt_oracle, path)
+    assert type(got) is type(expected)
+    assert got == expected
+    if text == _BAD_LATE:
+        assert got == (f"DomainError: {path}: entries must be integers "
+                       "(invalid literal for int() with base 10: 'x')")
+
+
+def test_load_tt_temporaries_do_not_grow_with_the_table(tmp_path, rng):
+    """load_tt's tracemalloc peak, less the table it returns, grows by less
+    than 2 MiB from 3^10 to 3^12 points (it grew by about 25 MiB when the
+    whole body was parsed at once): the parse temporaries scale with
+    _TT_BLOCK, and only the text, 0.95 MB larger, and its copies grow."""
+    extra = {}
+    for n in (10, 12):
+        f = random_function(Domain.vec(3, n), rng)
+        path = tmp_path / f"v3_{n}.tt"
+        save_tt(f, path)
+        tracemalloc.start()
+        try:
+            g = load_tt(path)
+            extra[n] = tracemalloc.get_traced_memory()[1] - g.table.nbytes
+        finally:
+            tracemalloc.stop()
+        assert g == f
+    assert extra[12] - extra[10] < 2 << 20

@@ -363,18 +363,29 @@ def test_spectrum_accessors_and_histogram():
         assert CycInt(3, rows[b]) == W[b].abs_sq()
 
 
-HISTOGRAM_DOMAINS = [
-    Domain.vec(3, 5),
-    Domain.vec(5, 3),
-    Domain.vec(7, 2),
-    Domain.field(F27).extend(VecPart(3, 2)),
+# (domain, random functions drawn, whether the exact int64 row keys apply);
+# the keys cover rows whose column spans multiply to below 2^63, the
+# lexsort path the rest
+HISTOGRAM_CASES = [
+    (Domain.vec(3, 5), 5, True),
+    (Domain.vec(3, 10), 1, True),
+    (Domain.vec(5, 3), 5, True),
+    (Domain.vec(7, 2), 5, True),
+    (Domain.field(F27).extend(VecPart(3, 2)), 5, True),
+    (Domain.vec(23, 1), 5, False),
+    (Domain.vec(11, 2), 2, False),
 ]
 
 
-@pytest.mark.parametrize("dom", HISTOGRAM_DOMAINS, ids=["v3_5", "v5_3", "v7_2", "f27v2"])
-def test_histogram_matches_per_entry_count(dom, rng):
-    for _ in range(5):
+@pytest.mark.parametrize(
+    "dom, draws, keyed",
+    HISTOGRAM_CASES,
+    ids=["v3_5", "v3_10", "v5_3", "v7_2", "f27v2", "v23_1", "v11_2"],
+)
+def test_histogram_matches_per_entry_count(dom, draws, keyed, rng, monkeypatch):
+    for _ in range(draws):
         W = walsh_fast(random_function(dom, rng))
+        assert (walsh._abs_sq_keys(W.values, dom.p) is not None) == keyed
         counts: dict[tuple[int, ...], int] = {}
         for b in range(dom.size):
             key = W[b].abs_sq().coeffs
@@ -385,6 +396,22 @@ def test_histogram_matches_per_entry_count(dom, rng):
         # the JSON keys, formatted from the rows, are the values' text, in order
         oracle = {str(CycInt(dom.p, key)): c for key, c in sorted(counts.items())}
         assert json.dumps(W.histogram_json()) == json.dumps(oracle)
+        if keyed:  # the lexsort path gives the same rows in the same order
+            with monkeypatch.context() as patch:
+                patch.setattr(walsh, "_abs_sq_keys", lambda values, p: None)
+                assert [(v.coeffs, c) for v, c in W.histogram()] == hist
+
+
+def test_histogram_keys_refuse_spans_beyond_int64():
+    """At p = 5 the |W|^2 rows of these values span about 2^40 in three
+    columns, so no int64 mixed-radix key holds them; small values fit."""
+    rows = np.array([[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 1], [0, 1, -1, 1]])
+    assert walsh._abs_sq_keys(rows << 20, 5) is None
+    keys, lo, spans, place = walsh._abs_sq_keys(rows, 5)
+    assert math.prod(spans.tolist()) < 1 << 63
+    sq = walsh._abs_sq(rows, 5)
+    assert np.array_equal(keys, (sq - lo) @ place)
+    assert np.array_equal(np.argsort(keys, kind="stable"), np.lexsort(sq.T[::-1]))
 
 
 @pytest.mark.parametrize(
