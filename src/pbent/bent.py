@@ -68,20 +68,37 @@ def _unit_is_imaginary(p: int, n: int) -> bool:
     return n % 2 == 1 and p % 4 == 3
 
 
+def _code_weights(width: int) -> np.ndarray:
+    """The uint64 weight of each coefficient in a row's code."""
+    w = np.arange(1, width + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    return w ^ (w >> np.uint64(29))
+
+
 def _row_codes(rows: np.ndarray) -> np.ndarray:
     """One uint64 code per int64 canonical row: a fixed weighted sum, mod 2^64."""
-    w = np.arange(1, rows.shape[-1] + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    return rows.view(np.uint64) @ (w ^ (w >> np.uint64(29)))
+    return rows.view(np.uint64) @ _code_weights(rows.shape[-1])
+
+
+def _candidate_column(u: np.ndarray, c: np.ndarray, counts: np.ndarray, j: int) -> np.ndarray:
+    """Coefficient j of the candidates u * P_n * e^c, from P_n's p counts
+    (a zero on top): the counts rotated by c, with the top folded away."""
+    p = len(counts)
+    return u * (counts[(j - c) % p] - counts[(-1 - c) % p])
 
 
 @lru_cache(maxsize=None)
 def _candidate_table(p: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The 2p bent values u * P_n * e^c sorted by row code: (codes, rows, u, c)."""
-    rows = rotate_rows(np.array([bent_normalizer(p, n).coeffs]), p, np.arange(p))
-    rows = np.concatenate([rows, -rows])  # row i: u = +1 for i < p, c = i % p
-    codes = _row_codes(rows)
+    """The 2p bent values u * P_n * e^c sorted by row code, as (codes, u, c,
+    P_n's p counts with a zero on top).  _candidate_column forms a column of
+    the rows on use, so the table holds O(p) entries."""
+    counts = np.append(bent_normalizer(p, n).coeffs, 0).astype(np.int64)
+    i = np.arange(2 * p)
+    u, c = np.where(i < p, 1, -1), i % p
+    codes = np.zeros(2 * p, dtype=np.uint64)
+    for j, w in enumerate(_code_weights(p - 1)):  # _row_codes of the rows, a column at a time
+        codes += _candidate_column(u, c, counts, j).view(np.uint64) * w
     order = np.argsort(codes)
-    table = (codes[order], rows[order], np.where(order < p, 1, -1), order % p)
+    table = (codes[order], u[order], c[order], counts)
     assert np.all(table[0][1:] != table[0][:-1]), f"candidate codes collide for p={p}, n={n}"
     for arr in table:
         arr.flags.writeable = False  # shared by every caller through the cache
@@ -91,12 +108,16 @@ def _candidate_table(p: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
 def match_rows(values: np.ndarray, p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Candidate-table position of every canonical row, and whether the row
     is that candidate (|row|^2 = p^n).  The code only picks the candidate;
-    the verdict is exact row equality, so a code collision cannot change it."""
-    codes, rows, _, _ = _candidate_table(p, n)
+    the verdict is exact row equality, so a code collision cannot change it.
+    Rows are compared a column at a time (a 2-D compare took 7x as long at
+    3^12), each against that column of the picked candidates."""
+    codes, u, c, counts = _candidate_table(p, n)
     values = np.ascontiguousarray(values, dtype=np.int64)
-    pos = np.minimum(np.searchsorted(codes, _row_codes(values)), codes.size - 1)
-    picked = np.take(rows, pos, axis=0)  # by columns: a 2-D compare took 7x as long at 3^12
-    hit = np.logical_and.reduce([picked[:, j] == values[:, j] for j in range(values.shape[1])])
+    pos = np.searchsorted(codes, _row_codes(values))
+    np.minimum(pos, codes.size - 1, out=pos)
+    hit = np.ones(len(values), dtype=bool)
+    for j in range(p - 1):
+        hit &= np.take(_candidate_column(u, c, counts, j), pos) == values[:, j]
     return pos, hit
 
 
@@ -121,7 +142,7 @@ def extract_dual(W: WalshSpectrum) -> tuple[PFunction, np.ndarray]:
     pos, bad = _match(W)
     if bad is not None:
         raise DualExtractionError(bad)
-    _, _, units, exps = _candidate_table(W.domain.p, W.domain.n_total)
+    _, units, exps, _ = _candidate_table(W.domain.p, W.domain.n_total)
     return PFunction(W.domain, exps[pos]), units[pos]
 
 

@@ -259,12 +259,12 @@ def _lambda_eta(ctx: FieldCtx, base, coeffs) -> np.ndarray:
 
 def _pair_rows(ctx: FieldCtx, alphas, betas) -> tuple[np.ndarray, np.ndarray]:
     """eta(Lambda_b), Lambda_b = 1 + b1*alpha + b2*beta, as [b, pair], and the
-    float64 canonical rows of eta(Lambda_b) * e^(-b1*b2) as [b, pair, coeff],
+    float64 canonical rows of eta(Lambda_b) * e^(-b1*b2) as [pair, b, coeff],
     for b = b1 + p*b2 in F_p^2 and the pairs of index lists alphas, betas."""
     p = ctx.p
     eta = _lambda_eta(ctx, 1, [alphas, betas])
     j = np.arange(p * p)
-    return eta, eta[:, :, None] * _root_rows(-(j % p) * (j // p), p)[:, None, :]
+    return eta, eta.T[:, :, None] * _root_rows(-(j % p) * (j // p), p)
 
 
 def ndcor_condition_sum(spec: NdCorSpec) -> CycInt:
@@ -497,9 +497,10 @@ def evaluate_pairs(ctx: FieldCtx, pairs) -> PairVerdicts:
     * the paper's S is T(0), and 'abs_sq_S' is |T(0)|^2.
 
     Each block's rows eta(Lambda_b) * e^(-b1*b2) go through the Walsh core:
-    two radix-p stages of sign +1 give T(w) at row pair*p^2 + w, and |.|^2
-    squares the T(0) rows; both assert their exactness bounds.  Pairs run in
-    blocks of at most _BLOCK_BUDGET entries, so memory stays bounded.
+    the DFT of sign +1 over the two low row digits, b, turns row
+    pair*p^2 + b into T(w) at row pair*p^2 + w, in place, and |.|^2 squares
+    the T(0) rows; both assert their exactness bounds.  Pairs run in blocks
+    of at most _BLOCK_BUDGET entries, so memory stays bounded.
     """
     # F's own domain; a field too large for it is refused as classify would
     Domain.field(ctx).extend(VecPart(ctx.p, 2))

@@ -1,26 +1,34 @@
 """Walsh transforms of p-ary functions, exact over Z[e_p].
 
 Values travel as their p - 1 canonical coefficients (see cyclo).  The fast
-path is a radix-p DFT: stage k -> j multiplies rows by e^(sign*j*k), a fixed
-{-1, 0, 1} matrix.  For p <= 19 a stage is one float64 product against the
-(p(p-1))^2 kernel of those matrices; above, it gathers rotated rows from a
-doubled zero-padded copy (p^2 * N adds), and walsh_fast's first stage
-scatters N*p counts of its 0/1 input.  Stages run by row chunks in Stockham
-order (top digit in, lowest out), so no final reorder is needed.  A product
-stage's Stockham reorder copies canonical rows as opaque (p-1)*8-byte
-elements, and row gathers take whole rows (np.take on axis 0): at p = 3 a
-row is two float64s, which a transposed float64 copy or a 2-D fancy index
-moves 8 bytes at a time.  Gram matrices are symmetric (asserted), so
-W(b) = DFT[f o C^-1](b): walsh_fast scatters its table through walsh_perm.
+path is the DFT over F_p^n, a tensor product of one DFT_p per digit with no
+twiddles, so it runs in place in one N x (p-1) float64 array.  The stage of
+digit d reads the array as [a, k, b, coeff], b < p^d, and overwrites the p
+rows k of each (a, b) with rows j = sum_k e^(sign*j*k) * row k; digits keep
+their places, so no reorder is needed.  For p <= 19 a stage is one float64
+product per block of rows against the (p(p-1))^2 kernel of those {-1, 0, 1}
+matrices, and at p = 3 a stage takes two digits by an 18 x 18 kernel; above,
+it gathers rotated rows from a doubled zero-padded copy (p^2 * N adds), and
+walsh_fast's top stage scatters N*p counts of its 0/1 input.  A product
+stage copies a block's canonical rows into a chunk buffer and back as opaque
+(p-1)*8-byte elements, and row gathers take whole rows (np.take on axis 0):
+at p = 3 a row is two float64s, which a transposed float64 copy or a 2-D
+fancy index moves 8 bytes at a time.  The int64 result is the same buffer,
+cast a chunk at a time, so walsh_fast holds its values, its permuted table
+and chunk buffers: its tracemalloc peak is 8.6 MiB on 3^12 points (8.1 MiB
+of values) and 15.4 MiB on F_{5^8} (11.9 MiB of values, a 3 MiB table).
+Gram matrices are symmetric (asserted), so W(b) = DFT[f o C^-1](b):
+walsh_fast scatters its table through walsh_perm.
 
-Exactness (float64 is exact below 2^53): after t stages a coefficient is a
-difference of two counts of at most p^t * A, A = max|input|, and a stage
-output sums 2p kernel terms, so partial sums stay within 4 * N * A.  |W|^2
-is each row's outer product times a {-1, 0, 1} kernel (p <= 19) or a
-lag-gather autocorrelation, within (p-1)^2 * max|c|^2.  Both are asserted
-on the input.  walsh_fast has |c| <= N and refuses N * p > 2^24, which
-caps an N x p array at 128 MiB and admits p <= 13 up to SIZE_LIMIT, 53^3
-and one-digit domains up to p = 4093.
+Exactness (float64 is exact below 2^53): after t digits a coefficient is a
+difference of two counts of at most p^t * A, A = max|input|, and a stage of
+r digits sums 2p^r kernel terms with p^(t+r) <= N, so partial sums stay
+within 4 * N * A.  |W|^2 is each row's outer product times a {-1, 0, 1}
+kernel (p <= 19) or a lag-gather autocorrelation, within
+(p-1)^2 * max|c|^2.  Both are asserted on the input.  walsh_fast has
+|c| <= N and refuses N * p > 2^24, which caps an N x p array at 128 MiB
+and admits p <= 13 up to SIZE_LIMIT, 53^3 and one-digit domains up to
+p = 4093.
 """
 from __future__ import annotations
 
@@ -43,9 +51,16 @@ assert _EXPONENT_LIMIT**2 < _FLOAT_EXACT, "walsh_fast's |W|^2 is inexact"
 # Multiply-adds per chunk: one product per stage woke OpenBLAS's second
 # thread, which made a 5^8-point `pbent dual` 60% slower on 2 cores.
 _CHUNK_MACS = 1 << 18
+# Digits one product stage takes at p = 3, by an 18 x 18 kernel: every
+# stage copies the array in and out, and a 3^12 transform took 20-23 ms by
+# radix-9 stages against 34-36 ms by radix-3 ones.  At p = 5, radix-25
+# stages were no faster.
+_P3_STAGE_DIGITS = 2
 # Largest p with product stages: a 23^4 transform took 3.5 s by products,
 # 0.9 s gathered.
 _PRODUCT_MAX_P = 19
+# Entries cast from float64 to int64 at a time, in place, by _dft.
+_CAST_ELEMS = 1 << 16
 # Rows of |W|^2 formed at a time for the histogram's keys.
 _KEY_ROWS = 1 << 16
 
@@ -56,10 +71,12 @@ def _root_rows(t, p: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _stage_kernel(p: int, sign: int) -> np.ndarray:
-    """K[(k, i), (j, s)]: coefficient s of e^i * e^(sign*j*k)."""
-    kj = sign * np.outer(np.arange(p), np.arange(p))
-    K = _root_rows(np.arange(p - 1)[:, None] + kj[:, None], p).reshape(p * p - p, -1)
+def _stage_kernel(p: int, sign: int, digits: int) -> np.ndarray:
+    """K[(k, i), (j, s)]: coefficient s of e^i * e^(sign * j.k), for j and k
+    below p^digits read as digit vectors."""
+    D = np.arange(p**digits)[:, None] // p ** np.arange(digits) % p
+    kj = sign * (D @ D.T)
+    K = _root_rows(np.arange(p - 1)[:, None] + kj[:, None], p).reshape(len(D) * (p - 1), -1)
     K.flags.writeable = False
     return K
 
@@ -76,63 +93,92 @@ def _row_elements(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[-1])))[..., 0]
 
 
-def _stage_product(top: np.ndarray, out: np.ndarray, p: int, sign: int) -> None:
-    """out[m, j] = sum_k top[k, m] * e^(sign*j*k), one product per row chunk.
+def _max_abs(x: np.ndarray) -> int:
+    """max|x| from the array's extremes, without an |x| copy."""
+    return max(int(x.max(initial=0)), -int(x.min(initial=0)))
 
-    The Stockham reorder copies a chunk's p x rows canonical rows into one
-    buffer, reused by every chunk, as whole (p-1)*8-byte elements: a float64
-    copy of the transposed chunk moves 8 bytes at a time, two per row at
-    p = 3.  The product then reads the buffer as (rows, p(p-1)) float64.
+
+def _blocks(x: np.ndarray, rows: int):
+    """Views x[a0:a1, :, b0:b1] of an [a, k, b, ...] array, each holding at
+    most `rows` (a, b) pairs: whole b ranges of several a while b is short,
+    else runs of b within one a."""
+    A, _, B = x.shape[:3]
+    nb = min(B, rows)
+    na = max(1, rows // nb)
+    for a0 in range(0, A, na):
+        for b0 in range(0, B, nb):
+            yield x[a0 : a0 + na, :, b0 : b0 + nb]
+
+
+def _stage_product(x: np.ndarray, K: np.ndarray) -> None:
+    """x[a, j, b] = sum_k x[a, k, b] * e^(sign * j.k) in place, on an
+    [a, k, b, coeff] view, for the kernel K = _stage_kernel(p, sign, digits)
+    of k's digits: one product per block of (a, b) pairs.
+
+    A block's canonical rows are copied into one buffer as whole
+    (p-1)*8-byte elements, [(a, b), k], which the product reads as float64;
+    its [(a, b), j] result goes back the same way.  A float64 transposed copy
+    would move 8 bytes at a time, two per row at p = 3.
     """
-    K = _stage_kernel(p, sign)
-    rows = min(len(out), max(1, _CHUNK_MACS // K.size))
-    flat = out.reshape(len(out), -1)
-    elems = _row_elements(top)
-    buf = np.empty((rows, len(K)))
-    buf_elems = _row_elements(buf.reshape(rows, p, p - 1))
-    for r0 in range(0, len(out), rows):
-        m = min(rows, len(out) - r0)
-        buf_elems[:m] = elems[:, r0 : r0 + m].T
-        np.matmul(buf[:m], K, out=flat[r0 : r0 + m])
+    A, R, B, c = x.shape
+    rows = min(A * B, max(1, _CHUNK_MACS // K.size))
+    src, out = np.empty((2, rows, len(K)))
+    src_e, out_e = (_row_elements(buf.reshape(rows, R, c)) for buf in (src, out))
+    for blk in _blocks(_row_elements(x), rows):
+        na, _, nb = blk.shape
+        m = na * nb
+        src_e[:m].reshape(na, nb, R)[...] = blk.transpose(0, 2, 1)
+        np.matmul(src[:m], K, out=out[:m])
+        blk[...] = out_e[:m].reshape(na, nb, R).transpose(0, 2, 1)
 
 
-def _stage_gather(top: np.ndarray, out: np.ndarray, p: int, sign: int) -> None:
+def _stage_gather(x: np.ndarray, p: int, sign: int) -> None:
     """The same stage, gathering rotated rows instead of multiplying."""
-    rows = max(1, _CHUNK_MACS // (4 * p * p))  # 53^3: 0.39 s a stage, 0.73 s at 4x rows
     lag = -sign * np.arange(p)
-    for r0 in range(0, len(out), rows):
-        R = _rotations(top[:, r0 : r0 + rows], p)
-        acc = R[0][:, [0] * p]
+    # 53^3: 0.39 s a stage, 0.73 s at 4x rows
+    rows = min(x.shape[0] * x.shape[2], max(1, _CHUNK_MACS // (4 * p * p)))
+    for blk in _blocks(x, rows):
+        R = _rotations(blk.transpose(1, 0, 2, 3), p)  # [k, a, b, w, s], a padded copy
+        acc = R[0][..., [0] * p, :]
         for k in range(1, p):
-            acc += R[k][:, lag * k % p]
-        out[r0 : r0 + rows] = fold_top(acc)
+            acc += R[k][..., lag * k % p, :]
+        blk[...] = fold_top(acc).transpose(0, 2, 1, 3)
 
 
 def _stage_one_hot(table: np.ndarray, p: int, sign: int) -> np.ndarray:
-    """The first stage on rows e^(table): N*p counts of e^(table[k, m] +
-    sign*j*k) at row m, digit j."""
+    """The top digit's stage on rows e^(table), in place order: N*p counts
+    of e^(table[k, m] + sign*j*k) at row (j, m)."""
     g = table.reshape(p, -1, 1)
     kj = sign * np.outer(np.arange(p), np.arange(p))[:, None]
-    rows = max(1, _CHUNK_MACS // (p * p))
-    out = np.empty((g.shape[1], p, p - 1))
-    for r0 in range(0, len(out), rows):
-        m = min(rows, len(out) - r0)
-        e = (g[:, r0 : r0 + m] + kj) % p + np.arange(0, m * p * p, p).reshape(m, p)
-        counts = np.bincount(e.ravel(), minlength=m * p * p)  # e: flat (m, j, e) index
-        out[r0 : r0 + m] = fold_top(counts.reshape(m, p, p))
+    rows = min(g.shape[1], max(1, _CHUNK_MACS // (p * p)))
+    out = np.empty((p, g.shape[1], p - 1))
+    for r0 in range(0, g.shape[1], rows):
+        m = min(rows, g.shape[1] - r0)
+        e = (g[:, r0 : r0 + m] + kj) % p + np.arange(0, m * p * p, p).reshape(p, m).T
+        counts = np.bincount(e.ravel(), minlength=m * p * p)  # e: flat (j, m, e) index
+        out[:, r0 : r0 + m] = fold_top(counts.reshape(p, m, p))
     return out.reshape(-1, p - 1)
 
 
 def _dft(rows: np.ndarray, p: int, stages: int, sign: int) -> np.ndarray:
-    """Radix-p stages e^(sign*j*k) on float64 canonical rows (overwritten)."""
+    """The DFT e^(sign * j.k) over the low `stages` digits of the row index
+    of float64 canonical rows, in place, one stage per digit (two at p = 3);
+    returns the same buffer, cast to int64 a chunk at a time."""
     N = rows.shape[0]
-    assert 4 * N * int(np.abs(rows).max()) < _FLOAT_EXACT, "stage sums would not be exact"
-    stage = _stage_product if p <= _PRODUCT_MAX_P else _stage_gather
-    src, dst = rows, np.empty_like(rows)
-    for _ in range(stages):
-        stage(src.reshape(p, N // p, -1), dst.reshape(N // p, p, -1), p, sign)
-        src, dst = dst, src
-    return src.astype(np.int64)
+    assert 4 * N * _max_abs(rows) < _FLOAT_EXACT, "stage sums would not be exact"
+    r = _P3_STAGE_DIGITS if p == 3 else 1
+    for d in range(0, stages, r):
+        t = min(r, stages - d)
+        x = rows.reshape(N // p ** (d + t), p**t, p**d, -1)
+        if p <= _PRODUCT_MAX_P:
+            _stage_product(x, _stage_kernel(p, sign, t))
+        else:
+            _stage_gather(x, p, sign)
+    ints = rows.view(np.int64)
+    step = max(1, _CAST_ELEMS // rows.shape[1])
+    for r0 in range(0, N, step):
+        ints[r0 : r0 + step] = rows[r0 : r0 + step].astype(np.int64)
+    return ints
 
 
 def rotate_rows(values: np.ndarray, p: int, e) -> np.ndarray:
@@ -155,7 +201,7 @@ def mul_rows(values: np.ndarray, p: int, coeffs) -> np.ndarray:
 def _abs_sq(values: np.ndarray, p: int) -> np.ndarray:
     """|c|^2 for every canonical row c, by row chunks."""
     N = values.shape[0]
-    A = int(np.abs(values).max(initial=0))
+    A = _max_abs(values)
     assert (p - 1) ** 2 * A * A < _FLOAT_EXACT, "|W|^2 sums would not be exact"
     out = np.empty((N, p - 1), dtype=np.int64)
     small = p <= _PRODUCT_MAX_P

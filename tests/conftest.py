@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -25,6 +27,17 @@ def seed(request) -> int:
 @pytest.fixture
 def rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def traced_peak(fn):
+    """fn()'s result and the peak, in bytes, of the memory that tracemalloc
+    traced during the call."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # ---- point arithmetic on a domain's indices, for the tests' oracles ---------------

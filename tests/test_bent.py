@@ -1,6 +1,7 @@
 """Bentness tests: normalizers, dual extraction, regularity, inverse duality."""
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from pbent.bent import (
     NON_WEAKLY_REGULAR,
@@ -233,6 +234,15 @@ def test_candidate_codes_are_distinct_below_257():
     for p in filter(is_odd_prime, range(3, 257)):
         for n in (1, 2):
             assert np.unique(_candidate_table(p, n)[0]).size == 2 * p
+
+
+def test_candidate_table_memory_is_linear_in_p():
+    """The table keeps P_n's p counts and each candidate's (code, u, c), not
+    the 2p candidate rows: at p = 2003 those rows held 61 MiB."""
+    _candidate_table.cache_clear()
+    table, peak = traced_peak(lambda: _candidate_table(2003, 1))
+    assert peak < 1 << 20
+    assert [len(arr) for arr in table] == [2 * 2003, 2 * 2003, 2 * 2003, 2003]
 
 
 # ---- classification of the standard examples -----------------------------------------------

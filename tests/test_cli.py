@@ -11,11 +11,11 @@ import subprocess
 import sys
 import tempfile
 import time
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from hypothesis import example, given, settings, strategies as st
 
 import pbent.bent as bent_module
@@ -889,15 +889,10 @@ def test_search_refuses_an_oversized_field_before_any_pair(capsys, tmp_path):
 def test_search_memory_stays_flat(capsys, tmp_path):
     """Each alpha's lines are written as its chunk finishes, so no list of
     pairs, tasks or lines grows with the field."""
-    tracemalloc.start()
-    try:
-        code, _, _ = run(
-            capsys, "search", "--p", "3", "--m", "4", "--stable", "--width", "1",
-            "--out", str(tmp_path / "search.jsonl"),
-        )
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    (code, _, _), peak = traced_peak(lambda: run(
+        capsys, "search", "--p", "3", "--m", "4", "--stable", "--width", "1",
+        "--out", str(tmp_path / "search.jsonl"),
+    ))
     assert code == 0
     assert peak < 1 << 20
 

@@ -5,11 +5,11 @@ modulo (p, modulus), with no lookup tables, so that every table-backed
 operation in the library is checked against something that cannot share its
 bugs.
 """
-import tracemalloc
 from math import gcd
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from pbent.field import (
     BUILTIN_MODULI,
@@ -652,10 +652,5 @@ def test_make_field_memory_is_bounded():
         (1009, 2, first_modulus(1009, 2), 64 * 1009**2),
         (101, 3, first_modulus(101, 3), 64 * 101**3),
     ]:
-        tracemalloc.start()
-        try:
-            ctx = make_field(p, m, mod)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: make_field(p, m, mod))
         assert peak <= bound, (p, m, peak)

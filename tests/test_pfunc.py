@@ -1,12 +1,11 @@
 """Domains, truth tables, the expression DSL, and the truth-table file format."""
 import re
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import point_add, point_neg, translate
+from conftest import point_add, point_neg, traced_peak, translate
 from hypothesis import example, given, settings, strategies as st
 from test_walsh import PAIRING_DOMAINS
 
@@ -674,11 +673,7 @@ def test_load_tt_temporaries_do_not_grow_with_the_table(tmp_path, rng):
         f = random_function(Domain.vec(3, n), rng)
         path = tmp_path / f"v3_{n}.tt"
         save_tt(f, path)
-        tracemalloc.start()
-        try:
-            g = load_tt(path)
-            extra[n] = tracemalloc.get_traced_memory()[1] - g.table.nbytes
-        finally:
-            tracemalloc.stop()
+        g, peak = traced_peak(lambda: load_tt(path))
+        extra[n] = peak - g.table.nbytes
         assert g == f
     assert extra[12] - extra[10] < 2 << 20

@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from conftest import translate
+from conftest import traced_peak, translate
 
 import pbent.walsh as walsh
+from pbent.bent import extract_dual
 from pbent.cyclo import CycInt, root_power
 from pbent.field import BUILTIN_MODULI, make_field
 from pbent.pfunc import (
@@ -139,28 +140,66 @@ def test_fast_equals_naive_through_the_pairing(dom, rng):
     assert poisson_check(f, W)
 
 
-def _stage_product_by_transpose(top, out, p, sign):
-    """The product stage with its reorder as a float64 transpose copy."""
-    K = _stage_kernel(p, sign)
-    rows = max(1, _CHUNK_MACS // K.size)
-    flat = out.reshape(len(out), -1)
-    for r0 in range(0, len(out), rows):
-        blk = top[:, r0 : r0 + rows].transpose(1, 0, 2).reshape(-1, len(K))
-        np.matmul(blk, K, out=flat[r0 : r0 + rows])
+def _stage_product_by_transpose(x, K):
+    """The product stage in place on the [a, k, b, coeff] view, as one float64
+    transposed copy of the whole array times the kernel."""
+    A, R, B, c = x.shape
+    out = x.transpose(0, 2, 1, 3).reshape(-1, len(K)) @ K
+    x[...] = out.reshape(A, B, R, c).transpose(0, 2, 1, 3)
 
 
 @pytest.mark.parametrize("sign", [-1, 1])
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19])
 def test_product_stage_matches_transpose_copy(p, sign, rng, monkeypatch):
-    rows = max(1, _CHUNK_MACS // _stage_kernel(p, sign).size)
-    n = 1
-    while p**n <= 2 * rows:  # a stage writes p^n rows: at least three chunks
-        n += 1
+    """Stages run on b = p^d for d = 0, r, 2r, ... (r digits a stage): the
+    low ones take several whole b ranges per chunk, the top one runs of b
+    within one a, over at least three chunks with a partial last one.  At
+    p = 3 an odd digit count also runs a one-digit stage last."""
+    r = walsh._P3_STAGE_DIGITS if p == 3 else 1
+    rows = max(1, _CHUNK_MACS // _stage_kernel(p, sign, r).size)
+    assert rows > 1, "stage 0 should take several a per chunk"
+    n = r
+    while p**n <= 2 * rows:
+        n += r
     assert p**n % rows, "the last chunk should be partial"
-    x = rng.integers(-50, 51, size=(p ** (n + 1), p - 1)).astype(np.float64)
-    got = _dft(x.copy(), p, n + 1, sign)
-    monkeypatch.setattr(walsh, "_stage_product", _stage_product_by_transpose)
-    assert np.array_equal(got, _dft(x, p, n + 1, sign))
+    for digits in {n + r, n + 1}:
+        x = rng.integers(-50, 51, size=(p**digits, p - 1)).astype(np.float64)
+        got = _dft(x.copy(), p, digits, sign)
+        with monkeypatch.context() as patch:
+            patch.setattr(walsh, "_stage_product", _stage_product_by_transpose)
+            assert np.array_equal(got, _dft(x, p, digits, sign))
+
+
+def _sum_of_squares(dom: Domain) -> PFunction:
+    """x -> sum_i x_i^2 on a vector domain, a bent function."""
+    index, table = np.arange(dom.size), np.zeros(dom.size, dtype=np.int64)
+    for _ in range(dom.n_total):
+        table += (index % dom.p) ** 2
+        index //= dom.p
+    return PFunction(dom, table % dom.p)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _sum_of_squares(Domain.vec(3, 12)),
+        lambda: from_expr(make_field(5, 8, (1, 0, 0, 0, 0, 1, 1, 0, 1)), "Tr(2x^2) + Tr(x)"),
+    ],
+    ids=["v3_12", "f5^8"],
+)
+def test_transform_and_dual_memory(make):
+    """walsh_fast runs its stages in the one N x (p-1) array that it returns,
+    besides the permuted table and chunk buffers; extract_dual holds its two
+    outputs and one candidate position per row, and gathers no N x (p-1)
+    array of candidates.  Before the stages ran in place, the transform
+    peaked at 24.3 MiB (v3_12) and 38.8 MiB (f5^8), and extract_dual at
+    14.7 and 18.3 MiB."""
+    f = make()
+    f.domain.walsh_perm()
+    W, peak = traced_peak(lambda: walsh_fast(f))
+    assert peak <= W.values.nbytes + f.table.nbytes + (2 << 20)
+    (dual, units), peak = traced_peak(lambda: extract_dual(W))
+    assert peak <= dual.table.nbytes + units.nbytes + 8 * len(units) + (1 << 20)
 
 
 @pytest.mark.parametrize("key", sorted(BUILTIN_MODULI), ids=lambda k: f"F{k[0]}^{k[1]}")
@@ -182,14 +221,18 @@ def test_walsh_fast_asserts_a_symmetric_pairing(rng, monkeypatch):
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19])
 def test_stage_kernel_blocks_are_root_multiplication(p):
+    """Row (k, i), column (j, s) of a stage kernel holds coefficient s of
+    e^i * e^(sign * j.k), for one digit and, at p <= 5, for two."""
     units = [CycInt(p, np.eye(p - 1, dtype=np.int64)[i]) for i in range(p - 1)]
-    for sign in (-1, 1):
-        K = _stage_kernel(p, sign).reshape(p, p - 1, p, p - 1)
-        for k in range(p):
-            for j in range(p):
-                r = root_power(p, sign * j * k)
-                expected = [(u * r).coeffs for u in units]
-                assert np.array_equal(K[k, :, j, :], expected), (sign, k, j)
+    for digits in (1, 2) if p <= 5 else (1,):
+        vectors = list(itertools.product(range(p), repeat=digits))
+        for sign in (-1, 1):
+            K = _stage_kernel(p, sign, digits).reshape(p**digits, p - 1, p**digits, p - 1)
+            for k in range(p**digits):
+                for j in range(p**digits):
+                    r = root_power(p, sign * sum(a * b for a, b in zip(vectors[k], vectors[j])))
+                    expected = [(u * r).coeffs for u in units]
+                    assert np.array_equal(K[k, :, j, :], expected), (digits, sign, k, j)
 
 
 def _max_abs_sq_coeff(p: int) -> int:
