@@ -113,6 +113,8 @@ class CycInt:
         return CycInt(self.p, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
+        if isinstance(other, int):  # scale; the double loop costs O(p^2) steps
+            return CycInt(self.p, tuple(a * other for a in self.coeffs))
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented

@@ -106,8 +106,8 @@ class LinearMaps:
         )
 
     def _reduced(self, z: np.ndarray) -> np.ndarray:
-        hi, lo = np.divmod(z, self._spread)
-        out = self._reduce[lo]
+        hi = z // self._spread  # np.divmod took 10x as long as // on 5^8 indices
+        out = self._reduce[z - hi * self._spread]
         out += self._reduce_hi[hi]
         return out
 
@@ -116,8 +116,8 @@ class LinearMaps:
         if self.m == 1:
             return x * int(C[0, 0]) % self.p
         lo_img, hi_img = self._halves(C)
-        hi, lo = np.divmod(x, self._split)
-        z = lo_img[lo]
+        hi = x // self._split
+        z = lo_img[x - hi * self._split]
         z += hi_img[hi]
         return self._reduced(z)
 
@@ -402,7 +402,7 @@ class FieldCtx:
         # log[0] = -1 still gives x = 0 an index in range; its entry is reset below
         k = self.log * (e % (self.q - 1))
         k += self.log[c]
-        k %= self.q - 1
+        k -= k // (self.q - 1) * (self.q - 1)  # k %= q - 1 took 1.3x as long
         table = self.trace_exp[k]
         table[0] = 0
         return table

@@ -2,33 +2,39 @@
 
 Values travel as their p - 1 canonical coefficients (see cyclo).  The fast
 path is the DFT over F_p^n, a tensor product of one DFT_p per digit with no
-twiddles, so it runs in place in one N x (p-1) float64 array.  The stage of
+twiddles, so it runs in place in one N x (p-1) float array.  The stage of
 digit d reads the array as [a, k, b, coeff], b < p^d, and overwrites the p
 rows k of each (a, b) with rows j = sum_k e^(sign*j*k) * row k; digits keep
-their places, so no reorder is needed.  For p <= 19 a stage is one float64
-product per block of rows against the (p(p-1))^2 kernel of those {-1, 0, 1}
-matrices, and at p = 3 a stage takes two digits by an 18 x 18 kernel; above,
-it gathers rotated rows from a doubled zero-padded copy (p^2 * N adds), and
-walsh_fast's top stage scatters N*p counts of its 0/1 input.  A product
-stage copies a block's canonical rows into a chunk buffer and back as opaque
-(p-1)*8-byte elements, and row gathers take whole rows (np.take on axis 0):
-at p = 3 a row is two float64s, which a transposed float64 copy or a 2-D
-fancy index moves 8 bytes at a time.  The int64 result is the same buffer,
-cast a chunk at a time, so walsh_fast holds its values, its permuted table
-and chunk buffers: its tracemalloc peak is 8.6 MiB on 3^12 points (8.1 MiB
-of values) and 15.4 MiB on F_{5^8} (11.9 MiB of values, a 3 MiB table).
-Gram matrices are symmetric (asserted), so W(b) = DFT[f o C^-1](b):
-walsh_fast scatters its table through walsh_perm.
+their places, so no reorder is needed.  For p <= 19 a stage is one product,
+in the array's dtype, per block of rows against the (p(p-1))^2 kernel of
+those {-1, 0, 1} matrices, and at p = 3 a stage takes two digits by an
+18 x 18 kernel; above, it gathers rotated rows from a doubled zero-padded
+copy (p^2 * N adds), and walsh_fast's top stage scatters N*p counts of its
+0/1 input.  A product stage copies a block's canonical rows into a chunk
+buffer and back as opaque (p-1)-float elements, and row gathers take whole
+rows (np.take on axis 0): at p = 3 a row is two floats, which a transposed
+copy or a 2-D fancy index moves one float at a time.  walsh_fast runs its
+stages in float32 in the first half of its int64 result and then widens the
+floats in place, a chunk at a time from the last row, so it holds its
+values, its permuted table and chunk buffers: its tracemalloc peak is
+8.6 MiB on 3^12 points (8.1 MiB of values) and 15.4 MiB on F_{5^8}
+(11.9 MiB of values, a 3 MiB table).  Gram matrices are symmetric
+(asserted), so W(b) = DFT[f o C^-1](b): walsh_fast scatters its table
+through walsh_perm.
 
-Exactness (float64 is exact below 2^53): after t digits a coefficient is a
-difference of two counts of at most p^t * A, A = max|input|, and a stage of
-r digits sums 2p^r kernel terms with p^(t+r) <= N, so partial sums stay
-within 4 * N * A.  |W|^2 is each row's outer product times a {-1, 0, 1}
-kernel (p <= 19) or a lag-gather autocorrelation, within
-(p-1)^2 * max|c|^2.  Both are asserted on the input.  walsh_fast has
-|c| <= N and refuses N * p > 2^24, which caps an N x p array at 128 MiB
-and admits p <= 13 up to SIZE_LIMIT, 53^3 and one-digit domains up to
-p = 4093.
+Exactness (a float of nmant mantissa bits holds every integer below
+_exact_below(dtype) = 2^(nmant+1): 2^24 in float32, 2^53 in float64): a
+row of coefficients c_i within A is p counts in [0, 2A], c_i + A and A on
+top, less the top one; after t digits the counts are within 2 * p^t * A,
+and a stage of r digits sums 2p^r kernel terms, so partial sums over s
+digits stay within 4 * p^s * A.  walsh_fast's rows are 0/1, or within p
+after the top digit's scatter, which leaves n - 1 digits: within
+4 * N <= 2^22 in float32.  poisson_check's |W| <= N gives 4 * N^2 in
+float64.  |W|^2 is each row's outer product times a {-1, 0, 1} kernel
+(p <= 19) or a lag-gather autocorrelation, within (p-1)^2 * max|c|^2 in
+float64.  Each bound is asserted on the input.  walsh_fast has |c| <= N
+and refuses N * p > 2^24, which caps an N x p array at 128 MiB and admits
+p <= 13 up to SIZE_LIMIT, 53^3 and one-digit domains up to p = 4093.
 """
 from __future__ import annotations
 
@@ -42,11 +48,17 @@ from .cyclo import CycInt, fold_top
 from .field import SIZE_LIMIT
 from .pfunc import Domain, DomainError, PFunction
 
-_FLOAT_EXACT = 1 << 53
-assert 4 * SIZE_LIMIT**2 < _FLOAT_EXACT, "Poisson's stage sums are inexact"
+
+def _exact_below(dtype) -> int:
+    """2^(nmant + 1): a float dtype holds every integer of smaller magnitude."""
+    return 1 << (np.finfo(dtype).nmant + 1)
+
+
+assert 4 * SIZE_LIMIT < _exact_below(np.float32), "walsh_fast's stage sums are inexact"
+assert 4 * SIZE_LIMIT**2 < _exact_below(np.float64), "Poisson's stage sums are inexact"
 _EXPONENT_LIMIT = 1 << 24  # entries of one N x p array
 assert 13 * SIZE_LIMIT <= _EXPONENT_LIMIT, "full-size domains at p <= 13 are refused"
-assert _EXPONENT_LIMIT**2 < _FLOAT_EXACT, "walsh_fast's |W|^2 is inexact"
+assert _EXPONENT_LIMIT**2 < _exact_below(np.float64), "walsh_fast's |W|^2 is inexact"
 
 # Multiply-adds per chunk: one product per stage woke OpenBLAS's second
 # thread, which made a 5^8-point `pbent dual` 60% slower on 2 cores.
@@ -59,7 +71,7 @@ _P3_STAGE_DIGITS = 2
 # Largest p with product stages: a 23^4 transform took 3.5 s by products,
 # 0.9 s gathered.
 _PRODUCT_MAX_P = 19
-# Entries cast from float64 to int64 at a time, in place, by _dft.
+# Entries widened from float to int64 at a time, in place, by _widen.
 _CAST_ELEMS = 1 << 16
 # Rows of |W|^2 formed at a time for the histogram's keys.
 _KEY_ROWS = 1 << 16
@@ -71,19 +83,20 @@ def _root_rows(t, p: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _stage_kernel(p: int, sign: int, digits: int) -> np.ndarray:
+def _stage_kernel(p: int, sign: int, digits: int, dtype: np.dtype) -> np.ndarray:
     """K[(k, i), (j, s)]: coefficient s of e^i * e^(sign * j.k), for j and k
-    below p^digits read as digit vectors."""
+    below p^digits read as digit vectors, as `dtype` (the stage's array's)."""
     D = np.arange(p**digits)[:, None] // p ** np.arange(digits) % p
     kj = sign * (D @ D.T)
     K = _root_rows(np.arange(p - 1)[:, None] + kj[:, None], p).reshape(len(D) * (p - 1), -1)
+    K = K.astype(dtype)
     K.flags.writeable = False
     return K
 
 
 def _rotations(rows: np.ndarray, p: int) -> np.ndarray:
-    """View R[..., w, :]: the p counts of each row times e^-w."""
-    pad = np.zeros(rows.shape[:-1] + (2 * p,))
+    """View R[..., w, :]: the p counts of each row times e^-w, in rows' dtype."""
+    pad = np.zeros(rows.shape[:-1] + (2 * p,), dtype=rows.dtype)
     pad[..., : p - 1] = pad[..., p:-1] = rows
     return sliding_window_view(pad, p, axis=-1)[..., :p, :]
 
@@ -115,14 +128,14 @@ def _stage_product(x: np.ndarray, K: np.ndarray) -> None:
     [a, k, b, coeff] view, for the kernel K = _stage_kernel(p, sign, digits)
     of k's digits: one product per block of (a, b) pairs.
 
-    A block's canonical rows are copied into one buffer as whole
-    (p-1)*8-byte elements, [(a, b), k], which the product reads as float64;
-    its [(a, b), j] result goes back the same way.  A float64 transposed copy
-    would move 8 bytes at a time, two per row at p = 3.
+    A block's canonical rows are copied into one buffer of x's dtype as
+    whole (p-1)-float elements, [(a, b), k], which the product reads as
+    floats; its [(a, b), j] result goes back the same way.  A transposed
+    copy would move one float at a time, two per row at p = 3.
     """
     A, R, B, c = x.shape
     rows = min(A * B, max(1, _CHUNK_MACS // K.size))
-    src, out = np.empty((2, rows, len(K)))
+    src, out = np.empty((2, rows, len(K)), dtype=x.dtype)
     src_e, out_e = (_row_elements(buf.reshape(rows, R, c)) for buf in (src, out))
     for blk in _blocks(_row_elements(x), rows):
         na, _, nb = blk.shape
@@ -145,40 +158,52 @@ def _stage_gather(x: np.ndarray, p: int, sign: int) -> None:
         blk[...] = fold_top(acc).transpose(0, 2, 1, 3)
 
 
-def _stage_one_hot(table: np.ndarray, p: int, sign: int) -> np.ndarray:
-    """The top digit's stage on rows e^(table), in place order: N*p counts
-    of e^(table[k, m] + sign*j*k) at row (j, m)."""
+def _stage_one_hot(table: np.ndarray, p: int, sign: int, out: np.ndarray) -> None:
+    """The top digit's stage on rows e^(table), in place order, written to
+    the N x (p-1) array out: N*p counts of e^(table[k, m] + sign*j*k) at
+    row (j, m)."""
     g = table.reshape(p, -1, 1)
     kj = sign * np.outer(np.arange(p), np.arange(p))[:, None]
     rows = min(g.shape[1], max(1, _CHUNK_MACS // (p * p)))
-    out = np.empty((p, g.shape[1], p - 1))
+    out = out.reshape(p, g.shape[1], p - 1)
     for r0 in range(0, g.shape[1], rows):
         m = min(rows, g.shape[1] - r0)
         e = (g[:, r0 : r0 + m] + kj) % p + np.arange(0, m * p * p, p).reshape(p, m).T
         counts = np.bincount(e.ravel(), minlength=m * p * p)  # e: flat (j, m, e) index
         out[:, r0 : r0 + m] = fold_top(counts.reshape(p, m, p))
-    return out.reshape(-1, p - 1)
 
 
 def _dft(rows: np.ndarray, p: int, stages: int, sign: int) -> np.ndarray:
     """The DFT e^(sign * j.k) over the low `stages` digits of the row index
-    of float64 canonical rows, in place, one stage per digit (two at p = 3);
-    returns the same buffer, cast to int64 a chunk at a time."""
+    of float canonical rows (float32 or float64), in place, one stage per
+    digit (two at p = 3); returns rows."""
     N = rows.shape[0]
-    assert 4 * N * _max_abs(rows) < _FLOAT_EXACT, "stage sums would not be exact"
+    bound = 4 * p**stages * _max_abs(rows)
+    assert bound < _exact_below(rows.dtype), "stage sums would not be exact"
     r = _P3_STAGE_DIGITS if p == 3 else 1
     for d in range(0, stages, r):
         t = min(r, stages - d)
         x = rows.reshape(N // p ** (d + t), p**t, p**d, -1)
         if p <= _PRODUCT_MAX_P:
-            _stage_product(x, _stage_kernel(p, sign, t))
+            _stage_product(x, _stage_kernel(p, sign, t, rows.dtype))
         else:
             _stage_gather(x, p, sign)
-    ints = rows.view(np.int64)
+    return rows
+
+
+def _widen(rows: np.ndarray, ints: np.ndarray) -> np.ndarray:
+    """ints[...] = rows as int64, where ints' buffer starts where the float
+    rows' does (and, for float32 rows, is twice as long): chunks go from the
+    last row to the first, so no chunk overwrites rows not yet cast."""
     step = max(1, _CAST_ELEMS // rows.shape[1])
-    for r0 in range(0, N, step):
+    for r0 in reversed(range(0, len(rows), step)):
         ints[r0 : r0 + step] = rows[r0 : r0 + step].astype(np.int64)
     return ints
+
+
+def _float32_rows(ints: np.ndarray) -> np.ndarray:
+    """The first half of an int64 array's buffer as float32 rows of its shape."""
+    return ints.reshape(-1).view(np.float32)[: ints.size].reshape(ints.shape)
 
 
 def rotate_rows(values: np.ndarray, p: int, e) -> np.ndarray:
@@ -202,7 +227,7 @@ def _abs_sq(values: np.ndarray, p: int) -> np.ndarray:
     """|c|^2 for every canonical row c, by row chunks."""
     N = values.shape[0]
     A = _max_abs(values)
-    assert (p - 1) ** 2 * A * A < _FLOAT_EXACT, "|W|^2 sums would not be exact"
+    assert (p - 1) ** 2 * A * A < _exact_below(np.float64), "|W|^2 sums would not be exact"
     out = np.empty((N, p - 1), dtype=np.int64)
     small = p <= _PRODUCT_MAX_P
     if small:  # (p-1)^3 entries: row (i, j) of Q is e^(i - j)
@@ -350,11 +375,17 @@ def walsh_fast(f: PFunction) -> WalshSpectrum:
     if (perm := _pairing(dom)) is not None:
         table = np.empty_like(table)
         table[perm] = f.table
+    values = np.empty((N, p - 1), dtype=np.int64)
+    rows = _float32_rows(values)
     if p <= _PRODUCT_MAX_P:
-        values = _dft(np.take(_root_rows(np.arange(p), p), table, axis=0), p, n, -1)
+        roots = _root_rows(np.arange(p), p).astype(np.float32)
+        # mode="raise" would buffer out, an N x (p-1) copy; e^t has period p
+        np.take(roots, table, axis=0, out=rows, mode="wrap")
+        _dft(rows, p, n, -1)
     else:
-        values = _dft(_stage_one_hot(table, p, -1), p, n - 1, -1)
-    return WalshSpectrum(dom, values)
+        _stage_one_hot(table, p, -1, rows)
+        _dft(rows, p, n - 1, -1)
+    return WalshSpectrum(dom, _widen(rows, values))
 
 
 def poisson_check(f: PFunction, W: WalshSpectrum) -> bool:

@@ -116,6 +116,17 @@ def test_int_coercion(p, data):
     assert a - k == a + (-k)
 
 
+@pytest.mark.parametrize("p", PRIMES + [2003])
+def test_int_scaling_matches_ring_product(p):
+    """CycInt * int scales the coefficients; the ring product by from_int is
+    the oracle, for the Gauss sum and a unit-free element."""
+    for a in (gauss_sum(p), CycInt(p, range(1, p))):
+        for k in (0, 1, -1, p, -p, p**3, -(p**3)):
+            expected = CycInt.__mul__(a, CycInt.from_int(p, k))
+            assert a * k == k * a == expected, k
+            assert all(type(c) is int for c in (a * k).coeffs)
+
+
 def test_mixed_characteristic_rejected():
     with pytest.raises(ValueError):
         CycInt.one(3) + CycInt.one(5)

@@ -21,10 +21,13 @@ from pbent.pfunc import (
     zero_function,
 )
 from pbent.walsh import (
+    _CAST_ELEMS,
     _CHUNK_MACS,
     WalshSpectrum,
     _dft,
+    _float32_rows,
     _stage_kernel,
+    _widen,
     mul_rows,
     poisson_check,
     rotate_rows,
@@ -141,7 +144,7 @@ def test_fast_equals_naive_through_the_pairing(dom, rng):
 
 
 def _stage_product_by_transpose(x, K):
-    """The product stage in place on the [a, k, b, coeff] view, as one float64
+    """The product stage in place on the [a, k, b, coeff] view, as one
     transposed copy of the whole array times the kernel."""
     A, R, B, c = x.shape
     out = x.transpose(0, 2, 1, 3).reshape(-1, len(K)) @ K
@@ -154,17 +157,19 @@ def test_product_stage_matches_transpose_copy(p, sign, rng, monkeypatch):
     """Stages run on b = p^d for d = 0, r, 2r, ... (r digits a stage): the
     low ones take several whole b ranges per chunk, the top one runs of b
     within one a, over at least three chunks with a partial last one.  At
-    p = 3 an odd digit count also runs a one-digit stage last."""
+    p = 3 an odd digit count also runs a one-digit stage last.  Each case
+    runs in float32, walsh_fast's stages, and float64, Poisson's."""
     r = walsh._P3_STAGE_DIGITS if p == 3 else 1
-    rows = max(1, _CHUNK_MACS // _stage_kernel(p, sign, r).size)
+    rows = max(1, _CHUNK_MACS // _stage_kernel(p, sign, r, np.float64).size)
     assert rows > 1, "stage 0 should take several a per chunk"
     n = r
     while p**n <= 2 * rows:
         n += r
     assert p**n % rows, "the last chunk should be partial"
-    for digits in {n + r, n + 1}:
-        x = rng.integers(-50, 51, size=(p**digits, p - 1)).astype(np.float64)
+    for digits, dtype in itertools.product({n + r, n + 1}, [np.float32, np.float64]):
+        x = rng.integers(-50, 51, size=(p**digits, p - 1)).astype(dtype)
         got = _dft(x.copy(), p, digits, sign)
+        assert got.dtype == dtype
         with monkeypatch.context() as patch:
             patch.setattr(walsh, "_stage_product", _stage_product_by_transpose)
             assert np.array_equal(got, _dft(x, p, digits, sign))
@@ -188,12 +193,13 @@ def _sum_of_squares(dom: Domain) -> PFunction:
     ids=["v3_12", "f5^8"],
 )
 def test_transform_and_dual_memory(make):
-    """walsh_fast runs its stages in the one N x (p-1) array that it returns,
-    besides the permuted table and chunk buffers; extract_dual holds its two
-    outputs and one candidate position per row, and gathers no N x (p-1)
-    array of candidates.  Before the stages ran in place, the transform
-    peaked at 24.3 MiB (v3_12) and 38.8 MiB (f5^8), and extract_dual at
-    14.7 and 18.3 MiB."""
+    """walsh_fast runs its stages in float32 in the first half of the one
+    N x (p-1) int64 array that it returns, and widens them in place, besides
+    the permuted table and chunk buffers; extract_dual holds its two outputs
+    and one candidate position per row, and gathers no N x (p-1) array of
+    candidates.  Before the stages ran in place, the transform peaked at
+    24.3 MiB (v3_12) and 38.8 MiB (f5^8), and extract_dual at 14.7 and
+    18.3 MiB."""
     f = make()
     f.domain.walsh_perm()
     W, peak = traced_peak(lambda: walsh_fast(f))
@@ -222,12 +228,15 @@ def test_walsh_fast_asserts_a_symmetric_pairing(rng, monkeypatch):
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19])
 def test_stage_kernel_blocks_are_root_multiplication(p):
     """Row (k, i), column (j, s) of a stage kernel holds coefficient s of
-    e^i * e^(sign * j.k), for one digit and, at p <= 5, for two."""
+    e^i * e^(sign * j.k), for one digit and, at p <= 5, for two, in float32
+    and in float64."""
     units = [CycInt(p, np.eye(p - 1, dtype=np.int64)[i]) for i in range(p - 1)]
-    for digits in (1, 2) if p <= 5 else (1,):
+    for digits, dtype in itertools.product((1, 2) if p <= 5 else (1,), [np.float32, np.float64]):
         vectors = list(itertools.product(range(p), repeat=digits))
         for sign in (-1, 1):
-            K = _stage_kernel(p, sign, digits).reshape(p**digits, p - 1, p**digits, p - 1)
+            K = _stage_kernel(p, sign, digits, dtype)
+            assert K.dtype == dtype
+            K = K.reshape(p**digits, p - 1, p**digits, p - 1)
             for k in range(p**digits):
                 for j in range(p**digits):
                     r = root_power(p, sign * sum(a * b for a, b in zip(vectors[k], vectors[j])))
@@ -275,6 +284,46 @@ def test_stages_assert_their_bound(dom):
     values[1, 0] = top + 1
     with pytest.raises(AssertionError):
         poisson_check(f, WalshSpectrum(dom, values))
+
+
+@pytest.mark.parametrize("p,stages", [(3, 4), (23, 2)])
+def test_float32_stages_assert_their_bound(p, stages, rng):
+    """float32 stages need 4 * p^stages * max|input| < 2^24: at the largest
+    admitted input they equal the float64 stages, one more is refused.  On
+    one row (no stages) the refused input has 4 * N * A = 2^24 exactly."""
+    top = ((1 << 24) - 1) // (4 * p**stages)
+    x = rng.integers(-top, top + 1, size=(p**stages, p - 1))
+    x[0], x[1], x[2] = top, -top, top * (-1) ** np.arange(p - 1)
+    got = _dft(x.astype(np.float32), p, stages, -1)
+    assert np.array_equal(got, _dft(x.astype(np.float64), p, stages, -1))
+    x[0, 0] = top + 1
+    with pytest.raises(AssertionError):
+        _dft(x.astype(np.float32), p, stages, -1)
+    with pytest.raises(AssertionError):
+        _dft(np.full((1, p - 1), 1 << 22, dtype=np.float32), p, 0, -1)
+    _dft(np.full((1, p - 1), (1 << 22) - 1, dtype=np.float32), p, 0, -1)
+
+
+@pytest.mark.parametrize("p", [3, 23])
+def test_widen_in_place_matches_astype_at_chunk_edges(p, rng):
+    """float32 rows in the first half of an int64 array, widened into it
+    from the last chunk: below one cast step, one step, and k steps + 1."""
+    step = max(1, _CAST_ELEMS // (p - 1))
+    for N in (step - 1, step, 3 * step + 1):
+        ints = np.empty((N, p - 1), dtype=np.int64)
+        rows = _float32_rows(ints)
+        assert rows.ctypes.data == ints.ctypes.data
+        rows[...] = rng.integers(-(1 << 24), (1 << 24) + 1, size=rows.shape)
+        expected = rows.astype(np.int64)
+        assert _widen(rows, ints) is ints
+        assert np.array_equal(ints, expected), N
+
+
+@pytest.mark.parametrize(
+    "dom", [Domain.vec(3, 4), Domain.field(F25), Domain.vec(23, 2)], ids=["v3_4", "f25", "v23_2"]
+)
+def test_walsh_fast_values_are_int64(dom, rng):
+    assert walsh_fast(random_function(dom, rng)).values.dtype == np.int64
 
 
 # ---- energy and inversion identities ----------------------------------------------------
