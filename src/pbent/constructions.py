@@ -19,7 +19,7 @@ from .bent import (
 from .cyclo import CycInt
 from .field import FieldCtx, FieldElement, _rank_mod_p
 from .pfunc import Domain, PFunction, VecPart, from_expr
-from .walsh import _abs_sq, _dft, _root_rows, _widen, mul_rows, rotate_rows, walsh_fast
+from .walsh import _abs_sq, _dft, _root_rows, mul_rows, rotate_rows, walsh_fast
 
 
 class ConstructionError(ValueError):
@@ -524,7 +524,6 @@ def _pair_verdicts(ctx: FieldCtx, pairs: np.ndarray) -> PairVerdicts:
         a, b = pairs[r0 : r0 + rows].T
         eta, phased = _pair_rows(ctx, a, b)
         T = _dft(phased.reshape(-1, p - 1), p, 2, +1)  # row pair*p^2 + w: T(w)
-        T = _widen(T, T.view(np.int64))
         block = slice(r0, r0 + len(a))
         out.abs_sq_S[block] = _abs_sq(T[:: p * p], p)
         out.mixed[block] = (eta != eta[:1]).any(axis=0)

@@ -14,13 +14,14 @@ copy (p^2 * N adds), and walsh_fast's top stage scatters N*p counts of its
 buffer and back as opaque (p-1)-float elements, and row gathers take whole
 rows (np.take on axis 0): at p = 3 a row is two floats, which a transposed
 copy or a 2-D fancy index moves one float at a time.  walsh_fast runs its
-stages in float32 in the first half of its int64 result and then widens the
-floats in place, a chunk at a time from the last row, so it holds its
-values, its permuted table and chunk buffers: its tracemalloc peak is
-8.6 MiB on 3^12 points (8.1 MiB of values) and 15.4 MiB on F_{5^8}
-(11.9 MiB of values, a 3 MiB table).  Gram matrices are symmetric
-(asserted), so W(b) = DFT[f o C^-1](b): walsh_fast scatters its table
-through walsh_perm.
+stages in float32 in the N x (p-1) array that its spectrum keeps, exact by
+the bound below, and holds besides only its permuted table and chunk
+buffers: its tracemalloc peak is 4.2 MiB on 3^12 points (4.1 MiB of rows)
+and 9.1 MiB on F_{5^8} (6 MiB of rows, a 3 MiB table).  A spectrum's
+int64 `values` are widened from those rows on first read; |W|^2, its
+histogram keys and bent's match cast the rows a block at a time.  Gram
+matrices are symmetric (asserted), so W(b) = DFT[f o C^-1](b): walsh_fast
+scatters its table through walsh_perm.
 
 Exactness (a float of nmant mantissa bits holds every integer below
 _exact_below(dtype) = 2^(nmant+1): 2^24 in float32, 2^53 in float64): a
@@ -71,8 +72,6 @@ _P3_STAGE_DIGITS = 2
 # Largest p with product stages: a 23^4 transform took 3.5 s by products,
 # 0.9 s gathered.
 _PRODUCT_MAX_P = 19
-# Entries widened from float to int64 at a time, in place, by _widen.
-_CAST_ELEMS = 1 << 16
 # Rows of |W|^2 formed at a time for the histogram's keys.
 _KEY_ROWS = 1 << 16
 
@@ -191,19 +190,14 @@ def _dft(rows: np.ndarray, p: int, stages: int, sign: int) -> np.ndarray:
     return rows
 
 
-def _widen(rows: np.ndarray, ints: np.ndarray) -> np.ndarray:
-    """ints[...] = rows as int64, where ints' buffer starts where the float
-    rows' does (and, for float32 rows, is twice as long): chunks go from the
-    last row to the first, so no chunk overwrites rows not yet cast."""
-    step = max(1, _CAST_ELEMS // rows.shape[1])
-    for r0 in reversed(range(0, len(rows), step)):
-        ints[r0 : r0 + step] = rows[r0 : r0 + step].astype(np.int64)
+def int_rows(rows: np.ndarray) -> np.ndarray:
+    """rows as a C-contiguous int64 array (rows itself when it is one).  Float
+    rows must hold integers: a value that is not one is refused, not
+    truncated."""
+    ints = np.ascontiguousarray(rows, dtype=np.int64)
+    if rows.dtype.kind == "f" and not np.array_equal(ints, rows):
+        raise ValueError("spectral rows are not integral")
     return ints
-
-
-def _float32_rows(ints: np.ndarray) -> np.ndarray:
-    """The first half of an int64 array's buffer as float32 rows of its shape."""
-    return ints.reshape(-1).view(np.float32)[: ints.size].reshape(ints.shape)
 
 
 def rotate_rows(values: np.ndarray, p: int, e) -> np.ndarray:
@@ -274,17 +268,29 @@ def _abs_sq_keys(values: np.ndarray, p: int) -> tuple[np.ndarray, ...] | None:
 
 
 class WalshSpectrum:
-    """Exact spectrum: one Z[e_p] value per target vector b, in index order."""
+    """Exact spectrum: one Z[e_p] value per target vector b, in index order.
 
-    def __init__(self, domain: Domain, values: np.ndarray) -> None:
-        if values.shape != (domain.size, domain.p - 1):
+    `rows` holds the canonical coefficient rows as the producer gave them:
+    int64, or walsh_fast's float32 rows, which hold integers exactly.  Readers
+    that cast a block at a time take `rows`; `values` is the int64 array.
+    """
+
+    def __init__(self, domain: Domain, rows: np.ndarray) -> None:
+        if rows.shape != (domain.size, domain.p - 1):
             raise ValueError("spectrum shape does not match the domain")
         self.domain = domain
-        self.values = values
+        self.rows = rows
         self._abs_sq: np.ndarray | None = None
 
+    @property
+    def values(self) -> np.ndarray:
+        """The C-contiguous int64 rows.  The first read widens other rows,
+        refusing any that are not integral, and keeps only the int64 array."""
+        self.rows = int_rows(self.rows)
+        return self.rows
+
     def __getitem__(self, b: int) -> CycInt:
-        return CycInt(self.domain.p, self.values[b])
+        return CycInt(self.domain.p, int_rows(self.rows[b]))
 
     def __len__(self) -> int:
         return self.domain.size
@@ -292,7 +298,7 @@ class WalshSpectrum:
     def abs_sq_rows(self) -> np.ndarray:
         """Canonical coefficient rows of |W(b)|^2 for every b."""
         if self._abs_sq is None:
-            self._abs_sq = _abs_sq(self.values, self.domain.p)
+            self._abs_sq = _abs_sq(self.rows, self.domain.p)
         return self._abs_sq
 
     def parseval_ok(self) -> bool:
@@ -302,7 +308,7 @@ class WalshSpectrum:
 
     def _distinct_abs_sq(self) -> tuple[np.ndarray, np.ndarray]:
         """The distinct |W|^2 rows, sorted by coefficients, and their counts."""
-        found = _abs_sq_keys(self.values, self.domain.p)
+        found = _abs_sq_keys(self.rows, self.domain.p)
         if found is not None:
             keys, lo, spans, place = found
             keys, counts = np.unique(keys, return_counts=True)
@@ -375,8 +381,7 @@ def walsh_fast(f: PFunction) -> WalshSpectrum:
     if (perm := _pairing(dom)) is not None:
         table = np.empty_like(table)
         table[perm] = f.table
-    values = np.empty((N, p - 1), dtype=np.int64)
-    rows = _float32_rows(values)
+    rows = np.empty((N, p - 1), dtype=np.float32)
     if p <= _PRODUCT_MAX_P:
         roots = _root_rows(np.arange(p), p).astype(np.float32)
         # mode="raise" would buffer out, an N x (p-1) copy; e^t has period p
@@ -385,7 +390,7 @@ def walsh_fast(f: PFunction) -> WalshSpectrum:
     else:
         _stage_one_hot(table, p, -1, rows)
         _dft(rows, p, n - 1, -1)
-    return WalshSpectrum(dom, _widen(rows, values))
+    return WalshSpectrum(dom, rows)
 
 
 def poisson_check(f: PFunction, W: WalshSpectrum) -> bool:
@@ -394,7 +399,7 @@ def poisson_check(f: PFunction, W: WalshSpectrum) -> bool:
     if W.domain != dom:
         raise ValueError("spectrum does not belong to this function's domain")
     p, n = dom.p, dom.n_total
-    lhs = _dft(W.values.astype(np.float64), p, n, sign=+1)
+    lhs = _dft(W.rows.astype(np.float64), p, n, sign=+1)
     if (perm := _pairing(dom)) is not None:
         lhs = np.take(lhs, perm, axis=0)
     rhs = dom.size * np.take(_root_rows(np.arange(p), p), f.table, axis=0)

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from conftest import traced_peak
 
+import pbent.bent as bent_module
 from pbent.bent import (
     NON_WEAKLY_REGULAR,
     NOT_BENT,
@@ -15,6 +16,7 @@ from pbent.bent import (
     classify,
     extract_dual,
     is_bent,
+    match_rows,
     weak_regular_dual_relation,
 )
 from pbent.constructions import (
@@ -115,6 +117,35 @@ def test_extract_dual_names_the_first_bad_row():
         values[k, 1] -= 1
         with pytest.raises(DualExtractionError, match=rf"at b={k} "):
             extract_dual(WalshSpectrum(W.domain, values))
+
+
+@pytest.mark.parametrize("where", ["later block", "first row of a block", "last row of a block"])
+def test_block_match_names_the_first_bad_row_and_stops(where, monkeypatch):
+    """The match runs a block of rows at a time and stops at the block that
+    holds the first bad b, which it names exactly: also when b is a block's
+    first or last row, and when rows after it, in its block or the next,
+    are bad too."""
+    B = bent_module._MATCH_ROWS
+    W = walsh_fast(product_function(3, 5))
+    assert len(W) > 3 * B
+    first = {"later block": 2 * B + 7, "first row of a block": B, "last row of a block": 2 * B - 1}
+    b = first[where]
+    rows = W.values.copy()
+    rows[[b, b + 1, len(W) - 1]] = 0
+    bad = WalshSpectrum(W.domain, rows.astype(np.float32))
+    blocks = []
+
+    def counted(values, p, n):
+        blocks.append(len(values))
+        return match_rows(values, p, n)
+
+    monkeypatch.setattr(bent_module, "match_rows", counted)
+    assert is_bent(bad) == (False, b)
+    assert len(blocks) == b // B + 1
+    with pytest.raises(DualExtractionError, match=rf"at b={b} ") as exc:
+        extract_dual(bad)
+    assert exc.value.witness == b
+    assert len(blocks) == 2 * (b // B + 1)
 
 
 @pytest.mark.parametrize(

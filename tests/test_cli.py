@@ -174,6 +174,20 @@ def test_dual_on_f5_8_forms_no_digit_table(capsys, monkeypatch, tmp_path):
     assert len(fields) == 1 and "digits" not in fields[0].__dict__
 
 
+def test_dual_on_f5_8_memory(capsys, tmp_path):
+    """The whole command, field tables and output file included: the
+    spectrum stays float32 rows and extract_dual writes its table and int8
+    unit map a block at a time.  With an int64 spectrum, an int64 unit map
+    and a position per row, the command peaked at about 36 MiB."""
+    out = tmp_path / "dual.tt"
+    (code, _, err), peak = traced_peak(lambda: run(
+        capsys, "dual", "--p", "5", "--m", "8", "--modulus", "1,0,0,0,0,1,1,0,1",
+        "--expr", "Tr(2x^2) + Tr(x)", "--out", str(out),
+    ))
+    assert (code, err) == (0, "")
+    assert peak <= 30 << 20
+
+
 def _count_layers(monkeypatch) -> tuple[list, list]:
     """Record the coefficient rows of every |W|^2 formed and the spectrum of
     every bent-candidate match."""

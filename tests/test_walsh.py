@@ -8,7 +8,7 @@ import pytest
 from conftest import traced_peak, translate
 
 import pbent.walsh as walsh
-from pbent.bent import extract_dual
+from pbent.bent import extract_dual, is_bent
 from pbent.cyclo import CycInt, root_power
 from pbent.field import BUILTIN_MODULI, make_field
 from pbent.pfunc import (
@@ -21,13 +21,10 @@ from pbent.pfunc import (
     zero_function,
 )
 from pbent.walsh import (
-    _CAST_ELEMS,
     _CHUNK_MACS,
     WalshSpectrum,
     _dft,
-    _float32_rows,
     _stage_kernel,
-    _widen,
     mul_rows,
     poisson_check,
     rotate_rows,
@@ -42,7 +39,11 @@ F49 = make_field(7, 2, (1, 0, 1))
 
 
 def spectra_equal(a: WalshSpectrum, b: WalshSpectrum) -> bool:
-    return a.domain == b.domain and np.array_equal(a.values, b.values)
+    """Equal domains and int64 values; a's values are one C-contiguous int64
+    array, the same on every read."""
+    values = a.values
+    assert values.dtype == np.int64 and values.flags.c_contiguous and a.values is values
+    return a.domain == b.domain and np.array_equal(values, b.values)
 
 
 # ---- exhaustive agreement on the smallest domains ------------------------------------
@@ -193,19 +194,20 @@ def _sum_of_squares(dom: Domain) -> PFunction:
     ids=["v3_12", "f5^8"],
 )
 def test_transform_and_dual_memory(make):
-    """walsh_fast runs its stages in float32 in the first half of the one
-    N x (p-1) int64 array that it returns, and widens them in place, besides
-    the permuted table and chunk buffers; extract_dual holds its two outputs
-    and one candidate position per row, and gathers no N x (p-1) array of
-    candidates.  Before the stages ran in place, the transform peaked at
-    24.3 MiB (v3_12) and 38.8 MiB (f5^8), and extract_dual at 14.7 and
-    18.3 MiB."""
+    """walsh_fast runs its stages in the one N x (p-1) float32 array that its
+    spectrum keeps, besides the permuted table and chunk buffers;
+    extract_dual holds its two outputs, and casts and matches a block of rows
+    at a time, with no per-row position array.  When the transform returned
+    int64 values it peaked at 8.6 MiB (v3_12) and 15.4 MiB (f5^8), and
+    extract_dual held one int64 position and one int64 unit per row."""
     f = make()
     f.domain.walsh_perm()
     W, peak = traced_peak(lambda: walsh_fast(f))
-    assert peak <= W.values.nbytes + f.table.nbytes + (2 << 20)
+    assert W.rows.dtype == np.float32
+    assert peak <= f.domain.size * (f.p - 1) * 4 + f.table.nbytes + (1 << 20)
     (dual, units), peak = traced_peak(lambda: extract_dual(W))
-    assert peak <= dual.table.nbytes + units.nbytes + 8 * len(units) + (1 << 20)
+    assert units.dtype == np.int8
+    assert peak <= dual.table.nbytes + units.nbytes + (1 << 20)
 
 
 @pytest.mark.parametrize("key", sorted(BUILTIN_MODULI), ids=lambda k: f"F{k[0]}^{k[1]}")
@@ -304,26 +306,39 @@ def test_float32_stages_assert_their_bound(p, stages, rng):
     _dft(np.full((1, p - 1), (1 << 22) - 1, dtype=np.float32), p, 0, -1)
 
 
-@pytest.mark.parametrize("p", [3, 23])
-def test_widen_in_place_matches_astype_at_chunk_edges(p, rng):
-    """float32 rows in the first half of an int64 array, widened into it
-    from the last chunk: below one cast step, one step, and k steps + 1."""
-    step = max(1, _CAST_ELEMS // (p - 1))
-    for N in (step - 1, step, 3 * step + 1):
-        ints = np.empty((N, p - 1), dtype=np.int64)
-        rows = _float32_rows(ints)
-        assert rows.ctypes.data == ints.ctypes.data
-        rows[...] = rng.integers(-(1 << 24), (1 << 24) + 1, size=rows.shape)
-        expected = rows.astype(np.int64)
-        assert _widen(rows, ints) is ints
-        assert np.array_equal(ints, expected), N
-
-
 @pytest.mark.parametrize(
     "dom", [Domain.vec(3, 4), Domain.field(F25), Domain.vec(23, 2)], ids=["v3_4", "f25", "v23_2"]
 )
 def test_walsh_fast_values_are_int64(dom, rng):
-    assert walsh_fast(random_function(dom, rng)).values.dtype == np.int64
+    """walsh_fast's spectrum keeps float32 rows; its values are their int64
+    widening, read once and then kept in place of the rows."""
+    f = random_function(dom, rng)
+    W = walsh_fast(f)
+    rows = W.rows
+    assert rows.dtype == np.float32
+    assert spectra_equal(W, walsh_naive(f))
+    assert np.array_equal(W.values, rows) and W.rows is W.values
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_float_rows_widen_exactly_and_refuse_fractions(dtype, rng):
+    """Integral float rows up to +-2^24 widen to the same int64 values; a
+    row that is not integral is refused by values, W[b] and the bent match,
+    not truncated to a candidate."""
+    dom = Domain.field(F9)
+    ints = rng.integers(-(1 << 24), (1 << 24) + 1, size=(dom.size, 2))
+    ints[0], ints[1] = 1 << 24, -(1 << 24)
+    W = WalshSpectrum(dom, ints.astype(dtype))
+    assert W[1] == CycInt(3, ints[1])
+    assert np.array_equal(W.values, ints)
+    rows = walsh_fast(from_expr(F9, "Tr(x^2)")).values.astype(dtype)
+    assert is_bent(WalshSpectrum(dom, rows))
+    rows[4, 1] += np.copysign(0.5, rows[4, 1])  # truncates back to the candidate
+    assert is_bent(WalshSpectrum(dom, np.trunc(rows)))
+    W = WalshSpectrum(dom, rows)
+    for read in (lambda: W.values, lambda: W[4], lambda: is_bent(W), lambda: extract_dual(W)):
+        with pytest.raises(ValueError, match="not integral"):
+            read()
 
 
 # ---- energy and inversion identities ----------------------------------------------------
