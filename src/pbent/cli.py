@@ -14,6 +14,7 @@ import os
 import sys
 import time
 from collections import deque
+from collections.abc import Iterable, Iterator
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import lru_cache
@@ -113,19 +114,22 @@ def _load_function(ns: argparse.Namespace) -> PFunction:
     raise CLIError("this command needs --tt FILE or --expr STRING")
 
 
-def _emit(text: str, out: str | None) -> None:
-    """Write text to stdout, or to the file `out`, ending it with a newline if it lacks one."""
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write a text, given in chunks, to stdout or to the file `out`,
+    ending it with a newline if it lacks one."""
     with ExitStack() as stack:
         fh = sys.stdout if out is None else stack.enter_context(open(out, "w"))
-        fh.write(text)
-        if not text.endswith("\n"):
+        chunk = ""
+        for chunk in chunks:
+            fh.write(chunk)
+        if not chunk.endswith("\n"):
             fh.write("\n")
 
 
-def _json_text(obj) -> str:
-    from .jsontext import json_text  # loaded only by the commands that write JSON reports
+def _json_text(obj: dict) -> Iterator[str]:
+    from .jsontext import json_chunks  # loaded only by the commands that write JSON reports
 
-    return json_text(obj)
+    return json_chunks(obj)
 
 
 # ---- simple report commands ----------------------------------------------------
@@ -133,7 +137,7 @@ def _json_text(obj) -> str:
 
 def cmd_classify(ns: argparse.Namespace) -> int:
     report = classify(_load_function(ns))
-    _emit(_json_text(report.to_json()), ns.out)
+    _emit(_json_text(report.json_members()), ns.out)
     return 0
 
 
@@ -144,13 +148,13 @@ def cmd_dual(ns: argparse.Namespace) -> int:
     except DualExtractionError as exc:
         sys.stderr.write(f"not bent (witness b={exc.witness}); no dual exists\n")
         return 1
-    _emit(dump_tt(dual), ns.out)
+    _emit([dump_tt(dual)], ns.out)
     return 0
 
 
 def cmd_spectrum(ns: argparse.Namespace) -> int:
     f = _load_function(ns)
-    _emit(_json_text(walsh_fast(f).to_json()), ns.out)
+    _emit(_json_text(walsh_fast(f).json_members()), ns.out)
     return 0
 
 
@@ -158,7 +162,7 @@ def cmd_spectrum(ns: argparse.Namespace) -> int:
 
 
 def cmd_construct(ns: argparse.Namespace) -> int:
-    _emit(dump_tt(ns.build(ns)), ns.out)
+    _emit([dump_tt(ns.build(ns))], ns.out)
     return 0
 
 
@@ -426,7 +430,7 @@ def cmd_verify_paper(ns: argparse.Namespace) -> int:
         f"{sum(1 for r in rows if r.ok)} passed, {failed} failed, "
         f"{sum(1 for r in rows if r.ok is None)} skipped"
     )
-    _emit("\n".join(lines) + "\n", ns.out)
+    _emit(["\n".join(lines) + "\n"], ns.out)
     return 1 if failed else 0
 
 

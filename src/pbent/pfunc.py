@@ -416,8 +416,13 @@ def digit_cells(m: np.ndarray) -> np.ndarray:
     uint8 row each, right-aligned after NUL padding."""
     width = len(str(int(m.max(initial=0))))
     cells = np.zeros((len(m), width), dtype=np.uint8)
+    q = m.astype(np.uint32 if width < 10 else np.uint64)  # uint32 divides 3x as fast
     for i in range(width):  # the digit of 10^i, or NUL above the leading one
-        cells[:, -1 - i] = np.where((m >= 10**i) | (i == 0), m // 10**i % 10 + 48, 0)
+        col = cells[:, -1 - i]
+        np.add(q % 10, 48, out=col, casting="unsafe")
+        if i:
+            col[q == 0] = 0
+        q //= 10
     return cells
 
 

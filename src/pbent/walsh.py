@@ -23,6 +23,15 @@ histogram keys and bent's match cast the rows a block at a time.  Gram
 matrices are symmetric (asserted), so W(b) = DFT[f o C^-1](b): walsh_fast
 scatters its table through walsh_perm.
 
+The |W|^2 histogram counts one exact mixed-radix key per row, in the
+narrowest dtype that holds the product of the column spans (uint32 below
+2^32, as at p = 3 on 3^12 points, else int64; asserted), formed from
+chunks of _KEY_ENTRIES entries, then sorted in place and split into runs
+by one bool mask: on a random 3^12 table the keys take 2 MiB and the mask
+0.5 MiB, and no other N-sized array is made.  Where the spans reach 2^63,
+the |W|^2 rows are lexsorted instead.  A report's values and histogram
+are written as JSON text in chunks by jsontext.
+
 Exactness (a float of nmant mantissa bits holds every integer below
 _exact_below(dtype) = 2^(nmant+1): 2^24 in float32, 2^53 in float64): a
 row of coefficients c_i within A is p counts in [0, 2A], c_i + A and A on
@@ -31,11 +40,12 @@ and a stage of r digits sums 2p^r kernel terms, so partial sums over s
 digits stay within 4 * p^s * A.  walsh_fast's rows are 0/1, or within p
 after the top digit's scatter, which leaves n - 1 digits: within
 4 * N <= 2^22 in float32.  poisson_check's |W| <= N gives 4 * N^2 in
-float64.  |W|^2 is each row's outer product times a {-1, 0, 1} kernel
-(p <= 19) or a lag-gather autocorrelation, within (p-1)^2 * max|c|^2 in
-float64.  Each bound is asserted on the input.  walsh_fast has |c| <= N
-and refuses N * p > 2^24, which caps an N x p array at 128 MiB and admits
-p <= 13 up to SIZE_LIMIT, 53^3 and one-digit domains up to p = 4093.
+float64.  |W|^2 is each row's outer product over i <= j times a kernel
+of sums of two {-1, 0, 1} rows (p <= 19), or a lag-gather autocorrelation,
+within (p-1)^2 * max|c|^2 in float64.  Each bound is asserted on the
+input.  walsh_fast has |c| <= N and refuses N * p > 2^24, which caps an
+N x p array at 128 MiB and admits p <= 13 up to SIZE_LIMIT, 53^3 and
+one-digit domains up to p = 4093.
 """
 from __future__ import annotations
 
@@ -72,8 +82,9 @@ _P3_STAGE_DIGITS = 2
 # Largest p with product stages: a 23^4 transform took 3.5 s by products,
 # 0.9 s gathered.
 _PRODUCT_MAX_P = 19
-# Rows of |W|^2 formed at a time for the histogram's keys.
-_KEY_ROWS = 1 << 16
+# Entries of |W|^2 formed at a time for the histogram's keys: 8,192 rows at
+# p = 3, whose chunk buffers take well under 1 MiB.
+_KEY_ENTRIES = 1 << 14
 
 
 def _root_rows(t, p: int) -> np.ndarray:
@@ -91,6 +102,18 @@ def _stage_kernel(p: int, sign: int, digits: int, dtype: np.dtype) -> np.ndarray
     K = K.astype(dtype)
     K.flags.writeable = False
     return K
+
+
+@lru_cache(maxsize=None)
+def _abs_sq_kernel(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, Q) for |c|^2 = (c_i * c_j) @ Q over i <= j (c_i * c_j = c_j *
+    c_i: half the products): row (i, j) of Q is e^(i - j) + e^(j - i) for
+    i < j, and e^0 for i = j."""
+    i, j = np.triu_indices(p - 1)
+    Q = _root_rows(i - j, p) + (i < j)[:, None] * _root_rows(j - i, p)
+    for arr in (i, j, Q):
+        arr.flags.writeable = False
+    return i, j, Q
 
 
 def _rotations(rows: np.ndarray, p: int) -> np.ndarray:
@@ -224,13 +247,12 @@ def _abs_sq(values: np.ndarray, p: int) -> np.ndarray:
     assert (p - 1) ** 2 * A * A < _exact_below(np.float64), "|W|^2 sums would not be exact"
     out = np.empty((N, p - 1), dtype=np.int64)
     small = p <= _PRODUCT_MAX_P
-    if small:  # (p-1)^3 entries: row (i, j) of Q is e^(i - j)
-        i, j = np.divmod(np.arange((p - 1) ** 2), p - 1)
-        Q = _root_rows(i - j, p)
+    if small:
+        i, j, Q = _abs_sq_kernel(p)
     rows = max(1, _CHUNK_MACS // ((p - 1) ** 3 if small else p * p))
     for r0 in range(0, N, rows):
         c = values[r0 : r0 + rows].astype(np.float64)
-        if small:  # products c_i * c_j, formed in place in the gathered c[:, i]
+        if small:  # products c_i * c_j, i <= j, formed in place in the gathered c[:, i]
             R = c[:, i]
             R *= c[:, j]
             R = R @ Q
@@ -240,31 +262,59 @@ def _abs_sq(values: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def _key_dtype(span_product: int) -> np.dtype:
+    """The narrowest dtype of _abs_sq_keys that holds the span product, and
+    so every key below it: uint32 below 2^32, else int64."""
+    return np.dtype(np.uint32 if span_product < 1 << 32 else np.int64)
+
+
 def _abs_sq_keys(values: np.ndarray, p: int) -> tuple[np.ndarray, ...] | None:
-    """One int64 key per |W|^2 row, computed chunk by chunk from the values:
+    """One exact key per |W|^2 row, computed chunk by chunk from the values:
     the row's number in mixed radix, digit j being coefficient j less its
     least value, column 0 most significant, so that keys sort as rows do.
-    Returns (keys, least values, spans, place values), or None as soon as
-    the product of the column spans reaches 2^63 (as at p >= 5 on large
-    domains).  Columns are reduced one at a time: an axis-0 min of the
-    narrow |W|^2 array took 15x as long.
+    Keys are uint32 while the product of the column spans is below 2^32
+    (always at p = 3 on 3^12 points), else int64.  Returns (keys, least
+    values, spans, place values), or None as soon as that product reaches
+    2^63 (as at p >= 5 on large domains).  Columns are reduced one at a
+    time: an axis-0 min of the narrow |W|^2 array took 15x as long.
     """
-    starts = range(0, len(values), _KEY_ROWS)
+    step = max(1, _KEY_ENTRIES // (p - 1))
+    starts = range(0, len(values), step)
     lo = np.full(p - 1, np.iinfo(np.int64).max)
     hi = np.full(p - 1, np.iinfo(np.int64).min)
     for r0 in starts:
-        for j, col in enumerate(_abs_sq(values[r0 : r0 + _KEY_ROWS], p).T):
+        for j, col in enumerate(_abs_sq(values[r0 : r0 + step], p).T):
             lo[j], hi[j] = min(lo[j], col.min()), max(hi[j], col.max())
         spans = (hi - lo + 1).tolist()
         if math.prod(spans) >= 1 << 63:
             return None
     place = [math.prod(spans[j + 1 :]) for j in range(p - 1)]
-    keys = np.zeros(len(values), dtype=np.int64)
+    dtype = _key_dtype(math.prod(spans))
+    assert math.prod(spans) <= np.iinfo(dtype).max, f"{dtype} cannot hold the span product"
+    keys = np.empty(len(values), dtype=dtype)
     for r0 in starts:  # each partial sum is below the product of the spans
-        key = keys[r0 : r0 + _KEY_ROWS]
-        for col, low, weight in zip(_abs_sq(values[r0 : r0 + _KEY_ROWS], p).T, lo, place):
-            key += (col - low) * weight
+        sq = _abs_sq(values[r0 : r0 + step], p)
+        key = np.zeros(len(sq), dtype=np.int64)
+        for col, low, span, weight in zip(sq.T, lo, spans, place):
+            if span > 1:  # a constant column adds nothing
+                key += (col - low) * weight
+        keys[r0 : r0 + step] = key
     return keys, lo, np.array(spans), np.array(place)
+
+
+def _runs(columns: np.ndarray | list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of each run of equal rows in sorted rows, given as
+    columns: a run starts where any column changes, marked in one bool mask
+    a column at a time (a 2-D compare with .any(axis=1) took 7x as long at
+    3^12)."""
+    n = len(columns[0])
+    new = np.empty(n, dtype=bool)
+    new[0] = True
+    np.not_equal(columns[0][1:], columns[0][:-1], out=new[1:])
+    for col in columns[1:]:
+        new[1:] |= col[1:] != col[:-1]
+    starts = np.flatnonzero(new)
+    return starts, np.diff(starts, append=n)
 
 
 class WalshSpectrum:
@@ -307,22 +357,24 @@ class WalshSpectrum:
         return CycInt(dom.p, self.abs_sq_rows().sum(axis=0)) == dom.p ** (2 * dom.n_total)
 
     def _distinct_abs_sq(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct |W|^2 rows, sorted by coefficients, and their counts."""
+        """The distinct |W|^2 rows, sorted by coefficients, and their counts.
+        The keys are sorted in place, with no sorted copy as np.unique makes."""
         found = _abs_sq_keys(self.rows, self.domain.p)
         if found is not None:
             keys, lo, spans, place = found
-            keys, counts = np.unique(keys, return_counts=True)
-            return lo + keys[:, None] // place % spans, counts
+            del found  # the N keys are dropped once their runs are split
+            keys.sort()
+            starts, counts = _runs([keys])
+            keys = keys[starts]
+            rows = np.empty((len(keys), len(lo)), dtype=np.int64)
+            for j, (weight, span) in enumerate(zip(place.tolist(), spans.tolist())):
+                rows[:, j] = keys // weight % span  # in the keys' dtype: uint32 divides fast
+            rows += lo
+            return rows, counts
         rows = self.abs_sq_rows()
         rows = np.take(rows, np.lexsort(rows.T[::-1]), axis=0)
-        # a run starts where any column changes, tested a column at a time:
-        # a 2-D compare with .any(axis=1) took 7x as long at 3^12
-        new = np.zeros(len(rows), dtype=bool)
-        new[0] = True
-        for col in rows.T:
-            new[1:] |= col[1:] != col[:-1]
-        starts = np.flatnonzero(new)
-        return rows[starts], np.diff(np.r_[starts, len(rows)])
+        starts, counts = _runs(rows.T)
+        return rows[starts], counts
 
     def histogram(self) -> list[tuple[CycInt, int]]:
         """Distinct |W|^2 values with multiplicities, sorted by coefficients."""
@@ -331,20 +383,32 @@ class WalshSpectrum:
         return [(CycInt(p, row), c) for row, c in zip(rows.tolist(), counts.tolist())]
 
     def histogram_json(self) -> dict[str, int]:
-        """The histogram keyed by each value's text, formatted from its row:
-        a jsontext.HistogramJSON, which also writes its own JSON text."""
-        from .jsontext import HistogramJSON, format_rows  # imported on use (jsontext's docstring)
+        """The histogram keyed by each value's text, formatted from its row."""
+        return self.histogram_member().value()
 
-        rows, counts = self._distinct_abs_sq()
-        return HistogramJSON(format_rows(rows), counts)
+    def histogram_member(self):
+        """The histogram as a jsontext.HistogramJSON, which forms its rows,
+        and from them its dict or its JSON text, only when asked."""
+        from .jsontext import HistogramJSON  # imported on use (jsontext's docstring)
 
-    def to_json(self) -> dict:
+        return HistogramJSON(self._distinct_abs_sq)
+
+    def json_members(self) -> dict:
+        """to_json's members, with the N rows of values and the histogram as
+        jsontext members, which write their own JSON text (json_chunks)."""
+        from .jsontext import RowsJSON
+
         return {
             "p": self.domain.p,
             "domain": self.domain.describe(),
-            "values": self.values.tolist(),
-            "abs_sq_histogram": self.histogram_json(),
+            "values": RowsJSON(self.rows),
+            "abs_sq_histogram": self.histogram_member(),
         }
+
+    def to_json(self) -> dict:
+        from .jsontext import plain
+
+        return plain(self.json_members())
 
 
 def walsh_naive(f: PFunction) -> WalshSpectrum:

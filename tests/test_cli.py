@@ -935,10 +935,11 @@ def test_search_error_mid_scan_leaves_no_worker(capsys, tmp_path, monkeypatch):
 
 
 def test_cli_import_leaves_out_the_process_pool():
-    """classify, dual and serial search never pay for the pool's imports."""
+    """classify, dual and serial search never pay for the pool's imports, and
+    dual and search never load jsontext, which only the JSON reports use."""
     code = (
-        "import sys, pbent.cli; "
-        "print(sorted(set(sys.modules) & {'concurrent.futures.process', 'multiprocessing'}))"
+        "import sys, pbent.cli; print(sorted(set(sys.modules) & "
+        "{'concurrent.futures.process', 'multiprocessing', 'pbent.jsontext'}))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     proc = subprocess.run(
@@ -1113,24 +1114,34 @@ def _mm_table(rng) -> PFunction:
     return PFunction(Domain.vec(3, 6), ((digits[pi] @ digits.T + g[:, None]) % 3).ravel())
 
 
+# name -> (table, the dtype of the spectrum's |W|^2 keys, or None where the
+# lexsort takes over): each key path, a bent table and a mixed domain
 JSON_TABLES = {
-    "mm": _mm_table,
-    "random_v3_8": lambda rng: random_function(Domain.vec(3, 8), rng),
-    "mixed_f27v2": lambda rng: random_function(Domain.field(F27).extend(VecPart(3, 2)), rng),
-    "large_prime_v23_2": lambda rng: random_function(Domain.vec(23, 2), rng),
+    "mm": (_mm_table, np.uint32),
+    "random_v3_8": (lambda rng: random_function(Domain.vec(3, 8), rng), np.uint32),
+    "random_v3_12": (lambda rng: random_function(Domain.vec(3, 12), rng), np.uint32),
+    "int64_keys_v5_4": (lambda rng: random_function(Domain.vec(5, 4), rng), np.int64),
+    "mixed_f27v2": (
+        lambda rng: random_function(Domain.field(F27).extend(VecPart(3, 2)), rng), np.uint32
+    ),
+    "large_prime_v23_2": (lambda rng: random_function(Domain.vec(23, 2), rng), None),
+    "lexsort_v11_2": (lambda rng: random_function(Domain.vec(11, 2), rng), None),
+    "one_digit_v101_1": (lambda rng: random_function(Domain.vec(101, 1), rng), None),
 }
 
 
-@pytest.mark.parametrize("table", JSON_TABLES.values(), ids=JSON_TABLES.keys())
-def test_json_output_is_json_dumps_of_to_json(capsys, tmp_path, rng, table):
+@pytest.mark.parametrize("table, key_dtype", JSON_TABLES.values(), ids=JSON_TABLES.keys())
+def test_json_output_is_json_dumps_of_to_json(capsys, tmp_path, rng, table, key_dtype):
     """classify and spectrum print json.dumps(to_json(), sort_keys=True,
-    indent=2) byte for byte, with the histogram text spliced in from byte
-    arrays, and --out gets the same bytes."""
+    indent=2) byte for byte, with the values and the histogram written in
+    chunks from byte arrays, and --out gets the same bytes."""
     f = table(rng)
+    W = walsh_fast(f)
+    keyed = walsh_module._abs_sq_keys(W.rows, f.p)
+    assert (None if keyed is None else keyed[0].dtype) == key_dtype
     path, out_path = tmp_path / "f.tt", tmp_path / "out.json"
     save_tt(f, path)
-    for command, data in (("classify", classify(f).to_json()),
-                          ("spectrum", walsh_fast(f).to_json())):
+    for command, data in (("classify", classify(f).to_json()), ("spectrum", W.to_json())):
         code, out, err = run(capsys, command, "--tt", str(path))
         assert (code, err) == (0, "")
         assert out == json.dumps(data, sort_keys=True, indent=2) + "\n"
@@ -1139,3 +1150,30 @@ def test_json_output_is_json_dumps_of_to_json(capsys, tmp_path, rng, table):
         hist = data["abs_sq_histogram" if command == "spectrum" else "spectrum_histogram"]
         if len(hist) > 1:  # the text sorts keys as strings, not as coefficient rows
             assert list(hist) != sorted(hist)
+
+
+def test_classify_output_memory_is_the_keys_and_a_slack(tmp_path, rng):
+    """classify's output phase on a random 3^12 table (about 78k distinct
+    |W|^2 values) holds the uint32 |W|^2 keys, N x 4 B, and at most 3.5 MiB
+    besides: the run mask (N B); the distinct values' starts, counts and
+    rows (32 B each); format_rows' byte rows and position per value; and
+    one chunk of text.  With int64 keys sorted by np.unique, a str per key
+    and the whole text, it peaked at 13.8 MiB."""
+    report = classify(random_function(Domain.vec(3, 12), rng))
+    out = tmp_path / "out.json"
+    _, peak = traced_peak(lambda: cli._emit(cli._json_text(report.json_members()), str(out)))
+    assert peak <= report.domain.size * 4 + (7 << 19)
+
+
+def test_spectrum_memory_holds_no_list_of_values(capsys, tmp_path, rng):
+    """spectrum --tt on a random 3^12 table holds the int64 table and its
+    float32 spectrum (4.25 MB each), and writes the 531,441 rows of values
+    a chunk at a time: through values.tolist() and json.dumps' Python
+    encoder the command peaked at 206 MiB."""
+    path = tmp_path / "f.tt"
+    save_tt(random_function(Domain.vec(3, 12), rng), path)
+    (code, _, err), peak = traced_peak(lambda: run(
+        capsys, "spectrum", "--tt", str(path), "--out", str(tmp_path / "out.json")
+    ))
+    assert (code, err) == (0, "")
+    assert peak <= 16 << 20

@@ -522,6 +522,30 @@ def test_histogram_keys_refuse_spans_beyond_int64():
 
 
 @pytest.mark.parametrize(
+    "sq, dtype",
+    [
+        ([[0, 0], [2**32 - 2, 0]], np.uint32),  # spans 2^32 - 1 and 1
+        ([[0, 0], [2**32 - 1, 0]], np.int64),  # spans 2^32 and 1
+        ([[0, 0], [65535, 65534]], np.uint32),  # 65,536 * 65,535
+        ([[5, -3], [65540, 65532]], np.int64),  # 65,536 * 65,536
+    ],
+)
+def test_histogram_keys_widen_at_2_32(sq, dtype, monkeypatch):
+    """The keys are uint32 while the product of the column spans is below
+    2^32 and int64 from 2^32 on, and a key dtype that cannot hold that
+    product fails the assert instead of wrapping."""
+    monkeypatch.setattr(walsh, "_abs_sq", lambda values, p: values)  # the rows are |W|^2
+    sq = np.array(sq, dtype=np.int64)
+    keys, lo, spans, place = walsh._abs_sq_keys(sq, 3)
+    assert keys.dtype == dtype
+    assert np.array_equal(keys, (sq - lo) @ place)
+    if dtype is np.int64:  # uint32 cannot hold these spans' product
+        monkeypatch.setattr(walsh, "_key_dtype", lambda span_product: np.dtype(np.uint32))
+        with pytest.raises(AssertionError, match="span product"):
+            walsh._abs_sq_keys(sq, 3)
+
+
+@pytest.mark.parametrize(
     "dom",
     [Domain.field(F27), Domain([VecPart(3, 1), FieldPart(F9), VecPart(3, 1)]), Domain.vec(3, 8)],
     ids=["f27", "v1f9v1", "v3_8"],
