@@ -25,12 +25,12 @@ scatters its table through walsh_perm.
 
 The |W|^2 histogram counts one exact mixed-radix key per row, in the
 narrowest dtype that holds the product of the column spans (uint32 below
-2^32, as at p = 3 on 3^12 points, else int64; asserted), formed from
-chunks of _KEY_ENTRIES entries, then sorted in place and split into runs
-by one bool mask: on a random 3^12 table the keys take 2 MiB and the mask
-0.5 MiB, and no other N-sized array is made.  Where the spans reach 2^63,
-the |W|^2 rows are lexsorted instead.  A report's values and histogram
-are written as JSON text in chunks by jsontext.
+2^32, as for a random table on 3^12 points, else int64; asserted), formed
+from chunks of _KEY_ENTRIES entries, then sorted in place and split into
+runs by one bool mask: on a random 3^12 table the keys take 2 MiB and the
+mask 0.5 MiB, and no other N-sized array is made.  Where the spans reach
+2^63, the |W|^2 rows are lexsorted instead.  A report's values and
+histogram are written as JSON text in chunks by jsontext.
 
 Exactness (a float of nmant mantissa bits holds every integer below
 _exact_below(dtype) = 2^(nmant+1): 2^24 in float32, 2^53 in float64): a
@@ -273,10 +273,10 @@ def _abs_sq_keys(values: np.ndarray, p: int) -> tuple[np.ndarray, ...] | None:
     the row's number in mixed radix, digit j being coefficient j less its
     least value, column 0 most significant, so that keys sort as rows do.
     Keys are uint32 while the product of the column spans is below 2^32
-    (always at p = 3 on 3^12 points), else int64.  Returns (keys, least
-    values, spans, place values), or None as soon as that product reaches
-    2^63 (as at p >= 5 on large domains).  Columns are reduced one at a
-    time: an axis-0 min of the narrow |W|^2 array took 15x as long.
+    (as for random tables on 3^12 points), else int64.  Returns (keys,
+    least values, spans, place values), or None as soon as that product
+    reaches 2^63 (as at p >= 5 on large domains).  Columns are reduced one
+    at a time: an axis-0 min of the narrow |W|^2 array took 15x as long.
     """
     step = max(1, _KEY_ENTRIES // (p - 1))
     starts = range(0, len(values), step)
