@@ -250,11 +250,14 @@ def _lambda_eta(ctx: FieldCtx, base, coeffs) -> np.ndarray:
     even, so eta = (-1)^log is the parity of the unreduced log."""
     p, n = ctx.p, ctx.q - 1
     pairs = np.broadcast_shapes(np.shape(base), *map(np.shape, coeffs)) or (1,)
-    acc = np.full((1,) + pairs, ctx.log[base])  # [lambda, pair]
+    acc = np.full((1,) + pairs, ctx.log[base], dtype=np.int64)  # [lambda, pair]
     for a in coeffs:
-        y = ctx.log[1:p, None, None] + ctx.log[a]  # [lambda_j - 1, 1, pair]: lambda_j != 0
-        acc = np.concatenate([acc[None], acc + ctx.zech[(y - acc) % n]]).reshape(-1, *pairs)
-    return 1 - 2 * (acc & 1)
+        # log(lambda_j * a) - acc in int64 (field's docstring), as
+        # [lambda_j - 1, lambda, pair]: lambda_j != 0
+        y = ctx.log[a] - acc + ctx.log[1:p, None, None]
+        acc = np.concatenate([acc[None], acc + ctx.zech[y % n]]).reshape(-1, *pairs)
+    # % 2, not & 1, whose int64 loop no other search code runs
+    return 1 - 2 * (acc % 2)
 
 
 def _pair_rows(ctx: FieldCtx, alphas, betas) -> tuple[np.ndarray, np.ndarray]:

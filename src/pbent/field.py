@@ -12,9 +12,17 @@ modulus is irreducible, by Rabin's test on its Frobenius powers M^(p^k).
 Every F_p-linear map on elements -- multiplication by a fixed element, the
 trace, a Gram matrix -- runs in index space: `LinearMaps` tabulates the
 images of each half of the digits and adds two halves' images digit-wise,
-with no p^m x m digit table.  Every Tr(c * x^e) table is one gather into
+with no p^m x m digit table.  Every Tr(c * x^e) table is a gather from
 the table of Tr(g^k), at k = log c + e * log x, and sums of elements are
 gathers through Zech logarithms, `zech`: log(x + y) = log x + zech[log y - log x].
+
+Indices are stored in int32: every entry of `exp`, `log`, `trace_table`,
+`trace_exp`, `zech` and a `LinearMaps` table is an index or a log below
+q <= SIZE_LIMIT < 2^31 (asserted below).  Arithmetic on them runs in int64.
+A product of two index-sized values overflows int32 (`log * e` in
+`pow_indices` and `trace_term`), and int32 loops are NumPy code that
+nothing else here runs: each 64 KiB of it that a process maps adds to its
+peak RSS (about 0.06 MiB a window, on `pbent search`).
 """
 from __future__ import annotations
 
@@ -23,6 +31,10 @@ from functools import cached_property
 import numpy as np
 
 SIZE_LIMIT = 1 << 20
+assert SIZE_LIMIT < 1 << 31, "indices would overflow int32"
+# Entries formed at a time by LinearMaps and trace_term, whose int64 sums,
+# quotients and products then take 0.5 MiB whatever the field's size.
+_TABLE_BLOCK = 1 << 16
 
 # Moduli shipped with the package, keyed by (p, m); digit vectors are lowest
 # degree first and include the leading 1.  Only fields that the bundled
@@ -112,21 +124,32 @@ class LinearMaps:
         return out
 
     def __call__(self, C: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Images of the indices x."""
+        """Images of the int64 indices x, _TABLE_BLOCK at a time."""
         if self.m == 1:
             return x * int(C[0, 0]) % self.p
         lo_img, hi_img = self._halves(C)
-        hi = x // self._split
-        z = lo_img[x - hi * self._split]
-        z += hi_img[hi]
-        return self._reduced(z)
+        out = np.empty(len(x), dtype=np.int64)
+        for i0 in range(0, len(x), _TABLE_BLOCK):
+            xb = x[i0 : i0 + _TABLE_BLOCK]
+            hi = xb // self._split
+            z = lo_img[xb - hi * self._split]
+            z += hi_img[hi]
+            out[i0 : i0 + _TABLE_BLOCK] = self._reduced(z)
+        return out
 
     def table(self, C: np.ndarray) -> np.ndarray:
-        """Images of every index 0..p^m - 1."""
+        """Images of every index 0..p^m - 1 as int32, for p^m <= SIZE_LIMIT,
+        summed and reduced _TABLE_BLOCK images at a time: index x's image is
+        the sum of its high half's image and its low half's."""
         if self.m == 1:
-            return self(C, np.arange(self.p, dtype=np.int64))
+            return self(C, np.arange(self.p)).astype(np.int32)
         lo_img, hi_img = self._halves(C)
-        return self._reduced(np.add.outer(hi_img, lo_img).reshape(-1))
+        out = np.empty(self.p**self.m, dtype=np.int32)
+        rows = max(1, _TABLE_BLOCK // self._split)
+        for h0 in range(0, len(hi_img), rows):
+            z = np.add.outer(hi_img[h0 : h0 + rows], lo_img).reshape(-1)
+            out[h0 * self._split : h0 * self._split + z.size] = self._reduced(z)
+        return out
 
 
 def is_odd_prime(n: int) -> bool:
@@ -259,9 +282,11 @@ class FieldCtx:
                 raise FieldError(f"element with index {primitive} is not primitive")
         self.primitive_index = primitive
 
-        self._build_exp_log()
-        # Tr is F_p-linear, so Tr(a) = sum_i a_i Tr(w^i)
-        self.trace_table = outer_sum([np.arange(p, dtype=np.int64) * t for t in traces[:m]]) % p
+        maps = LinearMaps(p, m)
+        self._build_exp_log(maps)
+        # Tr is F_p-linear, Tr(a) = sum_i a_i Tr(w^i): digit 0 of the image
+        # of a under the matrix whose only nonzero row, row 0, holds the Tr(w^i)
+        self.trace_table = maps.table(np.eye(m, 1, dtype=np.int64) * traces[:m])
         # Gram matrix of the trace form Tr(w^i w^j), used by the fast transform
         self.gram = traces[np.add.outer(np.arange(m), np.arange(m))]
 
@@ -293,11 +318,10 @@ class FieldCtx:
                 return idx
         raise FieldError("no primitive element found (internal error)")
 
-    def _build_exp_log(self) -> None:
+    def _build_exp_log(self, maps: LinearMaps) -> None:
         p, q = self.p, self.q
-        maps = LinearMaps(p, self.m)
-        self.exp = np.empty(q - 1, dtype=np.int64)
-        self.exp[0] = 1
+        exp = np.empty(q - 1, dtype=np.int64)
+        exp[0] = 1
         g = self._mult_matrix(self.primitive_index)
         filled = 1
         # double the known prefix of powers each round: g^(filled+t) is the
@@ -306,11 +330,14 @@ class FieldCtx:
         # that of g^filled
         while filled < q - 1:
             take = min(filled, q - 1 - filled)
-            self.exp[filled : filled + take] = maps(g, self.exp[:take])
+            exp[filled : filled + take] = maps(g, exp[:take])
             filled += take
             g = g @ g % p
-        self.log = np.full(q, -1, dtype=np.int64)
-        self.log[self.exp] = np.arange(q - 1, dtype=np.int64)
+        # built in int64 and narrowed once: a gather casts an int32 index to
+        # intp first, and an int32 build took 13.0 against 10.4 ms at 5^8
+        self.log = np.full(q, -1, dtype=np.int32)
+        self.log[exp] = np.arange(q - 1, dtype=np.int32)
+        self.exp = exp.astype(np.int32)
         if (self.log[1:] < 0).any():
             raise FieldError("primitive element does not generate the field (internal error)")
 
@@ -364,7 +391,7 @@ class FieldCtx:
     def zech(self) -> np.ndarray:
         """Zech logarithms log(1 + g^k) by k, -1 at k = (q - 1)/2 where g^k = -1;
         read-only and built on first use.  Adding 1 changes the constant digit only."""
-        x = self.exp
+        x = self.exp.astype(np.int64)
         table = self.log[x - x % self.p + (x + 1) % self.p]
         table.flags.writeable = False
         return table
@@ -377,7 +404,8 @@ class FieldCtx:
         a, b = np.broadcast_arrays(a, b)
         out = np.zeros(a.shape, dtype=np.int64)
         nz = (a != 0) & (b != 0)
-        out[nz] = self.exp[(self.log[a[nz]] + self.log[b[nz]]) % (self.q - 1)]
+        k = np.add(self.log[a[nz]], self.log[b[nz]], dtype=np.int64)
+        out[nz] = self.exp[k % (self.q - 1)]
         return out
 
     def pow_indices(self, a: np.ndarray, e: int) -> np.ndarray:
@@ -388,22 +416,28 @@ class FieldCtx:
             return np.ones(a.shape, dtype=np.int64)
         out = np.zeros(a.shape, dtype=np.int64)
         nz = a != 0
-        # a^e = g^(log(a) * e); e is reduced first so the product fits int64
-        out[nz] = self.exp[self.log[a[nz]] * (e % (self.q - 1)) % (self.q - 1)]
+        # a^e = g^(log(a) * e); e is reduced first so the int64 product fits
+        k = np.multiply(self.log[a[nz]], e % (self.q - 1), dtype=np.int64)
+        out[nz] = self.exp[k % (self.q - 1)]
         return out
 
     def trace_term(self, c: int, e: int) -> np.ndarray:
-        """Tr(c * x^e) at every index x, as one gather from `trace_exp`:
+        """Tr(c * x^e) at every index x, gathered from `trace_exp`:
         Tr(g^(log c + e t)) at x = g^t != 0, and Tr(0) = 0 at x = 0 for e > 0."""
         if e < 0:
             raise FieldError("trace terms take nonnegative exponents")
         if c == 0 or e == 0:  # Tr(0) = 0 everywhere; x^0 = 1 at x = 0 too
-            return np.full(self.q, self.trace_table[c], dtype=np.int64)
-        # log[0] = -1 still gives x = 0 an index in range; its entry is reset below
-        k = self.log * (e % (self.q - 1))
-        k += self.log[c]
-        k -= k // (self.q - 1) * (self.q - 1)  # k %= q - 1 took 1.3x as long
-        table = self.trace_exp[k]
+            return np.full(self.q, self.trace_table[c], dtype=np.int32)
+        n = self.q - 1
+        table = np.empty(self.q, dtype=np.int32)
+        # log[0] = -1 still gives x = 0 an index in range; its entry is reset
+        # below.  The product of int32 logs and e needs int64, formed a
+        # block at a time.
+        for x0 in range(0, self.q, _TABLE_BLOCK):
+            k = np.multiply(self.log[x0 : x0 + _TABLE_BLOCK], e % n, dtype=np.int64)
+            k += self.log[c]
+            k -= k // n * n  # k %= n took 1.3x as long
+            self.trace_exp.take(k, out=table[x0 : x0 + _TABLE_BLOCK])
         table[0] = 0
         return table
 

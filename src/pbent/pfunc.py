@@ -177,18 +177,19 @@ class Domain:
 
     def walsh_perm(self) -> np.ndarray:
         """Index permutation b -> index(C * digits(b)) for the Gram matrix C,
-        so <b, x> = digits(perm[b]) . digits(x); built on first use and
-        read-only.
+        so <b, x> = digits(perm[b]) . digits(x); int32, built on first use
+        and read-only.
 
         C is block diagonal, one block per component, so each component's
-        permutation is the `LinearMaps` table of its own block, scaled in
-        mixed radix by the points of the components before it.
+        permutation is the int32 `LinearMaps` table of its own block, scaled
+        in mixed radix by the points of the components before it.
         """
         if "wperm" not in self._cache:
-            perm = np.zeros(1, dtype=np.int64)
+            perm = np.zeros(1, dtype=np.int32)
             for c in self.components:
-                perm = np.add.outer(LinearMaps(self.p, c.dim).table(c.gram) * perm.size, perm)
-                perm = perm.reshape(-1)
+                block = LinearMaps(self.p, c.dim).table(c.gram)
+                block *= perm.size
+                perm = np.add.outer(block, perm).reshape(-1)
             hit = np.zeros(self.size, dtype=bool)
             hit[perm] = True
             if not hit.all():
@@ -267,13 +268,16 @@ def random_function(domain: Domain, rng: np.random.Generator) -> PFunction:
 # factor   := ('g' | 'w') ['^' uint] | '(' coef ')'
 #
 # 'g' is the context's primitive element, 'w' the modulus root.  Whitespace is
-# ignored everywhere; integer literals reduce mod p.
+# ignored everywhere; integer literals reduce mod p.  Parentheses nest at most
+# _MAX_NESTING deep: each level takes three frames of the recursive descent,
+# so deeper input would reach Python's recursion limit.
 
 class ExprError(ValueError):
     pass
 
 
 _TOKEN_RE = re.compile(r"(\d+)|(Tr|[gwx+\-*^()])|\S")
+_MAX_NESTING = 100
 
 
 class _Parser:
@@ -298,6 +302,7 @@ class _Parser:
             if kind is None:
                 self._fail(f"unexpected {value!r}")
         self.pos = 0
+        self.depth = 0
 
     def _fail(self, msg: str) -> NoReturn:
         raise ExprError(f"parse error at position {self.tokens[self.pos][2]}: {msg}")
@@ -324,7 +329,8 @@ class _Parser:
         while not self._at("end"):
             self._expect("+", "expected '+' between terms")
             table += self._term()
-        return table % self.ctx.p
+        table %= self.ctx.p
+        return table
 
     def _term(self):
         """The term's values: a constant, or a scaled trace table."""
@@ -381,9 +387,14 @@ class _Parser:
         return -value if negate else value
 
     def _factor(self) -> FieldElement:
-        if self._accept("("):
+        if self._at("("):
+            if self.depth == _MAX_NESTING:
+                self._fail(f"parentheses nested deeper than {_MAX_NESTING}")
+            self.pos += 1
+            self.depth += 1
             inner = self._coef()
             self._expect(")", "expected ')'")
+            self.depth -= 1
             return inner
         base = self.ctx.g if self._accept("g", "w")[0] == "g" else self.ctx.w
         return base ** self._exponent()

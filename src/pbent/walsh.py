@@ -15,13 +15,14 @@ buffer and back as opaque (p-1)-float elements, and row gathers take whole
 rows (np.take on axis 0): at p = 3 a row is two floats, which a transposed
 copy or a 2-D fancy index moves one float at a time.  walsh_fast runs its
 stages in float32 in the N x (p-1) array that its spectrum keeps, exact by
-the bound below, and holds besides only its permuted table and chunk
-buffers: its tracemalloc peak is 4.2 MiB on 3^12 points (4.1 MiB of rows)
-and 9.1 MiB on F_{5^8} (6 MiB of rows, a 3 MiB table).  A spectrum's
-int64 `values` are widened from those rows on first read; |W|^2, its
-histogram keys and bent's match cast the rows a block at a time.  Gram
-matrices are symmetric (asserted), so W(b) = DFT[f o C^-1](b): walsh_fast
-scatters its table through walsh_perm.
+the bound below, and holds besides only chunk buffers and, for a pairing
+that is not the identity, a uint8 copy of its table: its tracemalloc peak
+is 4.2 MiB on 3^12 points (4.1 MiB of rows) and 6.8 MiB on F_{5^8} (6 MiB
+of rows, a 0.4 MiB table).  A spectrum's int64 `values` are widened from
+those rows on first read; |W|^2, its histogram keys and bent's match cast
+the rows a block at a time.  Gram matrices are symmetric (asserted), so
+W(b) = DFT[f o C^-1](b): walsh_fast scatters its table through the int32
+walsh_perm into that copy (uint16 from p = 257).
 
 The |W|^2 histogram counts one exact mixed-radix key per row, in the
 narrowest dtype that holds the product of the column spans (uint32 below
@@ -82,6 +83,8 @@ _P3_STAGE_DIGITS = 2
 # Largest p with product stages: a 23^4 transform took 3.5 s by products,
 # 0.9 s gathered.
 _PRODUCT_MAX_P = 19
+# Rows walsh_fast gathers at a time, each block's index cast to intp: 512 KiB
+_TAKE_ROWS = 1 << 16
 # Entries of |W|^2 formed at a time for the histogram's keys: 8,192 rows at
 # p = 3, whose chunk buffers take well under 1 MiB.
 _KEY_ENTRIES = 1 << 14
@@ -443,13 +446,17 @@ def walsh_fast(f: PFunction) -> WalshSpectrum:
         raise DomainError(f"a transform on {p}^{n} points needs {N * p} counts, over 2^24")
     table = f.table
     if (perm := _pairing(dom)) is not None:
-        table = np.empty_like(table)
+        # uint8 below p = 257: an int64 copy took 3 MiB at 5^8, and scattering
+        # the rows through perm instead took 4.1 against 2.2 ms
+        table = np.empty(N, dtype=np.min_scalar_type(p - 1))
         table[perm] = f.table
     rows = np.empty((N, p - 1), dtype=np.float32)
     if p <= _PRODUCT_MAX_P:
         roots = _root_rows(np.arange(p), p).astype(np.float32)
-        # mode="raise" would buffer out, an N x (p-1) copy; e^t has period p
-        np.take(roots, table, axis=0, out=rows, mode="wrap")
+        # mode="raise" would buffer out; e^t has period p
+        for x0 in range(0, N, _TAKE_ROWS):
+            b = slice(x0, x0 + _TAKE_ROWS)
+            np.take(roots, table[b], axis=0, out=rows[b], mode="wrap")
         _dft(rows, p, n, -1)
     else:
         _stage_one_hot(table, p, -1, rows)
@@ -465,6 +472,6 @@ def poisson_check(f: PFunction, W: WalshSpectrum) -> bool:
     p, n = dom.p, dom.n_total
     lhs = _dft(W.rows.astype(np.float64), p, n, sign=+1)
     if (perm := _pairing(dom)) is not None:
-        lhs = np.take(lhs, perm, axis=0)
+        lhs = lhs[perm]  # np.take would copy the int32 index whole, as intp
     rhs = dom.size * np.take(_root_rows(np.arange(p), p), f.table, axis=0)
     return bool(np.array_equal(lhs, rhs))

@@ -20,7 +20,7 @@ from pbent.field import (
     make_field,
     poly_is_irreducible,
 )
-from pbent.pfunc import Domain
+from pbent.pfunc import Domain, VecPart
 
 TEST_MODULI = {
     (3, 2): (1, 0, 1),  # x^2 + 1
@@ -300,6 +300,44 @@ def test_pow_indices_matches_square_and_multiply(ctx):
         assert [ctx.pow_idx(int(x), e) for x in a] == pow_by_squaring(ctx, a, e).tolist()
     with pytest.raises(FieldError):
         ctx.pow_indices(a, -1)
+
+
+F5_8 = (5, 8, (1, 0, 0, 0, 0, 1, 1, 0, 1))
+
+
+@pytest.mark.parametrize("p,m,mod", [F5_8, (3, 12, None)], ids=["F_5^8", "F_3^12"])
+def test_index_products_widen_past_int32(p, m, mod, rng):
+    """pow_indices, trace_term and mul_indices on a seeded sample against the
+    scalar pow_idx, trace_idx and mul_idx, which compute in Python ints, at
+    exponents where log * e passes 2^31: an int32 product would wrap."""
+    ctx = make_field(p, m, mod or first_modulus(p, m))
+    n = ctx.q - 1
+    x = rng.integers(0, ctx.q, size=300)
+    x[:2] = 0, 1
+    y = rng.integers(0, ctx.q, size=300)
+    for e in [n // 2 - 1, n - 1, *rng.integers(n // 2, n, size=2).tolist()]:
+        assert int(ctx.log[x].max()) * e >= 1 << 31
+        assert ctx.pow_indices(x, e).tolist() == [ctx.pow_idx(int(a), e) for a in x], e
+        c = int(rng.integers(1, ctx.q))
+        expected = [ctx.trace_idx(ctx.mul_idx(c, ctx.pow_idx(int(a), e))) for a in x]
+        assert ctx.trace_term(c, e)[x].tolist() == expected, (c, e)
+    assert ctx.mul_indices(x, y).tolist() == [ctx.mul_idx(int(a), int(b)) for a, b in zip(x, y)]
+
+
+def test_index_tables_are_int32():
+    """Every table of indices or logs is int32, below SIZE_LIMIT < 2^31; the
+    cached ones and the pairing permutation are read-only."""
+    ctx = make_field(5, 4, TEST_MODULI[(5, 4)])
+    for name in ("exp", "log", "trace_table", "trace_exp", "zech"):
+        assert getattr(ctx, name).dtype == np.int32, name
+    assert not ctx.trace_exp.flags.writeable and not ctx.zech.flags.writeable
+    assert ctx.trace_term(3, 2).dtype == np.int32
+    for dom in (Domain.field(ctx), Domain.field(ctx).extend(VecPart(5, 1))):
+        perm = dom.walsh_perm()
+        assert perm.dtype == np.int32 and not perm.flags.writeable
+    C = np.array([[2]])
+    assert LinearMaps(7, 1).table(C).tolist() == [0, 2, 4, 6, 1, 3, 5]
+    assert LinearMaps(7, 1).table(C).dtype == np.int32
 
 
 @pytest.mark.parametrize("ctx", all_fields(), ids=lambda c: f"F_{c.p}^{c.m}")
@@ -639,6 +677,15 @@ def test_linear_maps_match_digit_products(p, m, rng):
         assert np.array_equal(maps(C, x), expected[x])
 
 
+def test_walsh_perm_memory_is_bounded():
+    """The F_{5^8} pairing permutation is int32, and its table is summed and
+    reduced a block at a time: two int32 arrays of q entries and a slack.
+    With a q-sized int64 outer sum and quotient it peaked at 12.1 MiB."""
+    dom = Domain.field(make_field(*F5_8))
+    perm, peak = traced_peak(dom.walsh_perm)
+    assert peak <= 2 * perm.nbytes + (1 << 20)
+
+
 def test_linear_maps_refuse_images_past_int64():
     # 5^27 < 2^63 - 1 < 5^28: the radix-5 images of 28 ternary digits overflow
     with pytest.raises(FieldError, match="overflow int64"):
@@ -646,9 +693,11 @@ def test_linear_maps_refuse_images_past_int64():
 
 
 def test_make_field_memory_is_bounded():
-    """The tables are a few arrays of q int64; no q x m digit table is formed."""
+    """The tables are three int32 arrays of q entries, and exp is built in
+    int64 and narrowed once; no q x m digit table is formed.  When the tables
+    were int64, F_{5^8} peaked at 11.9 MiB."""
     for p, m, mod, bound in [
-        (5, 8, (1, 0, 0, 0, 0, 1, 1, 0, 1), 20 * 2**20),
+        (*F5_8, 5**8 * (8 + 3 * 4)),
         (1009, 2, first_modulus(1009, 2), 64 * 1009**2),
         (101, 3, first_modulus(101, 3), 64 * 101**3),
     ]:

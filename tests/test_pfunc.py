@@ -366,7 +366,13 @@ EXPR_ERRORS = [
     (from_expr, "Tr(x^w)", 5, "expected an exponent"),
     (from_expr, "Tr(+x)", 3, "expected a coefficient"),
     (parse_coefficient, "w 1", 2, "trailing input"),
+    (parse_coefficient, "(" * 101 + "1" + ")" * 101, 100, "parentheses nested deeper than 100"),
+    (from_expr, "Tr(" + "(" * 1000 + "g)x)", 103, "parentheses nested deeper than 100"),
 ]
+
+
+def test_nesting_up_to_the_limit_parses():
+    assert parse_coefficient(F27, "(" * 100 + "g^2+1" + ")" * 100) == F27.g**2 + 1
 
 
 def test_expression_errors_carry_positions():

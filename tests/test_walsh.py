@@ -195,16 +195,17 @@ def _sum_of_squares(dom: Domain) -> PFunction:
 )
 def test_transform_and_dual_memory(make):
     """walsh_fast runs its stages in the one N x (p-1) float32 array that its
-    spectrum keeps, besides the permuted table and chunk buffers;
-    extract_dual holds its two outputs, and casts and matches a block of rows
-    at a time, with no per-row position array.  When the transform returned
-    int64 values it peaked at 8.6 MiB (v3_12) and 15.4 MiB (f5^8), and
+    spectrum keeps, besides chunk buffers and a uint8 copy of the table in
+    pairing order; extract_dual holds its two outputs, and casts and matches
+    a block of rows at a time, with no per-row position array.  When the
+    transform returned int64 values it peaked at 8.6 MiB (v3_12) and
+    15.4 MiB (f5^8), and with an int64 copy of the table at 9.0 MiB (f5^8);
     extract_dual held one int64 position and one int64 unit per row."""
     f = make()
     f.domain.walsh_perm()
     W, peak = traced_peak(lambda: walsh_fast(f))
     assert W.rows.dtype == np.float32
-    assert peak <= f.domain.size * (f.p - 1) * 4 + f.table.nbytes + (1 << 20)
+    assert peak <= f.domain.size * ((f.p - 1) * 4 + 1) + (1 << 20)
     (dual, units), peak = traced_peak(lambda: extract_dual(W))
     assert units.dtype == np.int8
     assert peak <= dual.table.nbytes + units.nbytes + (1 << 20)
