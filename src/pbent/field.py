@@ -32,8 +32,8 @@ import numpy as np
 
 SIZE_LIMIT = 1 << 20
 assert SIZE_LIMIT < 1 << 31, "indices would overflow int32"
-# Entries formed at a time by LinearMaps and trace_term, whose int64 sums,
-# quotients and products then take 0.5 MiB whatever the field's size.
+# Entries formed at a time by LinearMaps.table and trace_term, whose int64
+# sums, quotients and products then take 0.5 MiB whatever the field's size.
 _TABLE_BLOCK = 1 << 16
 
 # Moduli shipped with the package, keyed by (p, m); digit vectors are lowest
@@ -124,18 +124,14 @@ class LinearMaps:
         return out
 
     def __call__(self, C: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Images of the int64 indices x, _TABLE_BLOCK at a time."""
+        """Images of the int64 indices x."""
         if self.m == 1:
             return x * int(C[0, 0]) % self.p
         lo_img, hi_img = self._halves(C)
-        out = np.empty(len(x), dtype=np.int64)
-        for i0 in range(0, len(x), _TABLE_BLOCK):
-            xb = x[i0 : i0 + _TABLE_BLOCK]
-            hi = xb // self._split
-            z = lo_img[xb - hi * self._split]
-            z += hi_img[hi]
-            out[i0 : i0 + _TABLE_BLOCK] = self._reduced(z)
-        return out
+        hi = x // self._split
+        z = lo_img[x - hi * self._split]
+        z += hi_img[hi]
+        return self._reduced(z)
 
     def table(self, C: np.ndarray) -> np.ndarray:
         """Images of every index 0..p^m - 1 as int32, for p^m <= SIZE_LIMIT,
@@ -432,7 +428,9 @@ class FieldCtx:
         table = np.empty(self.q, dtype=np.int32)
         # log[0] = -1 still gives x = 0 an index in range; its entry is reset
         # below.  The product of int32 logs and e needs int64, formed a
-        # block at a time.
+        # block at a time: freed q-sized int64 temporaries here raise glibc's
+        # mmap threshold, and `pbent dual` on F_{5^8} then peaked 2.6 MiB
+        # higher (wait4), although its traced peak comes later.
         for x0 in range(0, self.q, _TABLE_BLOCK):
             k = np.multiply(self.log[x0 : x0 + _TABLE_BLOCK], e % n, dtype=np.int64)
             k += self.log[c]

@@ -342,7 +342,9 @@ class _Parser:
         if scale is None and not self._at("Tr"):
             self._fail("expected a term")
         coef, expo = self._trcall()
-        return (1 if scale is None else scale) * self.ctx.trace_term(coef.index, expo)
+        term = self.ctx.trace_term(coef.index, expo)
+        # in int64: scale * Tr(...) < p^2 passes int32 for p > 46341
+        return term if scale is None else np.multiply(term, scale, dtype=np.int64)
 
     def _scalar(self) -> tuple[int | None, bool]:
         """uint ['*']: the literal mod p, or None, and whether a '*' followed."""

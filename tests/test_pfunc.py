@@ -283,6 +283,23 @@ def test_scale_and_constant_terms():
     assert set(c.table) == {2}
 
 
+LARGE_PRIME_TERMS = {
+    "65536*Tr(x)": lambda x: 65536 * x,
+    "65536*Tr(65536x)": lambda x: 65536 * (65536 * x % 65537),
+    "65536*Tr(65536x^0)": lambda x: 65536 * 65536 + 0 * x,
+    "65536*Tr(x)+65536*Tr(2x)": lambda x: 65536 * x + 65536 * (2 * x % 65537),
+}
+
+
+@pytest.mark.parametrize("src", LARGE_PRIME_TERMS)
+def test_scaled_terms_on_a_large_prime_field(src):
+    """Scale times trace passes 2^31 once (p - 1)^2 does, at p = 65537; the
+    table agrees with Python-int arithmetic mod p."""
+    x = np.arange(65537, dtype=object)
+    f = from_expr(make_field(65537, 1), src)
+    assert f.table.tolist() == (LARGE_PRIME_TERMS[src](x) % 65537).tolist()
+
+
 def test_multi_term_sum():
     f = from_expr(F27, "Tr(x^2)+Tr(wx^4)+2")
     a = from_expr(F27, "Tr(x^2)")
