@@ -429,7 +429,7 @@ class FieldCtx:
         # log[0] = -1 still gives x = 0 an index in range; its entry is reset
         # below.  The product of int32 logs and e needs int64, formed a
         # block at a time: freed q-sized int64 temporaries here raise glibc's
-        # mmap threshold, and `pbent dual` on F_{5^8} then peaked 2.6 MiB
+        # mmap threshold, and `pbent dual` on F_{5^8} then peaked 4 MiB
         # higher (wait4), although its traced peak comes later.
         for x0 in range(0, self.q, _TABLE_BLOCK):
             k = np.multiply(self.log[x0 : x0 + _TABLE_BLOCK], e % n, dtype=np.int64)
