@@ -21,6 +21,12 @@ A weakly regular f has a bent dual: with W_f(b) = u * P_n * e^(f*(b)) for a
 constant u, the inversion formula sum_b e^(<b,y>) W_f(b) = p^n e^(f(y)) and
 P_n * conj(P_n) = p^n give W_f*(-y) = u * conj(P_n) * e^(f(y)), so classify
 transforms f* only when the unit map varies.
+
+classify_stack classifies a [B, N] stack of tables on one domain by one
+stacked transform (walsh.walsh_stack) and one block-wise match, in stack
+order; classify, is_bent and extract_dual are its stack of one.  Each
+member's witnesses are its own smallest failing b, as its stack of one
+gives them.
 """
 from __future__ import annotations
 
@@ -33,7 +39,7 @@ import numpy as np
 
 from .cyclo import CycInt, gauss_sum, legendre
 from .pfunc import Domain, PFunction
-from .walsh import WalshSpectrum, int_rows, rotate_rows, walsh_fast
+from .walsh import WalshSpectrum, _blocks, int_rows, rotate_rows, walsh_fast, walsh_stack
 
 NOT_BENT = "not_bent"
 REGULAR = "regular"
@@ -68,10 +74,6 @@ def bent_normalizer(p: int, n: int) -> CycInt:
     if n % 2 == 0:
         return CycInt.from_int(p, p ** (n // 2))
     return gauss_sum(p) * (p ** ((n - 1) // 2))
-
-
-def _unit_is_imaginary(p: int, n: int) -> bool:
-    return n % 2 == 1 and p % 4 == 3
 
 
 def _code_weights(width: int) -> np.ndarray:
@@ -132,51 +134,53 @@ def match_rows(values: np.ndarray, p: int, n: int) -> tuple[np.ndarray, np.ndarr
     return pos, hit
 
 
-def _match(W: WalshSpectrum) -> Iterator[tuple[int, np.ndarray]]:
-    """match_rows on W's stored rows, _MATCH_ROWS at a time, each block cast
-    to int64 on its own: yields each block's first b and candidate positions,
-    and raises DualExtractionError at the first b whose value is no
-    candidate, matching no row after it."""
-    p, n = W.domain.p, W.domain.n_total
-    for r0 in range(0, len(W), _MATCH_ROWS):
-        pos, hit = match_rows(W.rows[r0 : r0 + _MATCH_ROWS], p, n)
+def _match(rows: np.ndarray, p: int, n: int, duals: bool = True) -> tuple:
+    """match_rows on a [B, N, p-1] stack of spectra, cast to int64 a block of
+    at most _MATCH_ROWS rows at a time (walsh._blocks).  Returns each member's
+    first bad b, or -1 if it is bent, and, if asked, the [B, N] int64 duals,
+    int8 unit maps and each member's first b with u(b) != u(0), or -1 (all
+    garbage where not bent), written a block at a time with no N-sized
+    temporary.  Blocks whose members have all missed are skipped: at B = 1
+    the match stops at the block of the first bad b."""
+    B, N = rows.shape[:2]
+    _, u, c, _ = _candidate_table(p, n)
+    bad, flips = np.full(B, -1), np.full(B, -1)
+    tables = np.empty((B, N), dtype=np.int64) if duals else None
+    units = np.empty((B, N), dtype=np.int8) if duals else None
+    for a, b in _blocks(B, N, _MATCH_ROWS):
+        if bad[a].min() >= 0:
+            continue
+        shape = rows[a, b].shape[:2]
+        pos, hit = match_rows(rows[a, b].reshape(-1, p - 1), p, n)
+        if duals:
+            tables[a, b], units[a, b] = c[pos].reshape(shape), u[pos].reshape(shape)
+            _first(flips[a], units[a, b] != units[a, :1], b.start)
         if not hit.all():
-            raise DualExtractionError(r0 + int(np.argmin(hit)))
-        yield r0, pos
+            _first(bad[a], ~hit.reshape(shape), b.start)
+    return bad, tables, units, flips
+
+
+def _first(at: np.ndarray, mask: np.ndarray, b0: int) -> None:
+    """Set at[k] to b0 plus the first True column of mask's row k, in place,
+    where at[k] is still -1 and the row has one."""
+    new = (at < 0) & mask.any(axis=1)
+    at[new] = b0 + mask[new].argmax(axis=1)
 
 
 def is_bent(W: WalshSpectrum) -> Verdict:
     """True when |W(b)|^2 = p^n exactly for every b; witness is the first failure."""
-    try:
-        for _ in _match(W):
-            pass
-    except DualExtractionError as exc:
-        return Verdict(False, exc.witness)
-    return Verdict(True)
+    b = int(_match(W.rows[None], W.domain.p, W.domain.n_total, duals=False)[0][0])
+    return Verdict(b < 0, None if b < 0 else b)
 
 
 def extract_dual(W: WalshSpectrum) -> tuple[PFunction, np.ndarray]:
-    """Recover (dual function, per-b unit map u) from a bent spectrum.
-
-    Every W(b) must equal u(b) * P_n * e^(dual(b)); the first b where it does
-    not raises DualExtractionError, since then the function is not bent.  The
-    unit map is int8, each entry +1 or -1.  Both outputs are written a block
-    of matched rows at a time, so no per-row position array is formed.
-    """
-    dom = W.domain
-    _, u, c, _ = _candidate_table(dom.p, dom.n_total)
-    table = np.empty(dom.size, dtype=np.int64)
-    units = np.empty(dom.size, dtype=np.int8)
-    for r0, pos in _match(W):
-        table[r0 : r0 + len(pos)] = c[pos]
-        units[r0 : r0 + len(pos)] = u[pos]
-    return PFunction(dom, table), units
-
-
-def _zeta_str(u: int, imaginary: bool) -> str:
-    if imaginary:
-        return "+i" if u == 1 else "-i"
-    return "+1" if u == 1 else "-1"
+    """Recover (dual function, int8 unit map b -> u(b) = +-1) from a bent
+    spectrum: W(b) = u(b) * P_n * e^(dual(b)).  The first b where it is not
+    raises DualExtractionError, since then the function is not bent."""
+    bad, tables, units, _ = _match(W.rows[None], W.domain.p, W.domain.n_total)
+    if bad[0] >= 0:
+        raise DualExtractionError(int(bad[0]))
+    return PFunction(W.domain, tables[0]), units[0]
 
 
 @dataclass
@@ -231,45 +235,41 @@ class ClassReport:
         return plain(self.json_members())
 
 
+def classify_stack(dom: Domain, tables: np.ndarray) -> list[ClassReport]:
+    """classify of each table of a [B, N] stack on dom: one stacked transform
+    and match, then one of the duals of the members whose unit map varies; a
+    constant one makes the dual bent (module docstring).  Witnesses are the
+    smallest b proving each negative verdict of a member."""
+    p, n = dom.p, dom.n_total
+    rows = walsh_stack(dom, tables)
+    bad, duals, units, flips = _match(rows, p, n)
+    bent = bad < 0
+    mismatch = np.where(bent, flips, -1)
+    varies = mismatch >= 0
+    dual_bad = np.full(len(rows), -1)
+    if varies.any():
+        stack = duals if varies.all() else duals[varies]  # no copy when all vary
+        dual_bad[varies] = _match(walsh_stack(dom, stack), p, n, duals=False)[0]
+    imaginary = n % 2 == 1 and p % 4 == 3  # P_n = p^((n-1)/2) * i*sqrt(p)
+    found = {"not_bent_at": bad, "unit_mismatch_at": mismatch, "dual_not_bent_at": dual_bad}
+    reports = []
+    for k, W in enumerate(rows):
+        report = ClassReport(p, dom, bool(bent[k]), NOT_BENT, WalshSpectrum(dom, W))
+        report.witnesses = {kind: int(at[k]) for kind, at in found.items() if at[k] >= 0}
+        reports.append(report)
+        if bent[k]:
+            report.dual, report.unit_map = PFunction(dom, duals[k]), units[k]
+            report.dual_is_bent, report.regularity = bool(dual_bad[k] < 0), NON_WEAKLY_REGULAR
+        if bent[k] and not varies[k]:
+            u = report.constant_unit = int(units[k, 0])
+            report.zeta = ("+" if u == 1 else "-") + ("i" if imaginary else "1")
+            report.regularity = REGULAR if (u == 1 and not imaginary) else WEAKLY_REGULAR
+    return reports
+
+
 def classify(f: PFunction) -> ClassReport:
-    """Full classification: bent or not, regularity class, dual, dual bentness.
-
-    A constant unit map makes the dual bent by the inversion formula (module
-    docstring; weak_regular_dual_relation checks it), so only a non-weakly
-    regular f has its dual transformed.  Witnesses record the smallest index
-    b proving each negative verdict.
-    """
-    W = walsh_fast(f)
-    dom = f.domain
-    try:
-        dual, units = extract_dual(W)
-    except DualExtractionError as exc:
-        report = ClassReport(
-            p=dom.p, domain=dom, is_bent=False, regularity=NOT_BENT, spectrum=W
-        )
-        report.witnesses["not_bent_at"] = exc.witness
-        return report
-
-    imaginary = _unit_is_imaginary(dom.p, dom.n_total)
-    report = ClassReport(
-        p=dom.p, domain=dom, is_bent=True, regularity="", spectrum=W,
-        dual=dual, unit_map=units,
-    )
-    if np.all(units == units[0]):
-        u = int(units[0])
-        report.constant_unit = u
-        report.zeta = _zeta_str(u, imaginary)
-        report.regularity = REGULAR if (u == 1 and not imaginary) else WEAKLY_REGULAR
-        report.dual_is_bent = True
-        return report
-    report.regularity = NON_WEAKLY_REGULAR
-    report.witnesses["unit_mismatch_at"] = int(np.argmax(units != units[0]))
-
-    dual_verdict = is_bent(walsh_fast(dual))
-    report.dual_is_bent = bool(dual_verdict)
-    if not dual_verdict:
-        report.witnesses["dual_not_bent_at"] = dual_verdict.witness
-    return report
+    """Bent or not, regularity, dual and dual bentness: the stack of one."""
+    return classify_stack(f.domain, f.table[None])[0]
 
 
 def weak_regular_dual_relation(f: PFunction, report: ClassReport) -> Verdict:

@@ -14,12 +14,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .bent import (
-    NON_WEAKLY_REGULAR, DualExtractionError, Verdict, classify, extract_dual, is_bent, match_rows,
+    NON_WEAKLY_REGULAR, DualExtractionError, Verdict, _match, classify, extract_dual, match_rows,
 )
 from .cyclo import CycInt
 from .field import FieldCtx, FieldElement, _rank_mod_p
 from .pfunc import Domain, PFunction, VecPart, from_expr
-from .walsh import _abs_sq, _dft, _root_rows, mul_rows, rotate_rows, walsh_fast
+from .walsh import (
+    _abs_sq, _dft, _root_rows, int_rows, mul_rows, rotate_rows, walsh_fast, walsh_stack,
+)
 
 
 class ConstructionError(ValueError):
@@ -110,15 +112,11 @@ class SdsSpec:
         except DualExtractionError:
             raise ConstructionError("the outer function g must be bent") from None
 
-    def inner_function(self, b: int) -> PFunction:
-        """G_b(x) = f(x) + <b, h(x)>, the function whose bentness drives the sum."""
-        p = self.f.p
-        acc = self.f.table.copy()
-        for j in range(self.n):
-            bj = (b // p**j) % p
-            if bj:
-                acc = acc + bj * self.h[j].table
-        return PFunction(self.f.domain, acc % p)
+    def slices(self) -> np.ndarray:
+        """G_b(x) = f(x) + <b, h(x)> for every b in F_p^n as a [b, x] stack,
+        the functions whose bentness drives the sum, in one broadcast."""
+        hvals = np.stack([hj.table for hj in self.h])  # (n, |f's domain|)
+        return (self.f.table + self.g.domain.digits_matrix() @ hvals) % self.f.p
 
 
 def semi_direct_sum(spec: SdsSpec) -> PFunction:
@@ -132,41 +130,38 @@ def semi_direct_sum(spec: SdsSpec) -> PFunction:
     return PFunction(spec.f.domain.extend(*spec.g.domain.components), table.reshape(-1))
 
 
+def _slice_match(spec: SdsSpec, duals: bool) -> tuple[tuple, int | None]:
+    """_match of the stacked spectra of every G_b, and the first b whose G_b
+    is not bent (None when all are)."""
+    fdom = spec.f.domain
+    found = _match(walsh_stack(fdom, spec.slices()), fdom.p, fdom.n_total, duals)
+    bad = np.flatnonzero(found[0] >= 0)
+    return found, int(bad[0]) if bad.size else None
+
+
 def sds_is_bent_condition(spec: SdsSpec) -> Verdict:
     """The exact bentness criterion: every G_b must be bent; witness = first bad b."""
-    for b in range(spec.g.domain.size):
-        if not is_bent(walsh_fast(spec.inner_function(b))):
-            return Verdict(False, b)
-    return Verdict(True)
+    b = _slice_match(spec, duals=False)[1]
+    return Verdict(b is None, b)
 
 
 def sds_walsh_factorization(spec: SdsSpec) -> bool:
     """Exact spectral splitting W_F(a, b) = W_{G_b}(a) * W_g(b) for all (a, b),
-    one b block of coefficient rows at a time."""
+    from one stack of the G_b's spectra."""
     WF = walsh_fast(semi_direct_sum(spec))
     p, nf = spec.f.p, spec.f.domain.size
-    blocks = WF.values.reshape(-1, nf, p - 1)  # [b, a]
-    for b, gval in enumerate(spec.g_spectrum.values):
-        Wgb = walsh_fast(spec.inner_function(b)).values
-        if not np.array_equal(blocks[b], mul_rows(Wgb, p, gval)):
-            return False
-    return True
+    slices = int_rows(walsh_stack(spec.f.domain, spec.slices()).reshape(-1, p - 1))
+    g_rows = np.repeat(spec.g_spectrum.values, nf, axis=0)  # W_g(b) at row (b, a)
+    return np.array_equal(WF.values, mul_rows(slices, p, g_rows))
 
 
 def sds_dual(spec: SdsSpec) -> PFunction:
     """Dual of a bent semi-direct sum: F*(x, y) = G_y*(x) + g*(y)."""
-    rows = [
-        _dual_of(spec.inner_function(y))[0].table + spec.g_dual.table[y]
-        for y in range(spec.g.domain.size)
-    ]
-    return PFunction(spec.f.domain.extend(*spec.g.domain.components), np.concatenate(rows))
-
-
-def _dual_of(f: PFunction) -> tuple[PFunction, np.ndarray]:
-    try:
-        return extract_dual(walsh_fast(f))
-    except DualExtractionError as exc:
-        raise ConstructionError(f"function is not bent (witness b={exc.witness})") from None
+    (not_bent_at, duals, _, _), b = _slice_match(spec, duals=True)
+    if b is not None:
+        raise ConstructionError(f"function is not bent (witness b={not_bent_at[b]})")
+    table = duals + spec.g_dual.table[:, None]  # [y, x]
+    return PFunction(spec.f.domain.extend(*spec.g.domain.components), table.reshape(-1))
 
 
 # ---- the correlation family over F_{p^m} x F_p^n --------------------------------
@@ -286,11 +281,12 @@ def ndcor_function(spec: NdCorSpec) -> PFunction:
 
     This is cor1_family's monomial case with k = 0, coefficients
     (1, alpha, beta) and g = y1*y2 (Cesmelioglu, McGuire and Meidl, JCTA
-    119, 2012).
+    119, 2012), built as that semi-direct sum: spec has checked the
+    independence, and no character sweep is needed.
     """
     ctx = spec.ctx
-    alphas = [ctx.one, spec.alpha, spec.beta]
-    return cor1_family(ctx, "monomial", 0, alphas, coordinate_product(ctx.p)).function
+    f, ha, hb = (_trace_monomial(ctx, a, 2) for a in (ctx.one, spec.alpha, spec.beta))
+    return semi_direct_sum(SdsSpec(f=f, g=coordinate_product(ctx.p), h=[ha, hb]))
 
 
 def coordinate_product(p: int) -> PFunction:
@@ -336,19 +332,15 @@ def agw_dual(fstar_list: list[PFunction]) -> PFunction:
 
 
 def agw_walsh_identity(f_list: list[PFunction]) -> bool:
-    """Exact spectral identity W_F(a, b, c) = p * e^(-b*c) * W_{f_b}(a)."""
-    F = agw_combine(f_list)
-    WF = walsh_fast(F)
-    base = f_list[0].domain
-    p, nf = base.p, base.size
-    spectra = [walsh_fast(fj).values for fj in f_list]
-    arr = WF.values.reshape(p, p, nf, p - 1)  # [c, b, a]
-    for b in range(p):
-        for c in range(p):
-            expected = p * rotate_rows(spectra[b], p, (-b * c) % p)
-            if not np.array_equal(arr[c, b], expected):
-                return False
-    return True
+    """Exact spectral identity W_F(a, b, c) = p * e^(-b*c) * W_{f_b}(a), from
+    one stack of the p spectra."""
+    tables, sy, dom = _selector_grid(f_list)
+    p = dom.p
+    spectra = int_rows(walsh_stack(f_list[0].domain, tables))  # [b, a]
+    expected = np.broadcast_to(spectra, (p,) + spectra.shape).reshape(-1, p - 1)  # [c, b, a]
+    phase = np.repeat(-sy.reshape(-1), tables.shape[1])  # -c*b
+    WF = walsh_fast(agw_combine(f_list))
+    return np.array_equal(WF.values, p * rotate_rows(expected, p, phase))
 
 
 # ---- bundled ternary examples ------------------------------------------------------

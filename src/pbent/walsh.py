@@ -2,51 +2,41 @@
 
 Values travel as their p - 1 canonical coefficients (see cyclo).  The fast
 path is the DFT over F_p^n, a tensor product of one DFT_p per digit with no
-twiddles, so it runs in place in one N x (p-1) float array.  The stage of
-digit d reads the array as [a, k, b, coeff], b < p^d, and overwrites the p
-rows k of each (a, b) with rows j = sum_k e^(sign*j*k) * row k; digits keep
-their places, so no reorder is needed.  For p <= 19 a stage is one product,
-in the array's dtype, per block of rows against the (p(p-1))^2 kernel of
-those {-1, 0, 1} matrices, and at p = 3 a stage takes two digits by an
-18 x 18 kernel; above, it gathers rotated rows from a doubled zero-padded
-copy (p^2 * N adds), and walsh_fast's top stage scatters N*p counts of its
-0/1 input.  A product stage copies a block's canonical rows into a chunk
-buffer and back as opaque (p-1)-float elements, and row gathers take whole
-rows (np.take on axis 0): at p = 3 a row is two floats, which a transposed
-copy or a 2-D fancy index moves one float at a time.  walsh_fast runs its
-stages in float32 in the N x (p-1) array that its spectrum keeps, exact by
-the bound below, and holds besides only chunk buffers and, for a pairing
-that is not the identity, a uint8 copy of its table: its tracemalloc peak
-is 4.2 MiB on 3^12 points (4.1 MiB of rows) and 6.8 MiB on F_{5^8} (6 MiB
-of rows, a 0.4 MiB table).  A spectrum's int64 `values` are widened from
-those rows on first read; |W|^2, its histogram keys and bent's match cast
-the rows a block at a time.  Gram matrices are symmetric (asserted), so
-W(b) = DFT[f o C^-1](b): walsh_fast scatters its table through the int32
-walsh_perm into that copy (uint16 from p = 257).
+twiddles, run in place on float canonical rows.  walsh_stack transforms a
+[B, N] stack of tables on one domain in one pass: the stack index sits above
+each member's n digits, which alone the stages run over, and walsh_fast is
+its stack of one.  The stage of digit d reads the rows as [a, k, b, coeff],
+b < p^d, and overwrites the p rows k of each (a, b) with rows j = sum_k
+e^(sign*j*k) * row k, in place.  For p <= 19 a stage is one product, in the
+rows' dtype, per block of rows against the (p(p-1))^2 kernel of those
+{-1, 0, 1} matrices (at p = 3, two digits by an 18 x 18 kernel); above, it
+gathers rotated rows from a doubled zero-padded copy (p^2 * N adds), and
+each member's top stage scatters N*p counts of its 0/1 input.  The stages
+run in float32 in the [B, N, p-1] array that the spectra keep, exact by the
+bound below, beside chunk buffers and, for a pairing that is not the
+identity, a uint8 copy of the tables: Gram matrices are symmetric
+(asserted), so W(b) = DFT[f o C^-1](b), and each table is scattered through
+the int32 walsh_perm into that copy (uint16 from p = 257).  Readers cast
+the float32 rows to int64 a block at a time (WalshSpectrum).
 
-The |W|^2 histogram counts one exact mixed-radix key per row, in the
-narrowest dtype that holds the product of the column spans (uint32 below
-2^32, as for a random table on 3^12 points, else int64; asserted), formed
-from chunks of _KEY_ENTRIES entries, then sorted in place and split into
-runs by one bool mask: on a random 3^12 table the keys take 2 MiB and the
-mask 0.5 MiB, and no other N-sized array is made.  Where the spans reach
-2^63, the |W|^2 rows are lexsorted instead.  A report's values and
-histogram are written as JSON text in chunks by jsontext.
+The |W|^2 histogram sorts one exact mixed-radix key per row (_abs_sq_keys)
+in place and splits them into runs by one bool mask, with no other N-sized
+array; where the column spans reach 2^63, |W|^2 rows are lexsorted instead.
 
 Exactness (a float of nmant mantissa bits holds every integer below
 _exact_below(dtype) = 2^(nmant+1): 2^24 in float32, 2^53 in float64): a
 row of coefficients c_i within A is p counts in [0, 2A], c_i + A and A on
 top, less the top one; after t digits the counts are within 2 * p^t * A,
 and a stage of r digits sums 2p^r kernel terms, so partial sums over s
-digits stay within 4 * p^s * A.  walsh_fast's rows are 0/1, or within p
+digits stay within 4 * p^s * A.  walsh_stack's rows are 0/1, or within p
 after the top digit's scatter, which leaves n - 1 digits: within
 4 * N <= 2^22 in float32.  poisson_check's |W| <= N gives 4 * N^2 in
 float64.  |W|^2 is each row's outer product over i <= j times a kernel
 of sums of two {-1, 0, 1} rows (p <= 19), or a lag-gather autocorrelation,
 within (p-1)^2 * max|c|^2 in float64.  Each bound is asserted on the
-input.  walsh_fast has |c| <= N and refuses N * p > 2^24, which caps an
-N x p array at 128 MiB and admits p <= 13 up to SIZE_LIMIT, 53^3 and
-one-digit domains up to p = 4093.
+input.  A spectrum has |c| <= N, and walsh_stack refuses B * N * p > 2^24,
+which caps a stack's B x N x p array at 128 MiB and admits, at B = 1,
+p <= 13 up to SIZE_LIMIT, 53^3 and one-digit domains up to p = 4093.
 """
 from __future__ import annotations
 
@@ -83,7 +73,7 @@ _P3_STAGE_DIGITS = 2
 # Largest p with product stages: a 23^4 transform took 3.5 s by products,
 # 0.9 s gathered.
 _PRODUCT_MAX_P = 19
-# Rows walsh_fast gathers at a time, each block's index cast to intp: 512 KiB
+# Rows walsh_stack gathers at a time, each block's index cast to intp: 512 KiB
 _TAKE_ROWS = 1 << 16
 # Entries of |W|^2 formed at a time for the histogram's keys: 8,192 rows at
 # p = 3, whose chunk buffers take well under 1 MiB.
@@ -136,16 +126,15 @@ def _max_abs(x: np.ndarray) -> int:
     return max(int(x.max(initial=0)), -int(x.min(initial=0)))
 
 
-def _blocks(x: np.ndarray, rows: int):
-    """Views x[a0:a1, :, b0:b1] of an [a, k, b, ...] array, each holding at
-    most `rows` (a, b) pairs: whole b ranges of several a while b is short,
-    else runs of b within one a."""
-    A, _, B = x.shape[:3]
+def _blocks(A: int, B: int, rows: int):
+    """Slices (a0:a1, b0:b1) of an A x B grid of (a, b) pairs, each holding at
+    most `rows` pairs: whole b ranges of several a while B is short, else
+    runs of b within one a."""
     nb = min(B, rows)
     na = max(1, rows // nb)
     for a0 in range(0, A, na):
         for b0 in range(0, B, nb):
-            yield x[a0 : a0 + na, :, b0 : b0 + nb]
+            yield slice(a0, a0 + na), slice(b0, b0 + nb)
 
 
 def _stage_product(x: np.ndarray, K: np.ndarray) -> None:
@@ -162,7 +151,9 @@ def _stage_product(x: np.ndarray, K: np.ndarray) -> None:
     rows = min(A * B, max(1, _CHUNK_MACS // K.size))
     src, out = np.empty((2, rows, len(K)), dtype=x.dtype)
     src_e, out_e = (_row_elements(buf.reshape(rows, R, c)) for buf in (src, out))
-    for blk in _blocks(_row_elements(x), rows):
+    x_e = _row_elements(x)
+    for a, b in _blocks(A, B, rows):
+        blk = x_e[a, :, b]
         na, _, nb = blk.shape
         m = na * nb
         src_e[:m].reshape(na, nb, R)[...] = blk.transpose(0, 2, 1)
@@ -175,12 +166,12 @@ def _stage_gather(x: np.ndarray, p: int, sign: int) -> None:
     lag = -sign * np.arange(p)
     # 53^3: 0.39 s a stage, 0.73 s at 4x rows
     rows = min(x.shape[0] * x.shape[2], max(1, _CHUNK_MACS // (4 * p * p)))
-    for blk in _blocks(x, rows):
-        R = _rotations(blk.transpose(1, 0, 2, 3), p)  # [k, a, b, w, s], a padded copy
+    for a, b in _blocks(x.shape[0], x.shape[2], rows):
+        R = _rotations(x[a, :, b].transpose(1, 0, 2, 3), p)  # [k, a, b, w, s], a padded copy
         acc = R[0][..., [0] * p, :]
         for k in range(1, p):
             acc += R[k][..., lag * k % p, :]
-        blk[...] = fold_top(acc).transpose(0, 2, 1, 3)
+        x[a, :, b] = fold_top(acc).transpose(0, 2, 1, 3)
 
 
 def _stage_one_hot(table: np.ndarray, p: int, sign: int, out: np.ndarray) -> None:
@@ -234,12 +225,12 @@ def rotate_rows(values: np.ndarray, p: int, e) -> np.ndarray:
 
 
 def mul_rows(values: np.ndarray, p: int, coeffs) -> np.ndarray:
-    """Multiply every canonical row by the element with coefficients coeffs:
-    the sum of coeffs[j] times the rows rotated by e^j."""
+    """Multiply canonical rows by one element's coefficients, or each row by
+    its own row of them: the sum over j of coefficient j times e^j * rows."""
+    coeffs = np.asarray(coeffs)
     out = np.zeros_like(values)
-    for j, c in enumerate(coeffs):
-        if c:
-            out += int(c) * rotate_rows(values, p, j)
+    for j in range(p - 1):
+        out += coeffs[..., j : j + 1] * rotate_rows(values, p, j)
     return out
 
 
@@ -438,30 +429,39 @@ def _pairing(dom: Domain) -> np.ndarray | None:
     return None if np.array_equal(C, np.eye(len(C))) else dom.walsh_perm()
 
 
-def walsh_fast(f: PFunction) -> WalshSpectrum:
-    """Radix-p DFT over Z[e_p], O(n p^n) ring operations, exact."""
-    dom = f.domain
-    p, N, n = dom.p, dom.size, dom.n_total
-    if N * p > _EXPONENT_LIMIT:
-        raise DomainError(f"a transform on {p}^{n} points needs {N * p} counts, over 2^24")
-    table = f.table
+def walsh_stack(dom: Domain, tables: np.ndarray) -> np.ndarray:
+    """The spectra of a [B, N] stack of tables on dom, entries in 0..p-1, as
+    [B, N, p-1] float32 canonical rows: O(n p^n) ring operations a member."""
+    p, N, n, B = dom.p, dom.size, dom.n_total, len(tables)
+    if B * N * p > _EXPONENT_LIMIT:
+        points = f"{B} x {p}^{n}" if B > 1 else f"{p}^{n}"
+        raise DomainError(f"a transform on {points} points needs {B * N * p} counts, over 2^24")
     if (perm := _pairing(dom)) is not None:
         # uint8 below p = 257: an int64 copy took 3 MiB at 5^8, and scattering
         # the rows through perm instead took 4.1 against 2.2 ms
-        table = np.empty(N, dtype=np.min_scalar_type(p - 1))
-        table[perm] = f.table
-    rows = np.empty((N, p - 1), dtype=np.float32)
+        scattered = np.empty((B, N), dtype=np.min_scalar_type(p - 1))
+        scattered[:, perm] = tables
+        tables = scattered
+    rows = np.empty((B, N, p - 1), dtype=np.float32)
+    flat = rows.reshape(B * N, p - 1)
     if p <= _PRODUCT_MAX_P:
         roots = _root_rows(np.arange(p), p).astype(np.float32)
+        table = tables.reshape(B * N)
         # mode="raise" would buffer out; e^t has period p
-        for x0 in range(0, N, _TAKE_ROWS):
+        for x0 in range(0, B * N, _TAKE_ROWS):
             b = slice(x0, x0 + _TAKE_ROWS)
-            np.take(roots, table[b], axis=0, out=rows[b], mode="wrap")
-        _dft(rows, p, n, -1)
+            np.take(roots, table[b], axis=0, out=flat[b], mode="wrap")
+        _dft(flat, p, n, -1)
     else:
-        _stage_one_hot(table, p, -1, rows)
-        _dft(rows, p, n - 1, -1)
-    return WalshSpectrum(dom, rows)
+        for table, out in zip(tables, rows):
+            _stage_one_hot(table, p, -1, out)
+        _dft(flat, p, n - 1, -1)
+    return rows
+
+
+def walsh_fast(f: PFunction) -> WalshSpectrum:
+    """f's spectrum: walsh_stack of the stack of one."""
+    return WalshSpectrum(f.domain, walsh_stack(f.domain, f.table[None])[0])
 
 
 def poisson_check(f: PFunction, W: WalshSpectrum) -> bool:

@@ -12,21 +12,23 @@ from pbent.bent import (
     ClassReport,
     DualExtractionError,
     _candidate_table,
+    _match,
     bent_normalizer,
     classify,
+    classify_stack,
     extract_dual,
     is_bent,
     match_rows,
     weak_regular_dual_relation,
 )
 from pbent.constructions import (
-    NdCorSpec, _independent, cm_bent, coordinate_product, monomial_bent, ndcor_function,
-    sporadic,
+    NdCorSpec, _independent, cm_bent, coordinate_product, direct_sum, monomial_bent,
+    ndcor_function, sporadic,
 )
 from pbent.cyclo import CycInt, gauss_sum, legendre, root_power
 from pbent.field import is_odd_prime, make_field
 from pbent.pfunc import Domain, PFunction, from_expr, random_function, zero_function
-from pbent.walsh import WalshSpectrum, walsh_fast
+from pbent.walsh import WalshSpectrum, walsh_fast, walsh_naive
 
 F27 = make_field(3, 3)
 F125 = make_field(5, 3)
@@ -146,6 +148,118 @@ def test_block_match_names_the_first_bad_row_and_stops(where, monkeypatch):
         extract_dual(bad)
     assert exc.value.witness == b
     assert len(blocks) == 2 * (b // B + 1)
+
+
+@pytest.mark.parametrize("n_pairs", [5, 1], ids=["long members", "short members"])
+def test_stack_match_names_each_members_first_bad_row(n_pairs, rng, monkeypatch):
+    """Members of one stack miss first at different blocks, or in the same
+    block, or not at all: _match names each one's first bad b, gives a bent
+    member the dual and units of its stack of one and its first b whose unit
+    differs from u(0), and matches no block whose members have all missed."""
+    W = walsh_fast(product_function(3, n_pairs))
+    N, B = len(W), bent_module._MATCH_ROWS
+    if N > B:  # 3^10 points: bad and negated rows at block edges, and later ones
+        bad = [[], [2 * B + 7, 2 * B + 8, N - 1], [B], [2 * B - 1, 2 * B], [0, B], [], [N - 1], []]
+        flip = [[], [], [], [], [], [2 * B, N - 1], [], [B - 1, B]]
+    else:  # 9 points, 455 members a block: a block holds several misses
+        bad = [sorted(rng.choice(N, rng.integers(0, 3), replace=False)) for _ in range(1500)]
+        flip = [sorted(rng.choice(range(1, N), rng.integers(0, 3), replace=False)) for _ in bad]
+    rows = np.repeat(W.values[None], len(bad), axis=0)
+    for k, (b, f) in enumerate(zip(bad, flip)):
+        rows[k, f] *= -1  # -W(b) is a bent value with the other unit
+        rows[k, b] = 0  # |0|^2 is no p^n
+    blocks = []
+
+    def counted(values, p, n):
+        blocks.append(len(values))
+        return match_rows(values, p, n)
+
+    monkeypatch.setattr(bent_module, "match_rows", counted)
+    not_bent_at, duals, units, flips = _match(rows.astype(np.float32), 3, 2 * n_pairs)
+    if N > B:  # every block of a bent member, and up to the first miss of the rest
+        bent_members = sum(not b for b in bad)
+        assert len(blocks) == bent_members * -(-N // B) + sum(b[0] // B + 1 for b in bad if b)
+    else:
+        assert len(blocks) == -(-len(bad) // (B // N))
+    dual, unit_map = extract_dual(W)
+    assert np.all(unit_map == unit_map[0])
+    for k, (b, f) in enumerate(zip(bad, flip)):
+        assert not_bent_at[k] == (b[0] if b else -1)
+        assert is_bent(WalshSpectrum(W.domain, rows[k])) == (not b, b[0] if b else None)
+        if not b:
+            assert np.array_equal(duals[k], dual.table)
+            sign = np.ones(N, dtype=np.int8)
+            sign[f] = -1
+            assert np.array_equal(units[k], unit_map * sign)
+            assert flips[k] == (f[0] if f else -1)
+
+
+def _same_report(got: ClassReport, want: ClassReport) -> None:
+    keys = ("is_bent", "regularity", "constant_unit", "zeta", "dual_is_bent", "witnesses")
+    assert [getattr(got, k) for k in keys] == [getattr(want, k) for k in keys]
+    assert np.array_equal(got.spectrum.values, want.spectrum.values)
+    if want.is_bent:
+        assert got.dual == want.dual and np.array_equal(got.unit_map, want.unit_map)
+        odd = got.unit_map != got.unit_map[0]
+        assert got.witnesses.get("unit_mismatch_at", -1) == (np.argmax(odd) if odd.any() else -1)
+
+
+def test_every_function_on_f3_2_in_one_stack():
+    """The 3^9 functions on F_3^2 as one stack, each member against its own
+    classify: 486 are bent."""
+    dom = Domain.vec(3, 2)
+    tables = np.arange(3**9)[:, None] // 3 ** np.arange(9) % 3
+    reports = classify_stack(dom, tables)
+    assert sum(rep.is_bent for rep in reports) == 486
+    for table, rep in zip(tables, reports):
+        _same_report(rep, classify(PFunction(dom, table)))
+
+
+def _stack_cases(rng):
+    """(domain, tables): every Tr(a x^2 + c x) on F_25, whose pairing is not
+    the identity, and random tables; quadratics a x^2 + c x on one digit at
+    p = 23 (the one-hot stage) and a x1^2 + c x1 x2 + x2^2 on two (and the
+    gathered stage), with random tables; and ndcor functions on F_27 x F_3^2
+    and F_243 x F_3^2, among them non-weakly regular ones with a bent and with
+    a non-bent dual, beside Tr(x^2) + y1*y2, the zero table and a random one,
+    so that only some members have their duals stacked."""
+    F25 = make_field(5, 2, (2, 0, 1))
+    quad = [from_expr(F25, f"Tr({a} x^2) + Tr({c} x)").table for a in range(5) for c in range(5)]
+    yield Domain.field(F25), quad + [random_function(Domain.field(F25), rng).table for _ in range(9)]
+    p = 23
+    x = np.arange(p)
+    dom = Domain.vec(p, 1)
+    yield dom, [(a * x * x + c * x) % p for a in range(p) for c in (0, 5)] + [rng.integers(0, p, p)]
+    dom = Domain.vec(p, 2)
+    x1, x2 = dom.digits_matrix().T
+    tables = [(a * x1 * x1 + c * x1 * x2 + x2 * x2) % p for a in (0, 1, 7) for c in (0, 2, 3)]
+    yield dom, tables + [random_function(dom, rng).table for _ in range(3)]
+    for m, modulus, alphas, betas in ((3, None, range(3, 27), range(9, 27)),
+                                      (5, (1, 0, 0, 0, 2, 1), [3], range(130, 140))):
+        ctx = make_field(3, m, modulus)
+        pairs = [(a, b) for a in alphas for b in betas if _independent(ctx, a, b)][:40]
+        ndcor = [_ndcor(3, m, modulus, a, b) for a, b in pairs]
+        dom = ndcor[0].domain
+        others = [direct_sum(from_expr(ctx, "Tr(x^2)"), coordinate_product(3)), zero_function(dom)]
+        yield dom, [f.table for f in ndcor + others] + [random_function(dom, rng).table]
+
+
+def test_stack_of_many_equals_its_stacks_of_one(rng):
+    """Each mixed stack, member by member, against classify and, on at most
+    25 points, against walsh_naive."""
+    seen = set()
+    for dom, tables in _stack_cases(rng):
+        reports = classify_stack(dom, np.array(tables))
+        for table, rep in zip(tables, reports):
+            f = PFunction(dom, table)
+            _same_report(rep, classify(f))
+            if dom.size <= 25:
+                assert np.array_equal(rep.spectrum.values, walsh_naive(f).values)
+            seen.add((rep.regularity, rep.dual_is_bent))
+    assert seen == {
+        (NOT_BENT, None), (REGULAR, True), (WEAKLY_REGULAR, True),
+        (NON_WEAKLY_REGULAR, False), (NON_WEAKLY_REGULAR, True),
+    }
 
 
 @pytest.mark.parametrize(

@@ -36,6 +36,7 @@ from pbent.constructions import (
     direct_sum,
     monomial_bent,
     ndcor_function,
+    sds_dual,
     semi_direct_sum,
     sporadic,
 )
@@ -191,8 +192,8 @@ def test_dual_on_f5_8_memory(capsys, tmp_path):
 
 
 def _count_layers(monkeypatch) -> tuple[list, list]:
-    """Record the coefficient rows of every |W|^2 formed and the spectrum of
-    every bent-candidate match."""
+    """Record the coefficient rows of every |W|^2 formed and the stack of
+    spectra of every bent-candidate match."""
     abs_sq, matched = [], []
     orig_abs_sq, orig_match = walsh_module._abs_sq, bent_module._match
 
@@ -200,12 +201,13 @@ def _count_layers(monkeypatch) -> tuple[list, list]:
         abs_sq.append(values)
         return orig_abs_sq(values, p)
 
-    def counted_match(W):
-        matched.append(W)
-        return orig_match(W)
+    def counted_match(rows, p, n, duals=True):
+        matched.append(rows)
+        return orig_match(rows, p, n, duals)
 
     monkeypatch.setattr(walsh_module, "_abs_sq", counted_abs_sq)
-    monkeypatch.setattr(bent_module, "_match", counted_match)
+    for module in (bent_module, constructions_module):
+        monkeypatch.setattr(module, "_match", counted_match)
     return abs_sq, matched
 
 
@@ -226,7 +228,7 @@ def test_classify_forms_abs_sq_only_for_a_non_bent_histogram(capsys, monkeypatch
     assert code == 0 and json.loads(out)["spectrum_histogram"] == {"27": 27}
     assert json.loads(out)["dual_bent"] is True
     W = walsh_fast(from_expr(F27, "Tr(x^2)"))
-    assert len(matched) == 1 and np.array_equal(matched[0].values, W.values)
+    assert len(matched) == 1 and np.array_equal(matched[0], W.rows[None])
     assert abs_sq == []
     path = tmp_path / "ndcor.tt"
     argv = ("--p", "3", "--m", "3", "--alpha", "w", "--beta", "w^2+1", "--out", str(path))
@@ -236,27 +238,33 @@ def test_classify_forms_abs_sq_only_for_a_non_bent_histogram(capsys, monkeypatch
     assert code == 0 and json.loads(out)["regularity"] == NON_WEAKLY_REGULAR
     assert json.loads(out)["dual_bent"] is False
     # f's spectrum, then its dual's, each matched once
-    spectra = [spectrum.values for spectrum in matched]
     f = load_tt(path)
-    assert len(spectra) == 2 and abs_sq == []
-    assert np.array_equal(spectra[0], walsh_fast(f).values)
-    assert np.array_equal(spectra[1], walsh_fast(classify(f).dual).values)
+    assert len(matched) == 2 and abs_sq == []
+    assert np.array_equal(matched[0], walsh_fast(f).rows[None])
+    assert np.array_equal(matched[1], walsh_fast(classify(f).dual).rows[None])
     del matched[:]
     code, out, _ = run(capsys, "classify", "--p", "3", "--m", "3", "--expr", "Tr(x^3)")
     assert code == 0 and json.loads(out)["bent"] is False
     W = walsh_fast(from_expr(F27, "Tr(x^3)"))
     assert len(abs_sq) == 2 and all(np.array_equal(rows, W.values) for rows in abs_sq)
-    assert len(matched) == 1 and np.array_equal(matched[0].values, W.values)
+    assert len(matched) == 1 and np.array_equal(matched[0], W.rows[None])
 
 
 def test_construction_duals_match_each_spectrum_once(monkeypatch):
+    """sds_dual matches the spectra of the p^n slices G_b as one stack, once,
+    and names the first bad b of the first slice that is not bent."""
+    f = from_expr(F27, "Tr(x^2)")
+    h = [from_expr(F27, "Tr(wx^2)"), from_expr(F27, "Tr(w^2x^2)")]
+    spec = SdsSpec(f=f, g=coordinate_product(3), h=h)
     abs_sq, matched = _count_layers(monkeypatch)
-    dual, _ = constructions_module._dual_of(from_expr(F27, "Tr(x^2)"))
-    assert np.array_equal(dual.table, classify(from_expr(F27, "Tr(x^2)")).dual.table)
-    assert len(matched) == 2 and abs_sq == []  # _dual_of once, classify once
+    dual = sds_dual(spec)
+    assert len(matched) == 1 and matched[0].shape == (9, 27, 2) and abs_sq == []
+    assert np.array_equal(dual.table, classify(semi_direct_sum(spec)).dual.table)
+    spec = SdsSpec(f=f, g=PFunction(Domain.vec(3, 1), [0, 1, 1]), h=[f])  # G_2 = 0
+    del matched[:]
     with pytest.raises(ConstructionError, match=r"not bent \(witness b=0\)"):
-        constructions_module._dual_of(from_expr(F27, "0"))
-    assert len(matched) == 3 and abs_sq == []
+        sds_dual(spec)
+    assert len(matched) == 1 and abs_sq == []
 
 
 def test_dual_of_x_squared_on_a_1009_point_table(capsys, tmp_path):
@@ -583,6 +591,64 @@ def test_malformed_coefficients_never_escape_the_exit_contract(sub, flags, a, b)
     else:
         argv += [f"--alpha={a}"]
     _assert_exit_contract(argv, verdict_command=False)
+
+
+F9 = make_field(3, 2, (1, 0, 1))
+# Well-formed tables for the constructions that read them: bent and not, on
+# vector and field domains, at p = 3 and 5, of several sizes.
+_TABLES = {
+    "sq3": PFunction(Domain.vec(3, 1), [0, 1, 1]),
+    "zero3": PFunction(Domain.vec(3, 1), [0, 0, 0]),
+    "prod3": coordinate_product(3),
+    "rand3_2": PFunction(Domain.vec(3, 2), [2, 0, 1, 1, 0, 2, 2, 1, 0]),
+    "sq5": PFunction(Domain.vec(5, 1), [0, 1, 4, 4, 1]),
+    "prod5": coordinate_product(5),
+    "trF9": from_expr(F9, "Tr(x^2)"),
+    "trwF9": from_expr(F9, "Tr(w x^2)"),
+    "cubeF9": from_expr(F9, "Tr(x^3)"),
+    "trF27": from_expr(F27, "Tr(x^2)"),
+}
+_names = st.sampled_from(sorted(_TABLES))
+
+
+@settings(max_examples=100)
+@given(
+    sub=st.sampled_from(["sds", "agw", "directsum", "cor1"]),
+    f=_names, g=_names, h=st.lists(_names, max_size=3), inputs=st.lists(_names, max_size=6),
+    alphas=st.sampled_from(["1;w", "1;w;w^2", "1;w;w^2;w+1"]),
+    out=st.sampled_from(["stdout", "file", "directory", "missing directory"]),
+)
+@example(sub="sds", f="trF9", g="sq3", h=["trwF9"], inputs=[], alphas="1;w", out="file")
+@example(sub="agw", f="sq3", g="sq3", h=[], inputs=["rand3_2", "prod3", "prod3"], alphas="1;w",
+         out="missing directory")
+@example(sub="sds", f="trF9", g="prod3", h=["trwF9"], inputs=[], alphas="1;w", out="stdout")
+@example(sub="sds", f="trF9", g="zero3", h=["trF9"], inputs=[], alphas="1;w", out="stdout")
+@example(sub="sds", f="trF9", g="sq5", h=["trF9"], inputs=[], alphas="1;w", out="directory")
+@example(sub="cor1", f="sq3", g="zero3", h=[], inputs=[], alphas="1;w", out="stdout")
+@example(sub="cor1", f="sq3", g="prod3", h=[], inputs=[], alphas="1;w;w^2", out="file")
+def test_table_constructions_never_escape_the_exit_contract(sub, f, g, h, inputs, alphas, out):
+    """construct sds, agw, directsum and cor1 --g on well-formed tables with
+    mismatched p, sizes or field/vector headers, a non-bent g, wrong --h
+    counts, and --out at a directory or under a missing one: exit 0, or 2
+    with an error line, never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        def path(name: str) -> str:
+            save_tt(_TABLES[name], Path(tmp) / name)
+            return str(Path(tmp) / name)
+
+        if sub == "sds":
+            argv = ["--f", path(f), "--g", path(g)] + [f"--h={path(name)}" for name in h]
+        elif sub == "cor1":
+            argv = ["--p", "3", "--m", "3", f"--alphas={alphas}", "--g", path(g)]
+        else:
+            argv = [path(name) for name in ([f, g] if sub == "directsum" else inputs)]
+        target = {"stdout": [], "file": ["out.tt"], "directory": [], "missing directory": ["no", "out.tt"]}
+        argv += [] if out == "stdout" else ["--out", str(Path(tmp).joinpath(*target[out]))]
+        code, err = _run_quietly(["construct", sub] + argv)
+    assert code in (0, 2), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 2:
+        assert "error:" in err, (argv, err)
 
 
 def test_tt_and_expr_together_exit_2(capsys, tmp_path):

@@ -216,8 +216,9 @@ def test_sds_bent_iff_every_shifted_inner_is_bent(ctx):
             assert np.array_equal(dual.table, rep.dual.table)
         else:
             assert cond.witness is not None
-            inner = spec.inner_function(cond.witness)
-            assert not is_bent(walsh_fast(inner))
+            digits = [cond.witness // 3**j % 3 for j in range(len(spec.h))]
+            inner = spec.f.table + sum(d * hj.table for d, hj in zip(digits, spec.h))
+            assert not is_bent(walsh_fast(PFunction(spec.f.domain, inner)))
     # the grid must exercise both branches of the equivalence
     assert any(verdicts) and not all(verdicts)
 
@@ -421,9 +422,9 @@ def _ndcor_pointwise(ctx, a_idx, b_idx):
 
 @pytest.mark.parametrize("ctx,n", [(F27, None), (F81, 30), (F125, 20)], ids=["F27", "F81", "F125"])
 def test_ndcor_function_is_the_planted_cor1_case(ctx, n):
-    """ndcor_function, built by cor1_family with coefficients (1, alpha, beta),
-    k = 0 and g = y1*y2, against its formula: every F_27 pair and seeded
-    F_81 and F_125 pairs."""
+    """ndcor_function against its formula and against cor1_family with
+    coefficients (1, alpha, beta), k = 0 and g = y1*y2, which it no longer
+    calls: every F_27 pair and seeded F_81 and F_125 pairs."""
     pairs = pair_slice(ctx, 0, pair_count(ctx))
     if n is not None:
         pairs = pairs[np.random.default_rng(ctx.q).choice(len(pairs), n, replace=False)]
@@ -431,6 +432,8 @@ def test_ndcor_function_is_the_planted_cor1_case(ctx, n):
         F = ndcor_function(NdCorSpec(ctx, ctx.element(a), ctx.element(b)))
         assert F.domain == Domain.field(ctx).extend(VecPart(ctx.p, 2))
         assert np.array_equal(F.table, _ndcor_pointwise(ctx, a, b)), (a, b)
+        alphas = [ctx.one, ctx.element(a), ctx.element(b)]
+        assert F == cor1_family(ctx, "monomial", 0, alphas, coordinate_product(ctx.p)).function
 
 
 REFERENCE_PAIRS = [
