@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cyclo import CycInt, gauss_sum, legendre
-from .pfunc import Domain, PFunction
+from .pfunc import Domain, PFunction, table_dtype
 from .walsh import WalshSpectrum, _blocks, int_rows, rotate_rows, walsh_fast, walsh_stack
 
 NOT_BENT = "not_bent"
@@ -137,15 +137,15 @@ def match_rows(values: np.ndarray, p: int, n: int) -> tuple[np.ndarray, np.ndarr
 def _match(rows: np.ndarray, p: int, n: int, duals: bool = True) -> tuple:
     """match_rows on a [B, N, p-1] stack of spectra, cast to int64 a block of
     at most _MATCH_ROWS rows at a time (walsh._blocks).  Returns each member's
-    first bad b, or -1 if it is bent, and, if asked, the [B, N] int64 duals,
-    int8 unit maps and each member's first b with u(b) != u(0), or -1 (all
-    garbage where not bent), written a block at a time with no N-sized
-    temporary.  Blocks whose members have all missed are skipped: at B = 1
+    first bad b, or -1 if it is bent, and, if asked, the [B, N] duals in
+    pfunc.table_dtype(p), int8 unit maps and each member's first b with
+    u(b) != u(0), or -1 (all garbage where not bent), written a block at a
+    time with no N-sized temporary.  Blocks whose members have all missed are skipped: at B = 1
     the match stops at the block of the first bad b."""
     B, N = rows.shape[:2]
     _, u, c, _ = _candidate_table(p, n)
     bad, flips = np.full(B, -1), np.full(B, -1)
-    tables = np.empty((B, N), dtype=np.int64) if duals else None
+    tables = np.empty((B, N), dtype=table_dtype(p)) if duals else None
     units = np.empty((B, N), dtype=np.int8) if duals else None
     for a, b in _blocks(B, N, _MATCH_ROWS):
         if bad[a].min() >= 0:

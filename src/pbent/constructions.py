@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 from typing import NamedTuple
 
@@ -18,7 +18,7 @@ from .bent import (
 )
 from .cyclo import CycInt
 from .field import FieldCtx, FieldElement, _rank_mod_p
-from .pfunc import Domain, PFunction, VecPart, from_expr
+from .pfunc import Domain, PFunction, VecPart, from_expr, table_dtype
 from .walsh import (
     _abs_sq, _dft, _root_rows, int_rows, mul_rows, rotate_rows, walsh_fast, walsh_stack,
 )
@@ -78,8 +78,9 @@ def direct_sum(f: PFunction, g: PFunction) -> PFunction:
     if f.p != g.p:
         raise ConstructionError("mismatched characteristic")
     dom = Domain(f.domain.components + g.domain.components)
-    table = (np.add.outer(g.table, f.table) % f.p).reshape(-1)
-    return PFunction(dom, table)
+    table = np.add.outer(g.table, f.table, dtype=np.int64)  # int64 (pfunc's docstring)
+    table %= f.p
+    return PFunction(dom, table.reshape(-1))
 
 
 @dataclass
@@ -88,7 +89,8 @@ class SdsSpec:
 
     f lives on any domain, g on the vector space F_p^n, and h is a list of n
     coordinate maps on f's domain.  This is the one place that validates a
-    semi-direct sum, g's bentness last; it keeps g_spectrum and g_dual.
+    semi-direct sum, g's bentness last; it keeps g_spectrum and g_dual, and
+    slice_match once it is first read.
     """
 
     f: PFunction
@@ -113,10 +115,25 @@ class SdsSpec:
             raise ConstructionError("the outer function g must be bent") from None
 
     def slices(self) -> np.ndarray:
-        """G_b(x) = f(x) + <b, h(x)> for every b in F_p^n as a [b, x] stack,
-        the functions whose bentness drives the sum, in one broadcast."""
+        """G_b(x) = f(x) + <b, h(x)> for every b in F_p^n as a [b, x] stack in
+        the tables' dtype, the functions whose bentness drives the sum, in one
+        broadcast, summed in int64, the digit matrix's dtype (pfunc's
+        docstring)."""
         hvals = np.stack([hj.table for hj in self.h])  # (n, |f's domain|)
-        return (self.f.table + self.g.domain.digits_matrix() @ hvals) % self.f.p
+        sums = self.g.domain.digits_matrix() @ hvals
+        sums += self.f.table
+        sums %= self.f.p
+        return sums.astype(table_dtype(self.f.p))
+
+    @cached_property
+    def slice_match(self) -> tuple[tuple, int | None]:
+        """_match, with duals, of the stacked spectra of every G_b, and the
+        first b whose G_b is not bent (None when all are): formed on first
+        read and kept, so the criterion and the dual share one match."""
+        fdom = self.f.domain
+        found = _match(walsh_stack(fdom, self.slices()), fdom.p, fdom.n_total)
+        bad = np.flatnonzero(found[0] >= 0)
+        return found, int(bad[0]) if bad.size else None
 
 
 def semi_direct_sum(spec: SdsSpec) -> PFunction:
@@ -126,22 +143,15 @@ def semi_direct_sum(spec: SdsSpec) -> PFunction:
     hvals = np.stack([hj.table for hj in spec.h], axis=1)  # (|f's domain|, n)
     # shifted[y, x] = index of y + h(x) inside g's domain
     shifted = ((ydig[:, None, :] + hvals[None, :, :]) % p) @ (p ** np.arange(spec.n))
-    table = (spec.f.table + spec.g.table[shifted]) % p  # y-major: index x + y*|f's domain|
+    # y-major, index x + y*|f's domain|, summed in int64 (pfunc's docstring)
+    table = np.add(spec.f.table, spec.g.table[shifted], dtype=np.int64)
+    table %= p
     return PFunction(spec.f.domain.extend(*spec.g.domain.components), table.reshape(-1))
-
-
-def _slice_match(spec: SdsSpec, duals: bool) -> tuple[tuple, int | None]:
-    """_match of the stacked spectra of every G_b, and the first b whose G_b
-    is not bent (None when all are)."""
-    fdom = spec.f.domain
-    found = _match(walsh_stack(fdom, spec.slices()), fdom.p, fdom.n_total, duals)
-    bad = np.flatnonzero(found[0] >= 0)
-    return found, int(bad[0]) if bad.size else None
 
 
 def sds_is_bent_condition(spec: SdsSpec) -> Verdict:
     """The exact bentness criterion: every G_b must be bent; witness = first bad b."""
-    b = _slice_match(spec, duals=False)[1]
+    b = spec.slice_match[1]
     return Verdict(b is None, b)
 
 
@@ -157,10 +167,11 @@ def sds_walsh_factorization(spec: SdsSpec) -> bool:
 
 def sds_dual(spec: SdsSpec) -> PFunction:
     """Dual of a bent semi-direct sum: F*(x, y) = G_y*(x) + g*(y)."""
-    (not_bent_at, duals, _, _), b = _slice_match(spec, duals=True)
+    (not_bent_at, duals, _, _), b = spec.slice_match
     if b is not None:
         raise ConstructionError(f"function is not bent (witness b={not_bent_at[b]})")
-    table = duals + spec.g_dual.table[:, None]  # [y, x]
+    table = np.add(duals, spec.g_dual.table[:, None], dtype=np.int64)  # [y, x], in int64
+    table %= spec.f.p
     return PFunction(spec.f.domain.extend(*spec.g.domain.components), table.reshape(-1))
 
 

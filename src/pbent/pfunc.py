@@ -5,6 +5,17 @@ field F_{p^m} (inner product Tr(b*x)) or a plain coordinate space F_p^n
 (dot product).  Points are indexed in mixed radix with the first component
 least significant; inside a component, digit 0 is least significant.  A
 PFunction is just its truth table in that point order.
+
+Tables are stored in table_dtype(p), the narrowest signed integer type that
+holds -(p - 1): int8 below p = 128, int16 up to 32,749 and int32 above, one
+byte a point at the p the paper works in.  Arithmetic on them runs in
+int64.  A sum of two tables can pass the stored type (126 + 126 at
+p = 127), so every site that adds tables widens first (direct_sum,
+semi_direct_sum, sds_dual and PFunction's +, which - goes through).
+Signed, because negation and subtraction then stay closed and NumPy's % is
+floor-mod: (-t) % p of a stored table t is its negation mod p, where uint8
+would wrap -1 to 255.  dump_tt and walsh_stack index by a table a block at
+a time, since NumPy casts an index array whole to intp.
 """
 from __future__ import annotations
 
@@ -14,6 +25,7 @@ from typing import NoReturn
 import numpy as np
 
 from .field import (
+    SIZE_LIMIT,
     FieldCtx,
     FieldElement,
     LinearMaps,
@@ -22,6 +34,26 @@ from .field import (
     is_odd_prime,
     outer_sum,
 )
+
+
+def table_dtype(p: int) -> np.dtype:
+    """The dtype of every truth table at characteristic p: the narrowest
+    signed integer type that holds -(p - 1) (module docstring)."""
+    return np.min_scalar_type(-(p - 1))
+
+
+# table_dtype(p) holds -(p - 1) and p - 1 for every odd prime p that
+# SIZE_LIMIT admits: p - 1 misses only where it is 2^(bits - 1), at
+# p = 2^7 + 1, 2^15 + 1 and 2^31 + 1, none of them an admitted prime.
+assert table_dtype(SIZE_LIMIT).kind == "i", "tables would not be signed integers"
+assert not any(
+    p <= SIZE_LIMIT and is_odd_prime(p)
+    for p in (np.iinfo(t).max + 2 for t in (np.int8, np.int16, np.int32))
+), "a prime's p - 1 would not fit its table dtype"
+
+# Entries gathered at a time through an index in the table's dtype, which
+# NumPy casts whole to intp: 512 KiB for each block's cast.
+_TAKE_ROWS = 1 << 16
 
 
 class DomainError(ValueError):
@@ -203,15 +235,18 @@ class PFunction:
     """A function into F_p given by its truth table over a Domain."""
 
     def __init__(self, domain: Domain, table) -> None:
-        arr = np.asarray(table, dtype=np.int64)
+        """The table is kept as given when it is already in table_dtype(p)
+        with entries in 0..p-1; any other is reduced mod p in int64 first,
+        so equal functions store equal bytes."""
+        arr = np.asarray(table)
         if arr.shape != (domain.size,):
             raise DomainError(
                 f"table length {arr.shape} does not match domain size {domain.size}"
             )
         if arr.min(initial=0) < 0 or arr.max(initial=0) >= domain.p:
-            arr = arr % domain.p
+            arr = arr.astype(np.int64) % domain.p
         self.domain = domain
-        self.table = arr
+        self.table = arr.astype(table_dtype(domain.p), copy=False)
 
     @property
     def p(self) -> int:
@@ -225,10 +260,10 @@ class PFunction:
             return NotImplemented
         if self.domain != other.domain:
             raise DomainError("cannot add functions on different domains")
-        return PFunction(self.domain, (self.table + other.table) % self.p)
+        return PFunction(self.domain, np.add(self.table, other.table, dtype=np.int64) % self.p)
 
     def __neg__(self) -> "PFunction":
-        return PFunction(self.domain, (-self.table) % self.p)
+        return PFunction(self.domain, (-self.table) % self.p)  # closed in the signed dtype
 
     def __sub__(self, other: "PFunction") -> "PFunction":
         return self + (-other)
@@ -250,10 +285,11 @@ class PFunction:
 
 
 def zero_function(domain: Domain) -> PFunction:
-    return PFunction(domain, np.zeros(domain.size, dtype=np.int64))
+    return PFunction(domain, np.zeros(domain.size, dtype=table_dtype(domain.p)))
 
 
 def random_function(domain: Domain, rng: np.random.Generator) -> PFunction:
+    """A uniform table; the draw stays int64, so a seed gives the same stream."""
     return PFunction(domain, rng.integers(0, domain.p, size=domain.size))
 
 
@@ -462,7 +498,8 @@ def dump_tt(f: PFunction) -> str:
     tokens = digit_cells(np.arange(dom.p))  # row r: the decimal digits of r
     width = tokens.shape[1]
     cells = np.empty((dom.size, width + 1), dtype=np.uint8)
-    cells[:, :width] = tokens[f.table]
+    for x0 in range(0, dom.size, _TAKE_ROWS):
+        cells[x0 : x0 + _TAKE_ROWS, :width] = tokens[f.table[x0 : x0 + _TAKE_ROWS]]
     cells[:, width] = ord(" ")
     cells[31::32, width] = ord("\n")
     cells[-1, width] = ord("\n")
@@ -481,21 +518,21 @@ _VEC_HDR = re.compile(r"#\s*vec\s+n=(\d+)\s*$")
 
 
 # Bytes of table text parsed at once.  A block's per-token int64 temporaries
-# (token edges, lengths, gathered digits: about 40 B a token) stay near 1 MiB
+# (token edges, lengths, parsed values: about 40 B a token) stay near 1 MiB
 # whatever the table's size.
 _TT_BLOCK = 1 << 16
 _SPACE = re.compile(rb"[\t-\r\x1c- ]")  # the ASCII whitespace of str.split()
 
 
-def _block_digits(data: bytes, start: int, stop: int, p: int, out: np.ndarray) -> int:
-    """Parse the tokens of data[start:stop] into out; return their count.
+def _block_digits(data: bytes, start: int, stop: int, p: int) -> np.ndarray:
+    """The tokens of data[start:stop] as int64 values, each one outside
+    0..p-1 stored as -1, so the caller's range check refuses it however
+    large it is and it never wraps into range in a narrower dtype.
 
     A run of at most 18 ASCII digits is below 10^18 < 2^63, so it is read
     base 10 in int64 without wrapping, one array pass per digit position.
     Any other token (a sign, '_', a non-ASCII digit, a longer run or junk)
-    goes through int() alone, which raises int()'s own ValueError.  Its value
-    is stored as -1 when it lies outside 0..p-1, so the caller's range check
-    refuses it however large it is.
+    goes through int() alone, which raises int()'s own ValueError.
     """
     buf = np.frombuffer(data, dtype=np.uint8, count=stop - start, offset=start)
     space = (buf == 32) | ((buf >= 9) & (buf <= 13)) | ((buf >= 28) & (buf <= 31))
@@ -505,28 +542,34 @@ def _block_digits(data: bytes, start: int, stop: int, p: int, out: np.ndarray) -
     via_int = lens > 18
     not_digit = np.flatnonzero(~space & ((buf < 48) | (buf > 57)))
     via_int[np.searchsorted(starts, not_digit, "right") - 1] = True
-    vals = out[: starts.size]
-    vals[:] = 0
+    vals = np.zeros(starts.size, dtype=np.int64)
     for k in range(int(lens[~via_int].max(initial=0))):
         live = ~via_int & (lens > k)
         vals[live] = vals[live] * 10 + buf[starts[live] + k] - 48
+    vals[vals >= p] = -1
     for i in np.flatnonzero(via_int):
         v = int(data[start + starts[i] : start + ends[i]].decode())
         vals[i] = v if 0 <= v < p else -1
-    return starts.size
+    return vals
 
 
 def _table_digits(data: bytes, p: int) -> np.ndarray:
     """The whitespace-separated integers of the ASCII or UTF-8 text `data`,
-    each as int() reads it, parsed in blocks of about _TT_BLOCK bytes that
+    each as int() reads it, or -1 where it lies outside 0..p-1, in
+    table_dtype(p).  They are parsed in blocks of about _TT_BLOCK bytes that
     end at whitespace, so that no token is cut."""
+    # load_tt refuses a p outside 3..SIZE_LIMIT after the parse, so clamping
+    # it changes no outcome and keeps every value in a signed dtype
+    p = min(max(p, 2), SIZE_LIMIT + 1)
     # a token and the whitespace after it take at least 2 bytes
-    out = np.empty((len(data) + 1) // 2, dtype=np.int64)
+    out = np.empty((len(data) + 1) // 2, dtype=table_dtype(p))
     count = start = 0
     while start < len(data):
         cut = _SPACE.search(data, start + _TT_BLOCK)
         stop = cut.start() if cut else len(data)
-        count += _block_digits(data, start, stop, p, out[count:])
+        vals = _block_digits(data, start, stop, p)
+        out[count : count + vals.size] = vals
+        count += vals.size
         start = stop
     return out if count == out.size else out[:count].copy()
 
@@ -540,13 +583,17 @@ def _read_tt(path) -> tuple[list[str], str, bytes]:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise DomainError(f"{path}: not a text file ({exc.reason})") from None
-    # A header is a line whose first non-blank character is '#'.
+    # A header is a line whose first non-blank character is '#'.  Each copy
+    # of the text is dropped once the next is made: at most three live.
     parts = re.split(r"\n[^\S\n]*(#.*)", "\n" + text)
+    del text
     headers = [hdr.rstrip() for hdr in parts[1::2]]
     body = "\n".join(parts[::2]).lstrip()
+    del parts
     if not body:
         raise DomainError(f"{path}: no data lines")
     first, _, rest = body.partition("\n")
+    del body
     return headers, first, (rest if rest.isascii() else " ".join(rest.split())).encode()
 
 

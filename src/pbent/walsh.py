@@ -14,10 +14,10 @@ gathers rotated rows from a doubled zero-padded copy (p^2 * N adds), and
 each member's top stage scatters N*p counts of its 0/1 input.  The stages
 run in float32 in the [B, N, p-1] array that the spectra keep, exact by the
 bound below, beside chunk buffers and, for a pairing that is not the
-identity, a uint8 copy of the tables: Gram matrices are symmetric
-(asserted), so W(b) = DFT[f o C^-1](b), and each table is scattered through
-the int32 walsh_perm into that copy (uint16 from p = 257).  Readers cast
-the float32 rows to int64 a block at a time (WalshSpectrum).
+identity, a copy of the tables in their own dtype (pfunc.table_dtype): Gram
+matrices are symmetric (asserted), so W(b) = DFT[f o C^-1](b), and each
+table is scattered through the int32 walsh_perm into that copy.  Readers
+cast the float32 rows to int64 a block at a time (WalshSpectrum).
 
 The |W|^2 histogram sorts one exact mixed-radix key per row (_abs_sq_keys)
 in place and splits them into runs by one bool mask, with no other N-sized
@@ -48,7 +48,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .cyclo import CycInt, fold_top
 from .field import SIZE_LIMIT
-from .pfunc import Domain, DomainError, PFunction
+from .pfunc import _TAKE_ROWS, Domain, DomainError, PFunction, table_dtype
 
 
 def _exact_below(dtype) -> int:
@@ -73,8 +73,6 @@ _P3_STAGE_DIGITS = 2
 # Largest p with product stages: a 23^4 transform took 3.5 s by products,
 # 0.9 s gathered.
 _PRODUCT_MAX_P = 19
-# Rows walsh_stack gathers at a time, each block's index cast to intp: 512 KiB
-_TAKE_ROWS = 1 << 16
 # Entries of |W|^2 formed at a time for the histogram's keys: 8,192 rows at
 # p = 3, whose chunk buffers take well under 1 MiB.
 _KEY_ENTRIES = 1 << 14
@@ -437,9 +435,9 @@ def walsh_stack(dom: Domain, tables: np.ndarray) -> np.ndarray:
         points = f"{B} x {p}^{n}" if B > 1 else f"{p}^{n}"
         raise DomainError(f"a transform on {points} points needs {B * N * p} counts, over 2^24")
     if (perm := _pairing(dom)) is not None:
-        # uint8 below p = 257: an int64 copy took 3 MiB at 5^8, and scattering
-        # the rows through perm instead took 4.1 against 2.2 ms
-        scattered = np.empty((B, N), dtype=np.min_scalar_type(p - 1))
+        # an int64 copy took 3 MiB at 5^8, and scattering the rows through
+        # perm instead took 4.1 against 2.2 ms
+        scattered = np.empty((B, N), dtype=table_dtype(p))
         scattered[:, perm] = tables
         tables = scattered
     rows = np.empty((B, N, p - 1), dtype=np.float32)

@@ -339,6 +339,18 @@ def _bent_example(dom: Domain, rng) -> PFunction:
     return PFunction(dom, ((D[:, :k] * pi_y).sum(axis=1) + g) % p)
 
 
+def test_classify_memory_is_the_rows_and_three_bytes_a_point(rng):
+    """classify of a bent 3^12 table holds its float32 spectrum rows and, at
+    most, 3 B a point and 1 MiB besides: the dual's table and the unit map,
+    one byte a point each, and a match block's casts and codes.  With an
+    int64 dual table it peaked at 8.9 MiB."""
+    f = _bent_example(Domain.vec(3, 12), rng)
+    report, peak = traced_peak(lambda: classify(f))
+    assert report.regularity == REGULAR and report.dual.table.dtype == np.int8
+    N = f.domain.size
+    assert peak <= N * (f.p - 1) * 4 + 3 * N + (1 << 20)
+
+
 @pytest.mark.parametrize(
     "p, ns",
     [(3, (1, 2, 5, 6)), (5, (1, 2, 3, 4)), (7, (1, 2, 3)), (11, (1, 2)), (13, (1, 2)),

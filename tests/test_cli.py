@@ -37,6 +37,7 @@ from pbent.constructions import (
     monomial_bent,
     ndcor_function,
     sds_dual,
+    sds_is_bent_condition,
     semi_direct_sum,
     sporadic,
 )
@@ -177,18 +178,20 @@ def test_dual_on_f5_8_forms_no_digit_table(capsys, monkeypatch, tmp_path):
 
 def test_dual_on_f5_8_memory(capsys, tmp_path):
     """The whole command, field tables and output file included: the
-    spectrum stays float32 rows and extract_dual writes its table and int8
-    unit map a block at a time; the field's tables and the pairing
-    permutation are int32.  With an int64 spectrum, an int64 unit map and a
-    position per row, the command peaked at about 36 MiB, and with int64
-    tables and a permuted copy of the table at 27 MiB."""
+    spectrum stays float32 rows and extract_dual writes its int8 table and
+    int8 unit map a block at a time; the field's tables and the pairing
+    permutation are int32, and dump_tt casts the table to intp a block at a
+    time.  With an int64 spectrum, an int64 unit map and a position per row,
+    the command peaked at about 36 MiB, with int64 field tables and a
+    permuted copy of the table at 27 MiB, and with int64 truth tables at
+    17.4 MiB."""
     out = tmp_path / "dual.tt"
     (code, _, err), peak = traced_peak(lambda: run(
         capsys, "dual", "--p", "5", "--m", "8", "--modulus", "1,0,0,0,0,1,1,0,1",
         "--expr", "Tr(2x^2) + Tr(x)", "--out", str(out),
     ))
     assert (code, err) == (0, "")
-    assert peak <= 20 << 20
+    assert peak <= 16 << 20
 
 
 def _count_layers(monkeypatch) -> tuple[list, list]:
@@ -252,16 +255,20 @@ def test_classify_forms_abs_sq_only_for_a_non_bent_histogram(capsys, monkeypatch
 
 def test_construction_duals_match_each_spectrum_once(monkeypatch):
     """sds_dual matches the spectra of the p^n slices G_b as one stack, once,
-    and names the first bad b of the first slice that is not bent."""
+    and names the first bad b of the first slice that is not bent.  The
+    spec keeps that match, so the criterion, then the dual, as
+    demos/05_recursive_constructions.py calls them, match the stack once."""
     f = from_expr(F27, "Tr(x^2)")
     h = [from_expr(F27, "Tr(wx^2)"), from_expr(F27, "Tr(w^2x^2)")]
     spec = SdsSpec(f=f, g=coordinate_product(3), h=h)
     abs_sq, matched = _count_layers(monkeypatch)
+    assert sds_is_bent_condition(spec)
     dual = sds_dual(spec)
     assert len(matched) == 1 and matched[0].shape == (9, 27, 2) and abs_sq == []
     assert np.array_equal(dual.table, classify(semi_direct_sum(spec)).dual.table)
     spec = SdsSpec(f=f, g=PFunction(Domain.vec(3, 1), [0, 1, 1]), h=[f])  # G_2 = 0
     del matched[:]
+    assert sds_is_bent_condition(spec) == (False, 2)
     with pytest.raises(ConstructionError, match=r"not bent \(witness b=0\)"):
         sds_dual(spec)
     assert len(matched) == 1 and abs_sq == []
@@ -340,23 +347,37 @@ def test_malformed_truth_table_exits_2(capsys, tmp_path, table):
     assert err.startswith("error:")
 
 
+# Tokens past p - 1 at the edges of the table dtypes (int8 holds 127, int16
+# 32767; 256 and 2^63 wrap to 0 in int8 and int64), at p = 3, 127 and 131.
+_EDGE_TOKENS = [
+    pytest.param(p, str(t).encode(), id=f"p{p}-{t}")
+    for p in (3, 127, 131)
+    for t in dict.fromkeys((p, 127, 128, 255, 256, 32767, 32768, 2**63, -1))
+    if not 0 <= t < p
+]
+
+
 @pytest.mark.parametrize(
-    "token",
+    "p, token",
     [
-        b"18446744073709551617",  # 2^64 + 1: wraps to 1 mod 2^64
-        b"9223372036854775808",  # 2^63: wraps to -2^63 in int64
-        b"-18446744073709551615",  # wraps to 1 mod 2^64
-        b"1" + b"0" * 39,
-    ],
+        pytest.param(3, token, id=token.decode())
+        for token in (
+            b"18446744073709551617",  # 2^64 + 1: wraps to 1 mod 2^64
+            b"9223372036854775808",  # 2^63: wraps to -2^63 in int64
+            b"-18446744073709551615",  # wraps to 1 mod 2^64
+            b"1" + b"0" * 39,
+        )
+    ] + _EDGE_TOKENS,
 )
-def test_huge_digit_tokens_exit_2(capsys, tmp_path, token):
-    """Digit tokens beyond int64 are out of range, never read modulo 2^64."""
+def test_huge_digit_tokens_exit_2(capsys, tmp_path, p, token):
+    """Digit tokens beyond int64 are out of range, never read modulo 2^64,
+    and tokens past p - 1 never wrap into range in the table's dtype."""
     path = tmp_path / "huge-digit.tt"
-    path.write_bytes(b"3 1\n0 " + token + b" 2\n")
+    path.write_bytes(f"{p} 1\n0 ".encode() + token + b" 2" * (p - 2) + b"\n")
     code, _, err = run(capsys, "classify", "--tt", str(path))
     assert code == 2
     assert err.startswith("error:")
-    assert "table digits must lie in 0..2" in err
+    assert f"table digits must lie in 0..{p - 1}" in err
 
 
 @pytest.mark.parametrize(
@@ -367,6 +388,7 @@ def test_huge_digit_tokens_exit_2(capsys, tmp_path, token):
         b"# field m=100000000 modulus=1,0,1\n3 2\n0\n",
         b"2305843009213693951 3\n0\n",
         b"2305843009213693951 0\n0\n",
+        b"1180591620717411303424 1\n36893488147419103232\n",  # p = 2^70, a digit of 2^65
     ],
 )
 def test_huge_truth_table_sizes_exit_2_at_once(capsys, tmp_path, table):
@@ -443,8 +465,9 @@ def tt_headers(draw, p: int, n: int, fault: str) -> list[str]:
 def tt_texts(draw) -> str:
     """Truth-table text: headers, a size line and digit tokens, with at most
     one fault."""
-    p = draw(st.sampled_from([3, 5, 7, 11, 13, 3, 5, 7, -1, 0, 1, 2, 4, 9]))
-    n = draw(st.sampled_from([1, 2, 1, 2, 0, -1]))
+    p = draw(st.sampled_from([3, 5, 7, 11, 13, 3, 5, 7, -1, 0, 1, 2, 4, 9, 127, 131]))
+    # one digit at 127 and 131, whose two-digit tables are too long to draw
+    n = draw(st.sampled_from([1, 0, -1] if p > 13 else [1, 2, 1, 2, 0, -1]))
     count = p**n if p >= 3 and n >= 1 else 3
     digits = draw(st.lists(st.integers(0, max(p - 1, 0)), min_size=count, max_size=count))
     tokens = [str(p), str(n)] + [str(d) for d in digits]
@@ -1240,14 +1263,15 @@ def test_classify_output_memory_is_the_keys_and_a_slack(tmp_path, rng):
 
 
 def test_spectrum_memory_holds_no_list_of_values(capsys, tmp_path, rng):
-    """spectrum --tt on a random 3^12 table holds the int64 table and its
-    float32 spectrum (4.25 MB each), and writes the 531,441 rows of values
-    a chunk at a time: through values.tolist() and json.dumps' Python
-    encoder the command peaked at 206 MiB."""
+    """spectrum --tt on a random 3^12 table holds the int8 table (0.53 MB)
+    and its float32 spectrum (4.25 MB), and writes the 531,441 rows of
+    values a chunk at a time: through values.tolist() and json.dumps'
+    Python encoder the command peaked at 206 MiB, and with an int64 table
+    at 13.0 MiB."""
     path = tmp_path / "f.tt"
     save_tt(random_function(Domain.vec(3, 12), rng), path)
     (code, _, err), peak = traced_peak(lambda: run(
         capsys, "spectrum", "--tt", str(path), "--out", str(tmp_path / "out.json")
     ))
     assert (code, err) == (0, "")
-    assert peak <= 16 << 20
+    assert peak <= 11 << 20

@@ -10,6 +10,7 @@ from pbent.bent import (
     REGULAR,
     WEAKLY_REGULAR,
     classify,
+    extract_dual,
     is_bent,
 )
 from pbent.constructions import (
@@ -49,8 +50,11 @@ from pbent.pfunc import (
     PFunction,
     VecPart,
     from_expr,
+    load_tt,
     parse_coefficient,
     random_function,
+    save_tt,
+    table_dtype,
     zero_function,
 )
 from pbent.walsh import _abs_sq, _dft, walsh_fast
@@ -909,3 +913,59 @@ def test_evaluate_pair_irrational_abs_sq_uses_coefficient_list():
     rec = evaluate_pair(F125, w_idx, w2_idx)
     assert rec["abs_sq_S"] == [17, 0, -16, -16]
     assert rec["bent"] is True and rec["dual_bent"] is False
+
+
+# ---- table storage: table_dtype(p), sums in int64 -------------------------------------
+
+
+def _stored(table: np.ndarray, p: int, reference) -> bool:
+    """Whether a table is in table_dtype(p) and equals the Python-int
+    reference reduced mod p."""
+    return table.dtype == table_dtype(p) and table.tolist() == [v % p for v in reference]
+
+
+@pytest.mark.parametrize("p", [3, 127, 131])
+def test_every_producer_stores_tables_in_table_dtype(p, rng, tmp_path):
+    """Every producer's table is in table_dtype(p), int8 up to p = 127 and
+    int16 at 131, and equals a Python-int reference.  At p = 127 the sum of
+    two entries passes int8, so a site that added tables before widening
+    them to int64 would wrap."""
+    ctx = make_field(p, 1)  # F_p: point x is the element x, and Tr is the identity
+    dom, xs = Domain.field(ctx), range(p)
+    f, g = random_function(dom, rng), random_function(dom, rng)
+    F, G = f.table.tolist(), g.table.tolist()
+    assert _stored(random_function(dom, np.random.default_rng(7)).table, p,
+                   np.random.default_rng(7).integers(0, p, p).tolist())  # the int64 draw
+    assert _stored(zero_function(dom).table, p, [0] * p)
+    assert _stored((f + g).table, p, [a + b for a, b in zip(F, G)])
+    assert _stored((f - g).table, p, [a - b for a, b in zip(F, G)])
+    assert _stored((-f).table, p, [-a for a in F])
+    path = tmp_path / "f.tt"
+    save_tt(f, path)
+    assert _stored(load_tt(path).table, p, F)
+    assert _stored(from_expr(ctx, f"{p - 1}*Tr(x^2) + {p - 1}").table, p,
+                   [(p - 1) * (x * x + 1) for x in xs])
+    assert _stored(monomial_bent(ctx, p - 1, 0).table, p, [-x * x for x in xs])
+    assert _stored(coordinate_product(p).table, p, [y1 * y2 for y2 in xs for y1 in xs])
+    assert _stored(direct_sum(f, g).table, p, [a + b for b in G for a in F])
+    # the dual of x^2 + c*x is b -> -(b - c)^2 / 4, by completing the square
+    quarter = pow(4, -1, p)
+    square = from_expr(ctx, "Tr(x^2)")
+    assert _stored(extract_dual(walsh_fast(square))[0].table, p, [-b * b * quarter for b in xs])
+    assert _stored(classify(square).dual.table, p, [-b * b * quarter for b in xs])
+    # F(x, y) = x^2 + (y - x)^2: G_b(x) = x^2 - b*x, bent for every b
+    spec = SdsSpec(f=square, g=square_map(p), h=[PFunction(dom, [-x for x in xs])])
+    assert _stored(spec.slices().reshape(-1), p, [x * x - b * x for b in xs for x in xs])
+    assert _stored(semi_direct_sum(spec).table, p, [x * x + (y - x) ** 2 for y in xs for x in xs])
+    assert _stored(sds_dual(spec).table, p,
+                   [-((x + y) ** 2) * quarter - y * y * quarter for y in xs for x in xs])
+    if p == 3:  # the constructions that only exist, or only fit SIZE_LIMIT, at small p
+        built = [
+            cm_bent(F27, 1, 1),
+            cor1_family(F27, "monomial", 0, [1, F27.w], square_map(3)).function,
+            ndcor_function(NdCorSpec(F27, F27.w, F27.w**2 + 1)),
+            sporadic("g2", F81, 0),
+            agw_combine([square_map(3)] * 3),
+            agw_dual([square_map(3)] * 3),
+        ]
+        assert all(b.table.dtype == np.int8 for b in built)

@@ -24,6 +24,7 @@ from pbent.pfunc import (
     parse_coefficient,
     random_function,
     save_tt,
+    table_dtype,
     zero_function,
 )
 
@@ -461,6 +462,29 @@ def test_tt_corrupt_files(tmp_path, content, match):
         load_tt(path)
 
 
+# Tokens at the edges of the table dtypes: int8 holds 127, int16 32767, and
+# 256 and 2^63 wrap to 0 in int8 and int64.
+EDGE_TOKENS = [127, 128, 255, 256, 32767, 32768, 2**63, -1]
+
+
+@pytest.mark.parametrize("p", [3, 127, 131])
+@pytest.mark.parametrize("token", ["p-1", "p", *EDGE_TOKENS])
+def test_tt_digit_tokens_at_the_dtype_edges(tmp_path, p, token):
+    """A token in 0..p-1 loads exactly, into table_dtype(p); any other is
+    refused, never wrapped into range by the narrow table."""
+    value = {"p-1": p - 1, "p": p}.get(token, token)
+    digits = [x * x % p for x in range(p)]
+    digits[1] = value
+    path = tmp_path / "edge.tt"
+    path.write_text(f"{p} 1\n" + " ".join(map(str, digits)) + "\n")
+    if 0 <= value < p:
+        f = load_tt(path)
+        assert f.table.dtype == table_dtype(p) and f.table.tolist() == digits
+    else:
+        with pytest.raises(DomainError, match=rf"table digits must lie in 0\.\.{p - 1}$"):
+            load_tt(path)
+
+
 # ---- the file format against the token-by-token reader and writer it replaced ---
 
 
@@ -687,10 +711,12 @@ def test_load_tt_matches_token_reader_at_block_edges(text, block):
 
 
 def test_load_tt_temporaries_do_not_grow_with_the_table(tmp_path, rng):
-    """load_tt's tracemalloc peak, less the table it returns, grows by less
-    than 2 MiB from 3^10 to 3^12 points (it grew by about 25 MiB when the
-    whole body was parsed at once): the parse temporaries scale with
-    _TT_BLOCK, and only the text, 0.95 MB larger, and its copies grow."""
+    """load_tt's tracemalloc peak, less the int8 table it returns, grows by
+    less than 1.5 MiB from 3^10 to 3^12 points (it grew by about 25 MiB when
+    the whole body was parsed at once): the parse temporaries scale with
+    _TT_BLOCK, and only the text, 0.95 MB larger, and its copies grow.  At
+    3^12 the peak is the reader's copies of the text, at most three at once
+    (five, 5.3 MB, when each was kept to the end), and the table."""
     extra = {}
     for n in (10, 12):
         f = random_function(Domain.vec(3, n), rng)
@@ -698,5 +724,6 @@ def test_load_tt_temporaries_do_not_grow_with_the_table(tmp_path, rng):
         save_tt(f, path)
         g, peak = traced_peak(lambda: load_tt(path))
         extra[n] = peak - g.table.nbytes
-        assert g == f
-    assert extra[12] - extra[10] < 2 << 20
+        assert g == f and g.table.dtype == np.int8
+    assert extra[12] - extra[10] < 3 << 19
+    assert extra[12] <= 3 * path.stat().st_size + (1 << 19)
