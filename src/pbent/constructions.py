@@ -137,7 +137,8 @@ class SdsSpec:
 
 
 def semi_direct_sum(spec: SdsSpec) -> PFunction:
-    """F(x, y) = f(x) + g(y + h(x)) on f's domain extended by g's."""
+    """F(x, y) = f(x) + g(y + h(x)) on f's domain extended by g's, built first."""
+    dom = spec.f.domain.extend(*spec.g.domain.components)
     p = spec.f.p
     ydig = spec.g.domain.digits_matrix()  # (p^n, n)
     hvals = np.stack([hj.table for hj in spec.h], axis=1)  # (|f's domain|, n)
@@ -146,7 +147,7 @@ def semi_direct_sum(spec: SdsSpec) -> PFunction:
     # y-major, index x + y*|f's domain|, summed in int64 (pfunc's docstring)
     table = np.add(spec.f.table, spec.g.table[shifted], dtype=np.int64)
     table %= p
-    return PFunction(spec.f.domain.extend(*spec.g.domain.components), table.reshape(-1))
+    return PFunction(dom, table.reshape(-1))
 
 
 def sds_is_bent_condition(spec: SdsSpec) -> Verdict:
@@ -166,13 +167,14 @@ def sds_walsh_factorization(spec: SdsSpec) -> bool:
 
 
 def sds_dual(spec: SdsSpec) -> PFunction:
-    """Dual of a bent semi-direct sum: F*(x, y) = G_y*(x) + g*(y)."""
+    """Dual of a bent semi-direct sum, F*(x, y) = G_y*(x) + g*(y), its domain built first."""
+    dom = spec.f.domain.extend(*spec.g.domain.components)
     (not_bent_at, duals, _, _), b = spec.slice_match
     if b is not None:
         raise ConstructionError(f"function is not bent (witness b={not_bent_at[b]})")
     table = np.add(duals, spec.g_dual.table[:, None], dtype=np.int64)  # [y, x], in int64
     table %= spec.f.p
-    return PFunction(spec.f.domain.extend(*spec.g.domain.components), table.reshape(-1))
+    return PFunction(dom, table.reshape(-1))
 
 
 # ---- the correlation family over F_{p^m} x F_p^n --------------------------------

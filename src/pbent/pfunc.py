@@ -4,7 +4,11 @@ A Domain is an ordered product of components, each either a full extension
 field F_{p^m} (inner product Tr(b*x)) or a plain coordinate space F_p^n
 (dot product).  Points are indexed in mixed radix with the first component
 least significant; inside a component, digit 0 is least significant.  A
-PFunction is just its truth table in that point order.
+PFunction is just its truth table in that point order.  A domain sees a
+field only through its pairing, whose matrix on digit vectors is the trace
+form's Gram block: a field component carries that block and the header
+fields (modulus, primitive index), not the field, so the field's tables
+are freed once its builder drops it.
 
 Tables are stored in table_dtype(p), the narrowest signed integer type that
 holds -(p - 1): int8 below p = 128, int16 up to 32,749 and int32 above, one
@@ -62,24 +66,26 @@ class DomainError(ValueError):
 
 class FieldPart:
     """Domain component backed by a full field; pairing is Tr(b*x), whose
-    Gram block is the trace form's."""
+    Gram block is the trace form's.  It keeps that block and the field's
+    identity (modulus and primitive index), not the FieldCtx."""
 
     def __init__(self, ctx: FieldCtx) -> None:
-        self.ctx = ctx
         self.p = ctx.p
         self.dim = ctx.m
         self.size = ctx.q
         self.gram = ctx.gram
+        self.modulus = ctx.modulus
+        self.primitive_index = ctx.primitive_index
 
     def _key(self):
-        return ("field", self.ctx._key())
+        return ("field", (self.p, self.dim, self.modulus, self.primitive_index))
 
     def describe(self) -> dict:
         return {
             "kind": "field",
-            "m": self.ctx.m,
-            "modulus": list(self.ctx.modulus),
-            "primitive": self.ctx.primitive_index,
+            "m": self.dim,
+            "modulus": list(self.modulus),
+            "primitive": self.primitive_index,
         }
 
     def __repr__(self) -> str:
@@ -179,21 +185,12 @@ class Domain:
 
     # ---- the bilinear pairing ----------------------------------------------
 
-    def inner_product(self, b: int, x: int) -> int:
-        """<b, x>: trace of the product on field components, dot product on vectors."""
-        total = 0
+    def inner_product(self, b: int, x):
+        """<b, x> = (C digits(b)) . digits(x) mod p for the Gram matrix C:
+        an int for an int x, an array for an index array x."""
         p = self.p
-        for c in self.components:
-            b, bi = divmod(b, c.size)
-            x, xi = divmod(x, c.size)
-            if isinstance(c, FieldPart):
-                total += c.ctx.trace_idx(c.ctx.mul_idx(bi, xi))
-            else:
-                for _ in range(c.dim):
-                    total += (bi % p) * (xi % p)
-                    bi //= p
-                    xi //= p
-        return total % p
+        Cb = self.gram() @ [b // p**j % p for j in range(self.n_total)]
+        return sum(c * (x // p**j % p) for j, c in enumerate(Cb.tolist())) % p
 
     def gram(self) -> np.ndarray:
         """Matrix C of the pairing on digit vectors: <b, x> = (C b) . x mod p."""
@@ -488,10 +485,8 @@ def dump_tt(f: PFunction) -> str:
     if any(isinstance(c, FieldPart) for c in dom.components):
         for c in dom.components:
             if isinstance(c, FieldPart):
-                mods = ",".join(str(d) for d in c.ctx.modulus)
-                lines.append(
-                    f"# field m={c.ctx.m} modulus={mods} primitive={c.ctx.primitive_index}"
-                )
+                mods = ",".join(str(d) for d in c.modulus)
+                lines.append(f"# field m={c.dim} modulus={mods} primitive={c.primitive_index}")
             else:
                 lines.append(f"# vec n={c.dim}")
     lines.append(f"{dom.p} {dom.n_total}")

@@ -405,18 +405,16 @@ class WalshSpectrum:
 
 def walsh_naive(f: PFunction) -> WalshSpectrum:
     """The fast path's oracle, O(N^2): for each b, tally f(x) - <b, x> by
-    residue with the domain's own pairing, sharing none of walsh_fast."""
+    residue over every x.  Its pairing, Domain.inner_product, reads only the
+    Gram matrix, all it shares with walsh_fast; test_naive_equals_trace_tally
+    and test_field_inner_product_is_trace_of_product tie it to Tr(b*x)."""
     dom = f.domain
     p, N = dom.p, dom.size
-    table = [int(v) for v in f.table]
-    ip = dom.inner_product
-    values = np.zeros((N, p - 1), dtype=np.int64)
+    points = np.arange(N)
+    values = np.empty((N, p - 1), dtype=np.int64)
     for b in range(N):
-        counts = [0] * p
-        for x in range(N):
-            counts[(table[x] - ip(b, x)) % p] += 1
-        top = counts[p - 1]
-        values[b] = [c - top for c in counts[: p - 1]]
+        counts = np.bincount((f.table - dom.inner_product(b, points)) % p, minlength=p)
+        values[b] = counts[:-1] - counts[-1]
     return WalshSpectrum(dom, values)
 
 

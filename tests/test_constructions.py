@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from pbent.bent import (
     NON_WEAKLY_REGULAR,
@@ -238,6 +239,27 @@ def test_sds_dual_requires_bent():
     assert not sds_is_bent_condition(spec)  # b = 2 kills the coefficient
     with pytest.raises(ConstructionError):
         sds_dual(spec)
+
+
+def test_oversized_sum_is_refused_before_its_table(rng):
+    """f on F_3^9 and a bent g on F_3^4 make a 3^13-point sum: SdsSpec
+    accepts the parts and the criterion answers on its slices, but
+    semi_direct_sum and sds_dual refuse the sum's domain before any table
+    of it (semi_direct_sum formed 97 MiB of int64 index and sums first)."""
+    y = Domain.vec(3, 4).digits_matrix()
+    g = PFunction(Domain.vec(3, 4), y[:, 0] * y[:, 1] + y[:, 2] * y[:, 3])
+    fdom = Domain.vec(3, 9)
+    spec = SdsSpec(f=random_function(fdom, rng), g=g,
+                   h=[random_function(fdom, rng) for _ in range(4)])
+    for build in (semi_direct_sum, sds_dual):
+        def refused(build=build):
+            with pytest.raises(DomainError, match=r"^domain size 3\^13 exceeds the limit 2\^20$"):
+                build(spec)
+
+        _, peak = traced_peak(refused)
+        assert peak < 1 << 20, build.__name__
+    assert "slice_match" not in spec.__dict__  # sds_dual refused before the match
+    assert not sds_is_bent_condition(spec)
 
 
 # ---- the correlation family ----------------------------------------------------------

@@ -1,13 +1,15 @@
 """Domains, truth tables, the expression DSL, and the truth-table file format."""
+import gc
 import re
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import point_add, point_neg, traced_peak, translate
 from hypothesis import example, given, settings, strategies as st
-from test_walsh import PAIRING_DOMAINS
+from test_walsh import PAIRING_DOMAINS, field_pairing
 
 import pbent.pfunc as pfunc
 from pbent.field import FieldCtx, FieldError, exceeds_size_limit, is_odd_prime, make_field
@@ -69,11 +71,55 @@ def test_domain_identity_and_describe():
     b = Domain.field(make_field(3, 3))
     assert a == b and hash(a) == hash(b)
     assert a != Domain.vec(3, 3)
+    other = next(i for i in F25.primitive_indices() if i != F25.primitive_index)
+    c = Domain.field(FieldCtx(5, 2, (2, 0, 1), other))  # F25 but for the primitive index
+    assert c != Domain.field(F25)
+    assert c.describe()["components"] == [
+        {"kind": "field", "m": 2, "modulus": [2, 0, 1], "primitive": other}
+    ]
     d = Domain.field(F9).extend(VecPart(3, 2))
     info = d.describe()
     assert info["p"] == 3 and info["n_total"] == 4
     assert info["components"][0]["kind"] == "field"
     assert info["components"][1]["kind"] == "vec"
+
+
+def _released(build) -> bool:
+    """Whether the field given to build(ctx) is freed once the caller drops
+    it, while build's result is still held."""
+    ctx = FieldCtx(5, 2, (2, 0, 1))
+    ref = weakref.ref(ctx)
+    kept = build(ctx)  # held through the check
+    del ctx
+    gc.collect()
+    return ref() is None
+
+
+def test_domains_and_functions_keep_no_field(tmp_path, monkeypatch):
+    """A field component keeps the Gram block and header fields, so a
+    function, its domain and their caches free the field's tables."""
+    assert _released(Domain.field)
+    assert _released(lambda ctx: Domain([VecPart(5, 1), FieldPart(ctx)]))
+
+    def from_trace_terms(ctx):
+        f = from_expr(ctx, "Tr(wx^2) + Tr(x^3) + 1")  # trace_term caches trace_exp
+        f.domain.walsh_perm()
+        return f
+
+    assert _released(from_trace_terms)
+    path = tmp_path / "f.tt"
+    save_tt(from_trace_terms(F25), path)
+    refs = []
+
+    def recorded(*args):
+        ctx = FieldCtx(*args)
+        refs.append(weakref.ref(ctx))
+        return ctx
+
+    monkeypatch.setattr(pfunc, "FieldCtx", recorded)
+    f = load_tt(path)
+    gc.collect()
+    assert len(refs) == 1 and refs[0]() is None and f == from_trace_terms(F25)
 
 
 # ---- the additive group ------------------------------------------------------------
@@ -181,11 +227,26 @@ def test_vec_inner_product_is_dot():
     assert dom.inner_product(4, 4) == (1 * 1 + 1 * 1) % 3
 
 
-def test_field_inner_product_is_trace_of_product(rng):
-    dom = Domain.field(F27)
-    for b, x in rng.integers(0, 27, size=(40, 2)):
-        b, x = int(b), int(x)
-        assert dom.inner_product(b, x) == F27.trace_idx(F27.mul_idx(b, x))
+def test_field_inner_product_is_trace_of_product():
+    """Every (b, x) on F_27, F_25, F_81 and F_3 x F_9 x F_3^2: the pairing
+    read from the Gram matrix equals Tr(b*x) by the field's own mul_idx and
+    trace_idx on each field component, and the dot product on each vector
+    one (test_walsh.field_pairing)."""
+    for parts in [[F27], [F25], [make_field(3, 4)], [VecPart(3, 1), F9, VecPart(3, 2)]]:
+        dom, pairing = field_pairing(parts)
+        points = np.arange(dom.size)
+        for b in range(dom.size):
+            assert np.array_equal(dom.inner_product(b, points), pairing[b]), (dom, b)
+
+
+@pytest.mark.parametrize("dom", sample_domains(), ids=DOMAIN_IDS)
+def test_inner_product_of_an_index_array_equals_its_points(dom, rng):
+    points = np.arange(dom.size)
+    for b in [0, dom.size - 1, *rng.integers(0, dom.size, size=6).tolist()]:
+        values = dom.inner_product(b, points)
+        assert values.shape == points.shape
+        assert values.tolist() == [dom.inner_product(b, x) for x in range(dom.size)]
+    assert type(dom.inner_product(dom.size - 1, dom.size - 1)) is int
 
 
 # ---- PFunction ------------------------------------------------------------------------
@@ -494,10 +555,8 @@ def _dump_tt_oracle(f: PFunction) -> str:
     if any(isinstance(c, FieldPart) for c in dom.components):
         for c in dom.components:
             if isinstance(c, FieldPart):
-                mods = ",".join(str(d) for d in c.ctx.modulus)
-                lines.append(
-                    f"# field m={c.ctx.m} modulus={mods} primitive={c.ctx.primitive_index}"
-                )
+                mods = ",".join(str(d) for d in c.modulus)
+                lines.append(f"# field m={c.dim} modulus={mods} primitive={c.primitive_index}")
             else:
                 lines.append(f"# vec n={c.dim}")
     lines.append(f"{dom.p} {dom.n_total}")

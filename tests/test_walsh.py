@@ -144,6 +144,43 @@ def test_fast_equals_naive_through_the_pairing(dom, rng):
     assert poisson_check(f, W)
 
 
+def field_pairing(parts) -> tuple[Domain, np.ndarray]:
+    """The domain of parts (a FieldCtx or a VecPart each) and its N x N
+    pairing matrix from the fields' own arithmetic, not the Gram matrix:
+    Tr(b*x) by mul_idx and trace_idx on a field component, the dot product
+    of digits on a vector one, summed over components in mixed radix."""
+    comps, pairing = [], np.zeros((1, 1), dtype=np.int64)
+    for part in parts:
+        if isinstance(part, VecPart):
+            D = Domain.vec(part.p, part.dim).digits_matrix()
+            block = D @ D.T
+            comps.append(part)
+        else:
+            block = np.array([[part.trace_idx(part.mul_idx(b, x)) for x in range(part.q)]
+                              for b in range(part.q)])
+            comps.append(FieldPart(part))
+        S, q = len(pairing), len(block)
+        # index (b_c, b) -> b + S * b_c in each axis, this component above the earlier ones
+        pairing = np.add.outer(block, pairing).transpose(0, 2, 1, 3).reshape(q * S, q * S)
+    dom = Domain(comps)
+    return dom, pairing % dom.p
+
+
+@pytest.mark.parametrize(
+    "parts", [[F27], [F25], [VecPart(3, 1), F9, VecPart(3, 2)]], ids=["f27", "f25", "v1f9v2"]
+)
+def test_naive_equals_trace_tally(parts, rng):
+    """walsh_naive, whose pairing is read from the Gram matrix, equals the
+    defining sum tallied here with the fields' own Tr(b*x)."""
+    dom, pairing = field_pairing(parts)
+    p = dom.p
+    for _ in range(3):
+        f = random_function(dom, rng)
+        residues = (f.table.astype(np.int64) - pairing) % p  # [b, x]
+        counts = np.stack([(residues == r).sum(axis=1) for r in range(p)], axis=1)
+        assert np.array_equal(walsh_naive(f).values, counts[:, :-1] - counts[:, -1:])
+
+
 def _stage_product_by_transpose(x, K):
     """The product stage in place on the [a, k, b, coeff] view, as one
     transposed copy of the whole array times the kernel."""
